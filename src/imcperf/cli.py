@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -201,18 +201,7 @@ def build_macro(bundle: ConfigBundle, imc_type: str | None = None,
 
 
 def make_system(bundle: ConfigBundle, macro: ImcMacroConfig) -> SystemConfig:
-    cache = default_cache(macro)
-    if bundle.cache_spec:
-        merged = {
-            "name": cache.name,
-            "capacity_bits": cache.capacity_bits,
-            "read_energy": cache.read_energy,
-            "write_energy": cache.write_energy,
-            "area": cache.area,
-            "bandwidth_bits_per_cycle": cache.bandwidth_bits_per_cycle,
-        }
-        merged.update(bundle.cache_spec)
-        cache = MemoryLevel(**merged)
+    cache = replace(default_cache(macro), **(bundle.cache_spec or {}))
     return SystemConfig(macro=macro, params=bundle.params, cache=cache,
                         dram_energy_per_bit=bundle.dram_energy_per_bit)
 
@@ -296,6 +285,16 @@ def _cmd_sweep(args: argparse.Namespace,
     return _cmd_peak(args, bundle, default_both=True, default_sizes=DEFAULT_SWEEP_SIZES)
 
 
+def _workload_points(args: argparse.Namespace, bundle: ConfigBundle
+                     ) -> tuple[list[Network], list[tuple[ImcMacroConfig, Network]]]:
+    """The workloads, and (macro, network) pairs ordered by type, size, then workload."""
+    networks = [_load_workload(arg) for arg in args.workload]
+    sizes = _parse_sizes(args.sizes) or (None,)
+    types = _resolve_types(args.type, default_both=False)
+    return networks, [(build_macro(bundle, imc_type, size), network)
+                      for imc_type in types for size in sizes for network in networks]
+
+
 def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
                 objective: str) -> list[dict[str, Any]]:
     system = make_system(bundle, macro)
@@ -338,11 +337,7 @@ def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
 
 def _cmd_layer(args: argparse.Namespace,
                bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
-    networks = [_load_workload(arg) for arg in args.workload]
-    sizes = _parse_sizes(args.sizes) or (None,)
-    types = _resolve_types(args.type, default_both=False)
-    points = [(build_macro(bundle, imc_type, size), network)
-              for imc_type in types for size in sizes for network in networks]
+    _, points = _workload_points(args, bundle)
     chunks = _run_jobs(args.jobs, [
         lambda m=m, n=n: _layer_rows(bundle, m, n, args.objective) for m, n in points])
     rows = [row for chunk in chunks for row in chunk]
@@ -373,11 +368,7 @@ def _network_row(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
 
 def _cmd_network(args: argparse.Namespace,
                  bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
-    networks = [_load_workload(arg) for arg in args.workload]
-    sizes = _parse_sizes(args.sizes) or (None,)
-    types = _resolve_types(args.type, default_both=False)
-    points = [(build_macro(bundle, imc_type, size), network)
-              for imc_type in types for size in sizes for network in networks]
+    networks, points = _workload_points(args, bundle)
     results = _run_jobs(args.jobs, [
         lambda m=m, n=n: _network_row(bundle, m, n, args.objective) for m, n in points])
 

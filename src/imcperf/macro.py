@@ -4,13 +4,13 @@ An analog macro converts per-cycle bitline sums through one ADC per weight-bit
 column and recombines the weight bits in a digital shift-add tree per output.
 A digital macro multiplies at every cell with NAND gates and reduces along the
 input dimension with adder trees. Both accumulate bit-serial input slices over
-ceil(b_i/b_cycle) cycles.
+ceil(b_i/b_cycle) cycles. Each type is priced in one component table of per-cycle
+energy, clock-path delay and area, from which every macro metric is read.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +41,7 @@ __all__ = [
     "macro_metrics",
     "per_cycle_energy",
     "per_mvm_register_energy",
+    "layer_precisions",
     "resolve_layer_precisions",
 ]
 
@@ -62,6 +63,9 @@ BREAKDOWN_COMPONENTS: tuple[str, ...] = (
 class ImcType(enum.Enum):
     AIMC = "aimc"
     DIMC = "dimc"
+
+
+_DEFAULT_B_CYCLE = {ImcType.AIMC: 2, ImcType.DIMC: 1}
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,7 @@ class ImcMacroConfig:
         if not isinstance(self.imc_type, ImcType):
             raise ValueError(f"imc_type must be an ImcType, got {self.imc_type!r}")
         if self.b_cycle is None:
-            default = 2 if self.imc_type is ImcType.AIMC else 1
-            object.__setattr__(self, "b_cycle", default)
+            object.__setattr__(self, "b_cycle", _DEFAULT_B_CYCLE[self.imc_type])
         for name in ("d_i", "d_o", "b_i", "b_w", "b_cycle", "b_o", "m", "n_macros"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
@@ -141,29 +144,72 @@ class MacroMetrics:
     breakdown: dict[str, ComponentCost] = field(repr=False)
 
 
+def layer_precisions(cfg: ImcMacroConfig, b_i: int | None, b_w: int | None,
+                     b_o: int | None) -> tuple[int, int, int, int]:
+    """(b_i, b_w, b_o, b_cycle): a width the layer sets overrides the macro's, and
+    b_cycle is clamped to b_i so low-precision layers stay valid."""
+    b_i = cfg.b_i if b_i is None else b_i
+    b_w = cfg.b_w if b_w is None else b_w
+    b_o = cfg.b_o if b_o is None else b_o
+    return b_i, b_w, b_o, min(cfg.b_cycle, b_i)
+
+
 def resolve_layer_precisions(cfg: ImcMacroConfig, b_i: int, b_w: int,
                              b_o: int) -> ImcMacroConfig:
     """Macro config with per-layer precision overrides applied.
 
     b_cycle is clamped to the new b_i so low-precision layers stay valid.
     """
-    return replace(cfg, b_i=b_i, b_w=b_w, b_o=b_o,
-                   b_cycle=min(cfg.b_cycle, b_i))
+    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, b_i, b_w, b_o)
+    return replace(cfg, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
 
 
-def _aimc_widths(params: TechnologyParams, cfg: ImcMacroConfig) -> tuple[int, int, int]:
-    res_bits = cfg.b_i if cfg.adc_resolution_from_full_precision else cfg.b_cycle
-    res = adc_resolution(params, res_bits, cfg.d_i)
-    b_adds_out = res + ceil_log2(cfg.b_w)
-    b_acc = b_adds_out + (cfg.b_i - cfg.b_cycle)
-    return res, b_adds_out, b_acc
+def _component_table(params: TechnologyParams, cfg: ImcMacroConfig, rows: int,
+                     cols: int) -> dict[str, tuple[float, float, float]]:
+    """(per-cycle energy with rows x cols active, clock-path delay, area) by component.
 
+    Components the macro type lacks stay at zero, so both types share one key set.
+    """
+    alpha = cfg.activity
+    d_i, d_o, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_w, cfg.b_cycle
+    table = dict.fromkeys(BREAKDOWN_COMPONENTS, (0.0, 0.0, 0.0))
+    cell_area = sram_array_area(params, d_i * d_o * b_w * cfg.m)
+    table["input_register"] = (0.0, 0.0, register_cost(params, d_i * cfg.b_i).area)
 
-def _dimc_widths(cfg: ImcMacroConfig) -> tuple[int, int, int]:
-    tree_out = cfg.b_w + ceil_log2(cfg.d_i)
-    b_adds_out = tree_out + (ceil_log2(max(cfg.b_cycle, 2)) if cfg.b_cycle > 1 else 0)
-    b_acc = b_adds_out + (cfg.b_i - cfg.b_cycle)
-    return tree_out, b_adds_out, b_acc
+    if cfg.imc_type is ImcType.AIMC:
+        res_bits = cfg.b_i if cfg.adc_resolution_from_full_precision else b_cycle
+        res = adc_resolution(params, res_bits, d_i)
+        b_adds_out = res + ceil_log2(b_w)
+        tree = adder_tree_cost(params, b_w, res, alpha)
+        table["cell_array"] = (cell_array_energy(params, b_w, d_i, d_o, alpha), 0.0, cell_area)
+        table["dac"] = (rows * dac_energy(params, b_cycle), 0.0, 0.0)
+        table["adc"] = (cols * b_w * adc_energy(params, res), adc_delay(params, res, d_i),
+                        d_o * b_w * adc_area(params, res))
+        table["combine_tree"] = (cols * tree.energy, tree.delay, d_o * tree.area)
+        pipeline_bits = res * b_w
+    else:
+        tree_out = b_w + ceil_log2(d_i)
+        b_adds_out = tree_out + ceil_log2(b_cycle)
+        mult = multiplier_cost(params)
+        tree = adder_tree_cost(params, d_i, b_w, alpha)
+        # With b_cycle=1 the combine tree has fan-in 1 and costs nothing.
+        combine = adder_tree_cost(params, b_cycle, tree_out, alpha)
+        table["cell_array"] = (0.0, 0.0, cell_area)
+        table["multiplier"] = (rows * cols * b_w * b_cycle * mult.energy * alpha, mult.delay,
+                               d_i * d_o * b_w * b_cycle * mult.area)
+        # Idle rows feed constant zeros into the tree, so tree switching scales
+        # with the populated row fraction even though the tree is full-depth.
+        table["adder_tree"] = (cols * b_cycle * tree.energy * (rows / d_i), tree.delay,
+                               d_o * b_cycle * tree.area)
+        table["combine_tree"] = (cols * combine.energy, combine.delay, d_o * combine.area)
+        pipeline_bits = b_w * d_i
+
+    acc = accumulator_cost(params, b_adds_out + (cfg.b_i - b_cycle), b_adds_out)
+    table["accumulator"] = (cols * acc.energy, acc.delay, d_o * acc.area)
+    if cfg.pipelined:
+        table["pipeline_register"] = (cols * pipeline_bits * params.dff_energy, 0.0,
+                                      register_cost(params, d_o * pipeline_bits).area)
+    return table
 
 
 def per_cycle_energy(params: TechnologyParams, cfg: ImcMacroConfig,
@@ -183,36 +229,8 @@ def per_cycle_energy(params: TechnologyParams, cfg: ImcMacroConfig,
         raise ValueError(f"rows_used must lie in [0, d_i], got {rows!r}")
     if not 0 <= cols <= cfg.d_o:
         raise ValueError(f"cols_used must lie in [0, d_o], got {cols!r}")
-
-    alpha = cfg.activity
-    energies = dict.fromkeys(BREAKDOWN_COMPONENTS, 0.0)
-
-    if cfg.imc_type is ImcType.AIMC:
-        res, b_adds_out, b_acc = _aimc_widths(params, cfg)
-        energies["cell_array"] = cell_array_energy(params, cfg.b_w, cfg.d_i, cfg.d_o, alpha)
-        energies["dac"] = rows * dac_energy(params, cfg.b_cycle)
-        energies["adc"] = cols * cfg.b_w * adc_energy(params, res)
-        tree = adder_tree_cost(params, cfg.b_w, res, alpha)
-        energies["combine_tree"] = cols * tree.energy
-        energies["accumulator"] = cols * accumulator_cost(params, b_acc, b_adds_out).energy
-        if cfg.pipelined:
-            energies["pipeline_register"] = cols * res * cfg.b_w * params.dff_energy
-    else:
-        tree_out, b_adds_out, b_acc = _dimc_widths(cfg)
-        energies["multiplier"] = (rows * cols * cfg.b_w * cfg.b_cycle
-                                  * multiplier_cost(params).energy * alpha)
-        tree = adder_tree_cost(params, cfg.d_i, cfg.b_w, alpha)
-        # Idle rows feed constant zeros into the tree, so tree switching scales
-        # with the populated row fraction even though the tree is full-depth.
-        energies["adder_tree"] = cols * cfg.b_cycle * tree.energy * (rows / cfg.d_i)
-        if cfg.b_cycle > 1:
-            combine = adder_tree_cost(params, cfg.b_cycle, tree_out, alpha)
-            energies["combine_tree"] = cols * combine.energy
-        energies["accumulator"] = cols * accumulator_cost(params, b_acc, b_adds_out).energy
-        if cfg.pipelined:
-            energies["pipeline_register"] = cols * cfg.b_w * cfg.d_i * params.dff_energy
-
-    return energies
+    table = _component_table(params, cfg, rows, cols)
+    return {name: energy for name, (energy, _, _) in table.items()}
 
 
 def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
@@ -224,87 +242,32 @@ def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
     return register_cost(params, rows * cfg.b_i).energy
 
 
-def _clock_and_delays(params: TechnologyParams,
-                      cfg: ImcMacroConfig) -> tuple[float, dict[str, float]]:
-    """Clock period and per-component critical-path contributions."""
-    delays = dict.fromkeys(BREAKDOWN_COMPONENTS, 0.0)
-    if cfg.imc_type is ImcType.AIMC:
-        res, b_adds_out, b_acc = _aimc_widths(params, cfg)
-        delays["adc"] = adc_delay(params, res, cfg.d_i)
-        delays["combine_tree"] = adder_tree_cost(params, cfg.b_w, res, 1.0).delay
-        delays["accumulator"] = accumulator_cost(params, b_acc, b_adds_out).delay
-        before_tree = delays["adc"]
-    else:
-        tree_out, b_adds_out, b_acc = _dimc_widths(cfg)
-        delays["multiplier"] = multiplier_cost(params).delay
-        delays["adder_tree"] = adder_tree_cost(params, cfg.d_i, cfg.b_w, 1.0).delay
-        if cfg.b_cycle > 1:
-            delays["combine_tree"] = adder_tree_cost(params, cfg.b_cycle, tree_out, 1.0).delay
-        delays["accumulator"] = accumulator_cost(params, b_acc, b_adds_out).delay
-        before_tree = delays["multiplier"]
+def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
+    """Peak metrics of either macro type, composed from its component table.
 
-    total = sum(delays.values())
-    if cfg.pipelined:
-        # Single register boundary before the reduction/combine tree.
-        clock = max(before_tree, total - before_tree)
-    else:
-        clock = total
-    return clock, delays
-
-
-def _areas(params: TechnologyParams, cfg: ImcMacroConfig) -> dict[str, float]:
-    """Per-macro area by component."""
-    areas = dict.fromkeys(BREAKDOWN_COMPONENTS, 0.0)
-    n_cells = cfg.d_i * cfg.d_o * cfg.b_w * cfg.m
-    areas["cell_array"] = sram_array_area(params, n_cells)
-    areas["input_register"] = register_cost(params, cfg.d_i * cfg.b_i).area
-
-    if cfg.imc_type is ImcType.AIMC:
-        res, b_adds_out, b_acc = _aimc_widths(params, cfg)
-        areas["adc"] = cfg.d_o * cfg.b_w * adc_area(params, res)
-        areas["combine_tree"] = cfg.d_o * adder_tree_cost(params, cfg.b_w, res, 1.0).area
-        areas["accumulator"] = cfg.d_o * accumulator_cost(params, b_acc, b_adds_out).area
-        if cfg.pipelined:
-            areas["pipeline_register"] = register_cost(
-                params, cfg.d_o * res * cfg.b_w).area
-    else:
-        tree_out, b_adds_out, b_acc = _dimc_widths(cfg)
-        areas["multiplier"] = (cfg.d_i * cfg.d_o * cfg.b_w * cfg.b_cycle
-                               * multiplier_cost(params).area)
-        areas["adder_tree"] = (cfg.d_o * cfg.b_cycle
-                               * adder_tree_cost(params, cfg.d_i, cfg.b_w, 1.0).area)
-        if cfg.b_cycle > 1:
-            areas["combine_tree"] = (cfg.d_o
-                                     * adder_tree_cost(params, cfg.b_cycle, tree_out, 1.0).area)
-        areas["accumulator"] = cfg.d_o * accumulator_cost(params, b_acc, b_adds_out).area
-        if cfg.pipelined:
-            areas["pipeline_register"] = register_cost(
-                params, cfg.d_o * cfg.b_w * cfg.d_i).area
-
-    return areas
-
-
-def _compose_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
+    Pipelining places one register boundary after the front end (the ADCs of
+    an analog macro, the multipliers of a digital one), so the clock is the
+    longer of the front end and everything after it.
+    """
+    table = _component_table(params, cfg, cfg.d_i, cfg.d_o)
     cycles = cfg.cycles_per_mvm
-    cycle_energies = per_cycle_energy(params, cfg)
-    reg_energy = per_mvm_register_energy(params, cfg)
-    clock, delays = _clock_and_delays(params, cfg)
-    areas = _areas(params, cfg)
-
     n = cfg.n_macros
-    breakdown: dict[str, ComponentCost] = {}
-    for name in BREAKDOWN_COMPONENTS:
-        per_mvm = cycle_energies[name] * cycles
-        if name == "input_register":
-            per_mvm += reg_energy
-        breakdown[name] = ComponentCost(
-            energy=per_mvm * n,
-            delay=delays[name],
-            area=areas[name] * n,
-        )
+    per_mvm = {name: energy * cycles for name, (energy, _, _) in table.items()}
+    per_mvm["input_register"] += per_mvm_register_energy(params, cfg)
+    breakdown = {name: ComponentCost(energy=per_mvm[name] * n, delay=delay, area=area * n)
+                 for name, (_, delay, area) in table.items()}
 
+    total = sum(c.delay for c in breakdown.values())
+    # Each type has exactly one front end; the other type's entry reads zero.
+    front = table["adc"][1] + table["multiplier"][1]
+    clock = max(front, total - front) if cfg.pipelined else total
     energy_per_mvm = sum(c.energy for c in breakdown.values())
     area = sum(c.area for c in breakdown.values())
+    checks = (("energy per MVM", energy_per_mvm), ("clock period", clock), ("area", area))
+    for quantity, value in checks:
+        if value == 0.0:
+            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is zero: "
+                             "its technology constants are degenerate")
     ops = 2.0 * cfg.d_i * cfg.d_o * n
     tops = ops / (clock * cycles)
     return MacroMetrics(
@@ -323,20 +286,11 @@ def aimc_macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMe
     """Peak metrics of an analog macro: DAC, cell array, ADCs, shift-add trees."""
     if cfg.imc_type is not ImcType.AIMC:
         raise ValueError(f"expected an AIMC config, got {cfg.imc_type!r}")
-    return _compose_metrics(params, cfg)
+    return macro_metrics(params, cfg)
 
 
 def dimc_macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
     """Peak metrics of a digital macro: NAND multipliers, adder trees, accumulators."""
     if cfg.imc_type is not ImcType.DIMC:
         raise ValueError(f"expected a DIMC config, got {cfg.imc_type!r}")
-    return _compose_metrics(params, cfg)
-
-
-def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
-    """Dispatch on the macro type."""
-    if cfg.imc_type is ImcType.AIMC:
-        return aimc_macro_metrics(params, cfg)
-    if cfg.imc_type is ImcType.DIMC:
-        return dimc_macro_metrics(params, cfg)
-    raise ValueError(f"unknown imc_type {cfg.imc_type!r}")
+    return macro_metrics(params, cfg)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .macro import ImcMacroConfig
+from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer
 
 __all__ = [
@@ -104,14 +104,6 @@ def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping
     return out
 
 
-def _effective_bits(layer: Layer, cfg: ImcMacroConfig) -> tuple[int, int, int, int]:
-    b_i = layer.b_i if layer.b_i is not None else cfg.b_i
-    b_w = layer.b_w if layer.b_w is not None else cfg.b_w
-    b_o = layer.b_o if layer.b_o is not None else cfg.b_o
-    b_cycle = min(cfg.b_cycle, b_i)
-    return b_i, b_w, b_o, b_cycle
-
-
 def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) -> None:
     for factor, bound, name in (
         (mapping.k_u, layer.k, "k_u"),
@@ -142,7 +134,7 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     their reduction finishes and are then written to the cache once.
     """
     _check_feasible(layer, cfg, mapping)
-    b_i, b_w, b_o, b_cycle = _effective_bits(layer, cfg)
+    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
 
     k_tiles = layer.k // mapping.k_u
     c_tiles = layer.c // mapping.c_u

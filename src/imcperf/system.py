@@ -18,6 +18,7 @@ from .components import TechnologyParams
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
+    layer_precisions,
     macro_metrics,
     per_cycle_energy,
     per_mvm_register_energy,
@@ -193,9 +194,7 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     DRAM write-out (outputs), with a warning recorded. Weight loading stalls
     compute: written bits cross the cache-to-macro port at its bandwidth.
     """
-    b_i = layer.b_i if layer.b_i is not None else system.macro.b_i
-    b_w = layer.b_w if layer.b_w is not None else system.macro.b_w
-    b_o = layer.b_o if layer.b_o is not None else system.macro.b_o
+    b_i, b_w, b_o, _ = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
     cfg = resolve_layer_precisions(replace(system.macro, n_macros=1), b_i, b_w, b_o)
     params = system.params
 
@@ -232,12 +231,9 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     weight_load = (traffic[("W", "dram")] * system.dram_energy_per_bit
                    + traffic[("W", "macro")] * params.sram_cell_write_energy)
 
-    energy_breakdown: dict[str, float] = {}
-    for name in BREAKDOWN_COMPONENTS:
-        component = cycle_energies[name] * result.total_cycles
-        if name == "input_register":
-            component += reg_energy * result.mvm_invocations
-        energy_breakdown[name] = component
+    energy_breakdown = {name: energy * result.total_cycles
+                        for name, energy in cycle_energies.items()}
+    energy_breakdown["input_register"] += reg_energy * result.mvm_invocations
     energy_breakdown["cache"] = cache_in + cache_out
     energy_breakdown["dram"] = dram_in + dram_out
     energy_breakdown["weight_load"] = weight_load

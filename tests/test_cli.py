@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 import subprocess
 import sys
 
@@ -64,7 +65,10 @@ class TestValidate:
             assert row["area"] == mm.area
 
     def test_installed_entry_point(self):
-        proc = subprocess.run(["imcperf", "validate"], capture_output=True, text=True)
+        # the console script when installed, else the same cli:main via the package
+        script = shutil.which("imcperf")
+        command = [script] if script else [sys.executable, "-m", "imcperf"]
+        proc = subprocess.run([*command, "validate"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 8
 
@@ -257,6 +261,14 @@ class TestExitCodes:
         overflow.write_text(json.dumps(
             {"layers": [{"k": 1 << 31, "c": 1 << 31, "ox": 4}]}))
         assert run(capsys, "network", "--workload", str(overflow))[0] == 3
+
+    @pytest.mark.parametrize("imc_type", ["aimc", "dimc"])
+    def test_degenerate_technology_is_an_evaluation_error(self, capsys, tmp_path, imc_type):
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps({"technology": {"d_gate": 0, "k3": 0, "k4": 0}}))
+        code, out, err = run(capsys, "peak", "--type", imc_type, "--config", str(config))
+        assert code == 3 and out == ""
+        assert f"clock period of the {imc_type.upper()} macro is zero" in err
 
     def test_errors_reach_stderr_not_stdout(self, capsys):
         code, out, err = run(capsys, "layer")

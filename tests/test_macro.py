@@ -102,6 +102,14 @@ class TestClockPeriod:
             total = sum(c.delay for c in piped.breakdown.values())
             assert piped.clock_period < total
 
+    @pytest.mark.parametrize("make, front", [(aimc, "adc"), (dimc, "multiplier")])
+    def test_pipelined_clock_splits_after_front_end(self, params, make, front):
+        for cfg in (make(16), make(256), make(64, b_cycle=4), make(64, m=2, n_macros=3)):
+            m = macro_metrics(params, replace(cfg, pipelined=True))
+            first = m.breakdown[front].delay
+            total = sum(c.delay for c in m.breakdown.values())
+            assert m.clock_period == max(first, total - first)
+
     def test_analog_clock_grows_with_rows(self, params):
         clocks = [aimc_macro_metrics(params, aimc(d)).clock_period for d in SIZES]
         assert all(a < b for a, b in zip(clocks, clocks[1:]))
@@ -137,6 +145,12 @@ class TestBreakdown:
         assert d["dac"].energy == 0.0 and d["adc"].energy == 0.0
         assert a["dac"].energy > 0.0 and a["adc"].energy > 0.0
         assert d["multiplier"].energy > 0.0 and d["adder_tree"].energy > 0.0
+
+    def test_digital_single_bit_slices_need_no_combine_tree(self, params):
+        for cfg in (dimc(64), dimc(256, pipelined=True, n_macros=4)):
+            combine = macro_metrics(params, cfg).breakdown["combine_tree"]
+            assert (combine.energy, combine.delay, combine.area) == (0.0, 0.0, 0.0)
+        assert per_cycle_energy(params, dimc(64), 16, 8)["combine_tree"] == 0.0
 
     def test_idle_data_still_converts(self, params):
         # all-zero activity silences switching but not the converters
@@ -210,3 +224,24 @@ class TestGating:
         cfg = aimc(64, b_i=8)
         assert per_mvm_register_energy(params, cfg, 16) == pytest.approx(
             16 * 8 * params.dff_energy, rel=REL)
+
+
+class TestDegenerateTechnology:
+    # constants set to zero, the macro types left with a zero quantity, that quantity
+    @pytest.mark.parametrize("zeros, failing, quantity", [
+        (("c_gate", "k1", "k2", "k7"), (ImcType.AIMC, ImcType.DIMC), "energy per MVM"),
+        (("d_gate", "k3", "k4"), (ImcType.AIMC, ImcType.DIMC), "clock period"),
+        (("d_gate",), (ImcType.DIMC,), "clock period"),
+        (("c_gate",), (ImcType.DIMC,), "energy per MVM"),
+        (("a_gate", "sram_cell_area"), (ImcType.DIMC,), "area"),
+    ])
+    def test_zero_quantity_is_a_value_error(self, zeros, failing, quantity):
+        params = TechnologyParams(**dict.fromkeys(zeros, 0.0))
+        for kind in ImcType:
+            cfg = ImcMacroConfig(imc_type=kind, d_i=32, d_o=32)
+            if kind in failing:
+                with pytest.raises(ValueError, match=f"{quantity} of the {kind.name} macro"):
+                    macro_metrics(params, cfg)
+            else:
+                m = macro_metrics(params, cfg)
+                assert m.energy_per_mvm > 0 and m.clock_period > 0 and m.area > 0
