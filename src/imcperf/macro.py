@@ -4,8 +4,9 @@ An analog macro converts per-cycle bitline sums through one ADC per weight-bit
 column and recombines the weight bits in a digital shift-add tree per output.
 A digital macro multiplies at every cell with NAND gates and reduces along the
 input dimension with adder trees. Both accumulate bit-serial input slices over
-ceil(b_i/b_cycle) cycles. Each type is priced in one component table of per-cycle
-energy, clock-path delay and area, from which every macro metric is read.
+ceil(b_i/b_cycle) cycles. Every component of a config is priced once; its
+per-cycle energy then follows from the active rows and columns, and every macro
+metric is read from those prices.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .components import (
     ComponentCost,
@@ -164,28 +166,32 @@ def resolve_layer_precisions(cfg: ImcMacroConfig, b_i: int, b_w: int,
     return replace(cfg, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
 
 
-def _component_table(params: TechnologyParams, cfg: ImcMacroConfig, rows: int,
-                     cols: int) -> dict[str, tuple[float, float, float]]:
-    """(per-cycle energy with rows x cols active, clock-path delay, area) by component.
+def _price_components(params: TechnologyParams, cfg: ImcMacroConfig
+                      ) -> tuple[Callable[[int, int], dict[str, float]],
+                                 dict[str, tuple[float, float]]]:
+    """Price every component of one config once.
 
-    Components the macro type lacks stay at zero, so both types share one key set.
+    Returns the per-cycle energy by component as a function of the active
+    (rows, cols), and each component's (clock-path delay, area). A component
+    the macro type lacks has zero unit energy, delay and area, so both types
+    share one set of energy expressions and one key set.
     """
     alpha = cfg.activity
     d_i, d_o, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_w, cfg.b_cycle
-    table = dict.fromkeys(BREAKDOWN_COMPONENTS, (0.0, 0.0, 0.0))
-    cell_area = sram_array_area(params, d_i * d_o * b_w * cfg.m)
-    table["input_register"] = (0.0, 0.0, register_cost(params, d_i * cfg.b_i).area)
+    timing = dict.fromkeys(BREAKDOWN_COMPONENTS, (0.0, 0.0))
+    timing["cell_array"] = (0.0, sram_array_area(params, d_i * d_o * b_w * cfg.m))
+    timing["input_register"] = (0.0, register_cost(params, d_i * cfg.b_i).area)
+    cell_e = dac_e = adc_e = mult_e = tree_e = dff_e = 0.0
 
     if cfg.imc_type is ImcType.AIMC:
         res_bits = cfg.b_i if cfg.adc_resolution_from_full_precision else b_cycle
         res = adc_resolution(params, res_bits, d_i)
         b_adds_out = res + ceil_log2(b_w)
-        tree = adder_tree_cost(params, b_w, res, alpha)
-        table["cell_array"] = (cell_array_energy(params, b_w, d_i, d_o, alpha), 0.0, cell_area)
-        table["dac"] = (rows * dac_energy(params, b_cycle), 0.0, 0.0)
-        table["adc"] = (cols * b_w * adc_energy(params, res), adc_delay(params, res, d_i),
-                        d_o * b_w * adc_area(params, res))
-        table["combine_tree"] = (cols * tree.energy, tree.delay, d_o * tree.area)
+        combine = adder_tree_cost(params, b_w, res, alpha)
+        cell_e = cell_array_energy(params, b_w, d_i, d_o, alpha)
+        dac_e = dac_energy(params, b_cycle)
+        adc_e = adc_energy(params, res)
+        timing["adc"] = (adc_delay(params, res, d_i), d_o * b_w * adc_area(params, res))
         pipeline_bits = res * b_w
     else:
         tree_out = b_w + ceil_log2(d_i)
@@ -194,22 +200,35 @@ def _component_table(params: TechnologyParams, cfg: ImcMacroConfig, rows: int,
         tree = adder_tree_cost(params, d_i, b_w, alpha)
         # With b_cycle=1 the combine tree has fan-in 1 and costs nothing.
         combine = adder_tree_cost(params, b_cycle, tree_out, alpha)
-        table["cell_array"] = (0.0, 0.0, cell_area)
-        table["multiplier"] = (rows * cols * b_w * b_cycle * mult.energy * alpha, mult.delay,
-                               d_i * d_o * b_w * b_cycle * mult.area)
-        # Idle rows feed constant zeros into the tree, so tree switching scales
-        # with the populated row fraction even though the tree is full-depth.
-        table["adder_tree"] = (cols * b_cycle * tree.energy * (rows / d_i), tree.delay,
-                               d_o * b_cycle * tree.area)
-        table["combine_tree"] = (cols * combine.energy, combine.delay, d_o * combine.area)
+        mult_e, tree_e = mult.energy, tree.energy
+        timing["multiplier"] = (mult.delay, d_i * d_o * b_w * b_cycle * mult.area)
+        timing["adder_tree"] = (tree.delay, d_o * b_cycle * tree.area)
         pipeline_bits = b_w * d_i
 
+    timing["combine_tree"] = (combine.delay, d_o * combine.area)
     acc = accumulator_cost(params, b_adds_out + (cfg.b_i - b_cycle), b_adds_out)
-    table["accumulator"] = (cols * acc.energy, acc.delay, d_o * acc.area)
+    timing["accumulator"] = (acc.delay, d_o * acc.area)
     if cfg.pipelined:
-        table["pipeline_register"] = (cols * pipeline_bits * params.dff_energy, 0.0,
-                                      register_cost(params, d_o * pipeline_bits).area)
-    return table
+        timing["pipeline_register"] = (0.0, register_cost(params, d_o * pipeline_bits).area)
+        dff_e = params.dff_energy
+    combine_e, acc_e = combine.energy, acc.energy
+
+    def cycle_energies(rows: int, cols: int) -> dict[str, float]:
+        return {
+            "cell_array": cell_e,
+            "dac": rows * dac_e,
+            "adc": cols * b_w * adc_e,
+            "multiplier": rows * cols * b_w * b_cycle * mult_e * alpha,
+            # Idle rows feed constant zeros into the tree, so tree switching scales
+            # with the populated row fraction even though the tree is full-depth.
+            "adder_tree": cols * b_cycle * tree_e * (rows / d_i),
+            "combine_tree": cols * combine_e,
+            "accumulator": cols * acc_e,
+            "input_register": 0.0,
+            "pipeline_register": cols * pipeline_bits * dff_e,
+        }
+
+    return cycle_energies, timing
 
 
 def per_cycle_energy(params: TechnologyParams, cfg: ImcMacroConfig,
@@ -229,8 +248,8 @@ def per_cycle_energy(params: TechnologyParams, cfg: ImcMacroConfig,
         raise ValueError(f"rows_used must lie in [0, d_i], got {rows!r}")
     if not 0 <= cols <= cfg.d_o:
         raise ValueError(f"cols_used must lie in [0, d_o], got {cols!r}")
-    table = _component_table(params, cfg, rows, cols)
-    return {name: energy for name, (energy, _, _) in table.items()}
+    cycle_energies, _ = _price_components(params, cfg)
+    return cycle_energies(rows, cols)
 
 
 def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
@@ -243,23 +262,24 @@ def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
 
 
 def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
-    """Peak metrics of either macro type, composed from its component table.
+    """Peak metrics of either macro type, composed from its priced components.
 
     Pipelining places one register boundary after the front end (the ADCs of
     an analog macro, the multipliers of a digital one), so the clock is the
     longer of the front end and everything after it.
     """
-    table = _component_table(params, cfg, cfg.d_i, cfg.d_o)
+    cycle_energies, timing = _price_components(params, cfg)
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
-    per_mvm = {name: energy * cycles for name, (energy, _, _) in table.items()}
+    per_mvm = {name: energy * cycles
+               for name, energy in cycle_energies(cfg.d_i, cfg.d_o).items()}
     per_mvm["input_register"] += per_mvm_register_energy(params, cfg)
     breakdown = {name: ComponentCost(energy=per_mvm[name] * n, delay=delay, area=area * n)
-                 for name, (_, delay, area) in table.items()}
+                 for name, (delay, area) in timing.items()}
 
     total = sum(c.delay for c in breakdown.values())
     # Each type has exactly one front end; the other type's entry reads zero.
-    front = table["adc"][1] + table["multiplier"][1]
+    front = timing["adc"][0] + timing["multiplier"][0]
     clock = max(front, total - front) if cfg.pipelined else total
     energy_per_mvm = sum(c.energy for c in breakdown.values())
     area = sum(c.area for c in breakdown.values())

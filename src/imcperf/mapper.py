@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .macro import ImcMacroConfig, layer_precisions
-from .workload import Layer
+from .workload import Layer, WorkloadError
 
 __all__ = [
     "SpatialMapping",
@@ -22,9 +22,14 @@ __all__ = [
     "evaluate_mapping",
     "best_mapping",
     "OBJECTIVES",
+    "MAX_CANDIDATES",
 ]
 
 OBJECTIVES = ("energy", "latency", "edp")
+
+# Largest mapping space one layer may search. The bundled and benchmark layers
+# need at most a few thousand candidates; a space this large would take minutes.
+MAX_CANDIDATES = 200_000
 
 # (operand, level) -> bits moved. Fixed key set so serialized rows share a schema.
 TRAFFIC_KEYS: tuple[tuple[str, str], ...] = (
@@ -86,8 +91,9 @@ def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping
 
     The all-ones mapping always qualifies, so the list is never empty. Order is
     lexicographic in (k_u, ox_u, c_u, fx_u, fy_u) for deterministic iteration.
+    Raises WorkloadError, before building any mapping, when the layer has more
+    than MAX_CANDIDATES of them.
     """
-    out: list[SpatialMapping] = []
     row_candidates = [
         (c_u, fx_u, fy_u)
         for c_u in _divisors(layer.c, cfg.d_i)
@@ -95,13 +101,20 @@ def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping
         for fy_u in _divisors(layer.fy, cfg.d_i)
         if c_u * fx_u * fy_u <= cfg.d_i
     ]
-    for k_u in _divisors(layer.k, cfg.d_o):
-        for ox_u in _divisors(layer.ox, cfg.d_o):
-            if k_u * ox_u > cfg.d_o:
-                continue
-            for c_u, fx_u, fy_u in row_candidates:
-                out.append(SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u))
-    return out
+    col_candidates = [
+        (k_u, ox_u)
+        for k_u in _divisors(layer.k, cfg.d_o)
+        for ox_u in _divisors(layer.ox, cfg.d_o)
+        if k_u * ox_u <= cfg.d_o
+    ]
+    count = len(row_candidates) * len(col_candidates)
+    if count > MAX_CANDIDATES:
+        name = repr(layer.name) if layer.name else repr(layer)
+        raise WorkloadError(
+            f"layer {name} has {count} mapping candidates on a {cfg.d_i} x {cfg.d_o} "
+            f"macro, more than the search budget of {MAX_CANDIDATES}")
+    return [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
+            for k_u, ox_u in col_candidates for c_u, fx_u, fy_u in row_candidates]
 
 
 def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) -> None:

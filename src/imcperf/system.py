@@ -12,17 +12,21 @@ rows/columns are energy-gated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from .components import TechnologyParams
+from .components import TechnologyParams, register_cost
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
+    MacroMetrics,
+    _price_components,
     layer_precisions,
     macro_metrics,
-    per_cycle_energy,
-    per_mvm_register_energy,
-    resolve_layer_precisions,
+    # Unused here; imcbench's tracer wraps both under this module's name.
+    per_cycle_energy,  # noqa: F401
+    resolve_layer_precisions,  # noqa: F401
 )
 from .mapper import MappingResult, best_mapping
 from .workload import Layer, LayerKind, Network, classify, total_macs
@@ -184,6 +188,52 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     )
 
 
+@dataclass(frozen=True)
+class _LayerPricing:
+    """What pricing one layer on one system costs before any mapping is chosen."""
+
+    cfg: ImcMacroConfig  # one macro, with the layer's precisions
+    metrics: MacroMetrics
+    area_breakdown: dict[str, float]
+    register_energy_per_bit: float
+    cycle_energies: Callable[[int, int], dict[str, float]]
+    ops: float
+
+
+_pricing_memo = threading.local()
+
+
+def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
+    """The layer's candidate-invariant costs, built once per (system, layer).
+
+    A mapper search prices every candidate of one layer on one system in turn,
+    so each thread keeps the last pricing it built, keyed on the identity of
+    the two frozen objects. The entry holds both, so neither can be freed and
+    its id reused while the entry lives; equal but distinct objects rebuild.
+    """
+    entry = getattr(_pricing_memo, "entry", None)
+    if entry is not None and entry[0] is system and entry[1] is layer:
+        return entry[2]
+    b_i, b_w, b_o, b_cycle = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
+    # One replace, so a b_cycle that does not divide b_i warns once per layer.
+    cfg = replace(system.macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
+    params = system.params
+    mm = macro_metrics(params, cfg)
+    area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
+    area_breakdown["cache"] = system.cache.area
+    pricing = _LayerPricing(
+        cfg=cfg,
+        metrics=mm,
+        area_breakdown=area_breakdown,
+        # register energy is linear in the bits written
+        register_energy_per_bit=register_cost(params, 1).energy,
+        cycle_energies=_price_components(params, cfg)[0],
+        ops=2.0 * total_macs(layer),
+    )
+    _pricing_memo.entry = (system, layer, pricing)
+    return pricing
+
+
 def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
                            result: MappingResult) -> SystemMetrics:
     """Price one mapping of one layer on a single macro.
@@ -194,15 +244,18 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     DRAM write-out (outputs), with a warning recorded. Weight loading stalls
     compute: written bits cross the cache-to-macro port at its bandwidth.
     """
-    b_i, b_w, b_o, _ = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
-    cfg = resolve_layer_precisions(replace(system.macro, n_macros=1), b_i, b_w, b_o)
+    pricing = _layer_pricing(system, layer)
+    cfg = pricing.cfg
+    mm = pricing.metrics
     params = system.params
 
     rows = result.mapping.rows
     cols = result.mapping.cols
-    cycle_energies = per_cycle_energy(params, cfg, rows_used=rows, cols_used=cols)
-    reg_energy = per_mvm_register_energy(params, cfg, rows_used=rows)
-    mm = macro_metrics(params, cfg)
+    if rows > cfg.d_i or cols > cfg.d_o:
+        raise ValueError(f"a {rows} x {cols} mapping does not fit the "
+                         f"{cfg.d_i} x {cfg.d_o} macro")
+    cycle_energies = pricing.cycle_energies(rows, cols)
+    reg_energy = rows * cfg.b_i * pricing.register_energy_per_bit
 
     notes: list[str] = []
     traffic = result.traffic
@@ -245,10 +298,7 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     latency = compute_time + stall_time
 
     area = mm.area + system.cache.area
-    area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
-    area_breakdown["cache"] = system.cache.area
-
-    ops = 2.0 * total_macs(layer)
+    ops = pricing.ops
     return SystemMetrics(
         tops=ops / latency,
         tops_per_w=ops / energy,
@@ -258,7 +308,7 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
         area=area,
         energy_breakdown=energy_breakdown,
         delay_breakdown={"compute": compute_time, "weight_load_stall": stall_time},
-        area_breakdown=area_breakdown,
+        area_breakdown=dict(pricing.area_breakdown),
         warnings=tuple(notes),
     )
 

@@ -101,6 +101,15 @@ class TestPeakAndSweep:
         _, parallel, _ = run(capsys, "sweep", "--jobs", "4")
         assert serial == parallel
 
+    @pytest.mark.parametrize("command", ["layer", "network"])
+    def test_parallel_jobs_do_not_change_mapper_output(self, capsys, command):
+        argv = (command, "--workload", "mlperf-tiny-layers", "--type", "both",
+                "--sizes", "16,64")
+        serial_code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        parallel_code, parallel, _ = run(capsys, *argv, "--jobs", "4")
+        assert serial_code == parallel_code == 0
+        assert serial == parallel
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--sizes", "32,128")
         _, second, _ = run(capsys, "sweep", "--sizes", "32,128")
@@ -261,6 +270,15 @@ class TestExitCodes:
         overflow.write_text(json.dumps(
             {"layers": [{"k": 1 << 31, "c": 1 << 31, "ox": 4}]}))
         assert run(capsys, "network", "--workload", str(overflow))[0] == 3
+
+    def test_search_budget_is_an_evaluation_error(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"layers": [
+            {"name": "huge", "k": 5040, "c": 5040, "ox": 5040, "fx": 5040}]}))
+        code, out, err = run(capsys, "layer", "--workload", str(huge),
+                             "--type", "dimc", "--sizes", "4096")
+        assert code == 3 and out == ""
+        assert "'huge' has 2852721 mapping candidates" in err
 
     @pytest.mark.parametrize("imc_type", ["aimc", "dimc"])
     def test_degenerate_technology_is_an_evaluation_error(self, capsys, tmp_path, imc_type):

@@ -6,12 +6,15 @@ from imcperf import (
     ImcType,
     Layer,
     SpatialMapping,
+    WorkloadError,
     best_mapping,
     default_system_config,
     enumerate_mappings,
     evaluate_mapping,
+    layer_system_metrics,
     total_macs,
 )
+from imcperf import mapper
 from _oracles import random_oracle_cases, simulate_mapping
 
 FC = Layer(k=128, c=640)
@@ -61,6 +64,26 @@ class TestEnumerate:
         mappings = enumerate_mappings(wide, dimc(32))
         assert max(m.k_u for m in mappings) == 32
         assert max(m.c_u for m in mappings) == 32
+
+
+class TestCandidateBudget:
+    # 2,852,721 candidates on a 4096 x 4096 macro: minutes of search without the budget
+    HUGE = Layer(k=5040, c=5040, ox=5040, fx=5040, name="huge")
+
+    def test_oversized_search_space_is_refused_before_enumeration(self):
+        with pytest.raises(WorkloadError, match="'huge' has 2852721 mapping candidates"):
+            enumerate_mappings(self.HUGE, dimc(4096))
+        system = default_system_config(dimc(4096))
+        with pytest.raises(WorkloadError, match="search budget of 200000"):
+            layer_system_metrics(system, self.HUGE)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        count = len(enumerate_mappings(CONV, dimc(64)))
+        monkeypatch.setattr(mapper, "MAX_CANDIDATES", count)
+        assert len(enumerate_mappings(CONV, dimc(64))) == count
+        monkeypatch.setattr(mapper, "MAX_CANDIDATES", count - 1)
+        with pytest.raises(WorkloadError, match=f"has {count} mapping candidates"):
+            enumerate_mappings(CONV, dimc(64))
 
 
 class TestEvaluate:

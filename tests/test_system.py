@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -9,11 +13,15 @@ from imcperf import (
     Layer,
     MemoryLevel,
     Network,
+    SpatialMapping,
     SystemConfig,
+    TechnologyParams,
     best_mapping,
     default_cache,
     default_system_config,
+    enumerate_mappings,
     evaluate_layer_mapping,
+    evaluate_mapping,
     geomean_efficiency,
     layer_system_metrics,
     macro_metrics,
@@ -24,6 +32,7 @@ from imcperf import (
     total_macs,
 )
 from imcperf.system import ENERGY_BREAKDOWN_KEYS
+from _oracles import layer_metrics_oracle
 
 FC = Layer(k=128, c=640)
 PW = Layer(k=64, c=64, ox=12, oy=12)
@@ -187,6 +196,145 @@ class TestLayerEvaluation:
         many = default_system_config(replace(make_macro(ImcType.DIMC, 64), n_macros=8))
         assert layer_system_metrics(one, CONV)[1].energy == pytest.approx(
             layer_system_metrics(many, CONV)[1].energy, rel=1e-12)
+
+
+def random_pricing_case(rng):
+    """A (system, layer) pair drawing every option that changes how a layer is priced."""
+    imc_type = rng.choice((ImcType.AIMC, ImcType.DIMC))
+    b_i = rng.choice((4, 6, 8))
+    macro = ImcMacroConfig(
+        imc_type=imc_type, d_i=rng.choice((4, 8, 16, 32)), d_o=rng.choice((4, 8, 16, 32)),
+        b_i=b_i, b_w=rng.choice((1, 2, 4, 8)), b_cycle=rng.choice((1, 2, 4)),
+        b_o=rng.choice((4, 8, 16)), m=rng.choice((1, 2)), n_macros=rng.choice((1, 4)),
+        input_toggle_rate=rng.choice((0.25, 0.5, 1.0)),
+        weight_sparsity=rng.choice((0.0, 0.0, 0.3, 0.75)),
+        pipelined=rng.random() < 0.5,
+        adc_resolution_from_full_precision=rng.random() < 0.5)
+    params = TechnologyParams(v_dd=rng.choice((0.8, 0.9)), k1=rng.choice((80e-15, 100e-15)))
+    # capacities below, between and above typical input and output footprints
+    cache = replace(default_cache(macro), capacity_bits=rng.choice((512, 4096, 32768, 2**21)))
+    system = SystemConfig(macro=macro, params=params, cache=cache,
+                          dram_energy_per_bit=rng.choice((3.7e-12, 1e-11)))
+    layer = Layer(
+        b=rng.randint(1, 2), g=rng.randint(1, 2), k=rng.randint(1, 24), c=rng.randint(1, 24),
+        ox=rng.randint(1, 12), oy=rng.randint(1, 12), fx=rng.choice((1, 2, 3)),
+        fy=rng.choice((1, 3)), b_i=rng.choice((None, None, 1, 3, 5, 7)),
+        b_w=rng.choice((None, None, 2, 3)), b_o=rng.choice((None, 4, 12)))
+    return system, layer
+
+
+class TestLayerPricing:
+    """evaluate_layer_mapping prices a layer's fixed costs once; it must still
+    equal a from-scratch derivation for every candidate, whatever it priced before."""
+
+    def test_every_candidate_matches_the_component_oracle(self):
+        rng = random.Random(20240611)
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b_cycle rounding is exercised on purpose
+            for _ in range(320):
+                system, layer = random_pricing_case(rng)
+                macro = system.macro
+                b_i = macro.b_i if layer.b_i is None else layer.b_i
+                seen.add(macro.imc_type)
+                seen.add(("b_cycle", min(macro.b_cycle, b_i)))
+                seen.update(name for name in ("pipelined", "adc_resolution_from_full_precision")
+                            if getattr(macro, name))
+                seen.update(name for name in ("b_i", "b_w", "b_o")
+                            if getattr(layer, name) is not None)
+                if macro.weight_sparsity > 0:
+                    seen.add("weight_sparsity")
+                for mapping in enumerate_mappings(layer, macro):
+                    result = evaluate_mapping(layer, macro, mapping)
+                    metrics = evaluate_layer_mapping(system, layer, result)
+                    expected = layer_metrics_oracle(system, layer, result)
+                    assert metrics.energy_breakdown == expected.energy_breakdown
+                    assert metrics.delay_breakdown == expected.delay_breakdown
+                    assert metrics.area_breakdown == expected.area_breakdown
+                    assert metrics == expected
+                    seen.update(note.split(" ")[0] for note in metrics.warnings)
+        assert seen >= {
+            ImcType.AIMC, ImcType.DIMC, ("b_cycle", 1), ("b_cycle", 2), ("b_cycle", 4),
+            "pipelined", "adc_resolution_from_full_precision", "weight_sparsity",
+            "b_i", "b_w", "b_o", "input", "output"}
+
+    @staticmethod
+    def _interleaved_pool():
+        """(system, layer, result) triples whose pricing differs in one input at a time,
+        plus equal but distinct copies of a system and of a layer."""
+        base = ImcMacroConfig(imc_type=ImcType.AIMC, d_i=32, d_o=32)
+        systems = [
+            default_system_config(base),
+            default_system_config(ImcMacroConfig(imc_type=ImcType.AIMC, d_i=32, d_o=32)),
+            default_system_config(base, TechnologyParams(v_dd=0.8)),
+            default_system_config(replace(base, imc_type=ImcType.DIMC, b_cycle=1,
+                                          pipelined=True)),
+        ]
+        layers = [
+            Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3),
+            Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3),
+            Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, b_i=4, b_w=2),
+        ]
+        assert systems[0] == systems[1] and systems[0] is not systems[1]
+        assert layers[0] == layers[1] and layers[0] is not layers[1]
+        pool = []
+        for system in systems:
+            for layer in layers:
+                for mapping in enumerate_mappings(layer, system.macro)[::7]:
+                    result = evaluate_mapping(layer, system.macro, mapping)
+                    pool.append((system, layer, result,
+                                 layer_metrics_oracle(system, layer, result)))
+        return pool
+
+    def test_pricing_is_never_stale_across_interleaved_systems_and_layers(self):
+        pool = self._interleaved_pool()
+        rng = random.Random(7)
+        for _ in range(4):
+            rng.shuffle(pool)
+            for system, layer, result, expected in pool:
+                assert evaluate_layer_mapping(system, layer, result) == expected
+
+    def test_pricing_is_never_stale_across_threads(self):
+        pool = self._interleaved_pool()
+        failures = []
+
+        def worker(seed):
+            order = list(pool)
+            random.Random(seed).shuffle(order)
+            for _ in range(3):
+                for system, layer, result, expected in order:
+                    if evaluate_layer_mapping(system, layer, result) != expected:
+                        failures.append((seed, system, layer, result.mapping))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_b_cycle_warning_once_per_layer(self):
+        # b_i=7 is not a multiple of the AIMC default b_cycle of 2
+        system = system_for(ImcType.AIMC, 64)
+        layer = Layer(k=64, c=64, ox=16, oy=16, fx=3, fy=3, b_i=7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            layer_system_metrics(system, layer)
+        assert len(enumerate_mappings(layer, system.macro)) == 500
+        assert sum("does not divide b_i" in str(w.message) for w in caught) == 1
+
+    def test_oversized_mapping_is_rejected(self):
+        system = system_for(ImcType.DIMC, 32)
+        result = evaluate_mapping(CONV, make_macro(ImcType.DIMC, 64),
+                                  SpatialMapping(k_u=16, ox_u=4, c_u=16))
+        with pytest.raises(ValueError, match="does not fit"):
+            evaluate_layer_mapping(system, CONV, result)
 
 
 class TestNetwork:
