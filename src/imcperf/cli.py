@@ -18,11 +18,9 @@ import io
 import json
 import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .components import TechnologyParams
 from .macro import ImcMacroConfig, ImcType, MacroMetrics, macro_metrics
@@ -160,8 +158,11 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         _check_keys(cache_spec, _CACHE_FIELDS | {"name"}, "cache")
 
     dram = doc.get("dram_energy_per_bit", 3.7e-12)
-    if not isinstance(dram, (int, float)) or isinstance(dram, bool):
-        raise ConfigError("dram_energy_per_bit must be a number")
+    # NaN fails the range check, and so does an int too large for a float
+    if (not isinstance(dram, (int, float)) or isinstance(dram, bool)
+            or not 0 <= dram <= sys.float_info.max):
+        raise ConfigError(
+            f"dram_energy_per_bit must be a finite non-negative number, got {dram!r}")
 
     try:
         params = TechnologyParams(**tech_spec)
@@ -175,9 +176,14 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         dram_energy_per_bit=float(dram),
     )
     try:
-        build_macro(bundle)
+        macro = build_macro(bundle)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid macro section: {exc}") from exc
+    # the cache bandwidth fit depends on --sizes, so SystemConfig checks it later
+    try:
+        replace(default_cache(macro), **(bundle.cache_spec or {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid cache section: {exc}") from exc
     return bundle
 
 
@@ -234,13 +240,6 @@ def _resolve_types(type_arg: str | None, default_both: bool) -> tuple[str | None
     return (type_arg,)
 
 
-def _run_jobs(jobs: int, tasks: list[Callable[[], Any]]) -> list[Any]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _load_workload(arg: str) -> Network:
     path = Path(arg)
     if path.is_file():
@@ -275,7 +274,7 @@ def _cmd_peak(args: argparse.Namespace, bundle: ConfigBundle,
     sizes = _parse_sizes(args.sizes) or default_sizes or (None,)
     types = _resolve_types(args.type, default_both)
     macros = [build_macro(bundle, imc_type, size) for imc_type in types for size in sizes]
-    rows = _run_jobs(args.jobs, [lambda m=m: _peak_row(bundle, m) for m in macros])
+    rows = [_peak_row(bundle, macro) for macro in macros]
     rows.sort(key=lambda r: (r["imc_type"], r["d_i"], r["d_o"]))
     return PEAK_FIELDS, rows
 
@@ -286,13 +285,13 @@ def _cmd_sweep(args: argparse.Namespace,
 
 
 def _workload_points(args: argparse.Namespace, bundle: ConfigBundle
-                     ) -> tuple[list[Network], list[tuple[ImcMacroConfig, Network]]]:
-    """The workloads, and (macro, network) pairs ordered by type, size, then workload."""
+                     ) -> tuple[list[Network], list[ImcMacroConfig]]:
+    """The workloads in argument order, and the macros ordered by type, then size."""
     networks = [_load_workload(arg) for arg in args.workload]
     sizes = _parse_sizes(args.sizes) or (None,)
     types = _resolve_types(args.type, default_both=False)
-    return networks, [(build_macro(bundle, imc_type, size), network)
-                      for imc_type in types for size in sizes for network in networks]
+    return networks, [build_macro(bundle, imc_type, size)
+                      for imc_type in types for size in sizes]
 
 
 def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
@@ -337,10 +336,9 @@ def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
 
 def _cmd_layer(args: argparse.Namespace,
                bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
-    _, points = _workload_points(args, bundle)
-    chunks = _run_jobs(args.jobs, [
-        lambda m=m, n=n: _layer_rows(bundle, m, n, args.objective) for m, n in points])
-    rows = [row for chunk in chunks for row in chunk]
+    networks, macros = _workload_points(args, bundle)
+    rows = [row for macro in macros for network in networks
+            for row in _layer_rows(bundle, macro, network, args.objective)]
     rows.sort(key=lambda r: (r["workload"], r["imc_type"], r["d_i"], r["layer_index"]))
     return LAYER_FIELDS, rows
 
@@ -368,18 +366,16 @@ def _network_row(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
 
 def _cmd_network(args: argparse.Namespace,
                  bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
-    networks, points = _workload_points(args, bundle)
-    results = _run_jobs(args.jobs, [
-        lambda m=m, n=n: _network_row(bundle, m, n, args.objective) for m, n in points])
-
+    networks, macros = _workload_points(args, bundle)
     rows: list[dict[str, Any]] = []
-    for start in range(0, len(results), len(networks)):
-        group = results[start:start + len(networks)]
-        group_rows = [row for row, _ in group]
-        group_rows.sort(key=lambda r: r["workload"])
+    for macro in macros:
+        results = [_network_row(bundle, macro, network, args.objective)
+                   for network in networks]
+        group_rows = sorted((row for row, _ in results), key=lambda r: r["workload"])
         rows.extend(group_rows)
         if len(networks) > 1:
-            means = geomean_efficiency([summary for _, summary in group])
+            # argument order, not row order: the float sum depends on it
+            means = geomean_efficiency([summary for _, summary in results])
             first = group_rows[0]
             rows.append({
                 "workload": "geomean",
@@ -450,17 +446,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(out_path)
-    # all-or-nothing: stage next to the target, then atomically replace
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=str(target.parent),
-        prefix=f".{target.name}.", suffix=".tmp", delete=False)
+    # all-or-nothing: stage next to the target, then atomically replace; open()
+    # creates the staged file 0o666 less the umask, as a shell redirect would
+    staged = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+    stream = open(staged, "x", encoding="utf-8")
     try:
-        with handle as stream:
+        with stream:
             stream.write(text)
-        os.replace(handle.name, target)
+        os.replace(staged, target)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(staged)
         except OSError:
             pass
         raise
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout); written atomically")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel evaluation threads (default: 1)")
+                        help="accepted for compatibility (N >= 1); evaluation is serial")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("peak", parents=[common],

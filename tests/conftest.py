@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from imcperf import TechnologyParams
+
+# pytest's `pythonpath` setting reaches this process only; the CLI tests that
+# start `python -m imcperf` need the same source tree on the child's path
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -109,6 +112,18 @@ class TestPeakAndSweep:
         parallel_code, parallel, _ = run(capsys, *argv, "--jobs", "4")
         assert serial_code == parallel_code == 0
         assert serial == parallel
+
+    @pytest.mark.parametrize("command", ["layer", "network"])
+    def test_jobs_flag_starts_no_threads(self, capsys, monkeypatch, command):
+        def refuse(thread):
+            raise RuntimeError("the CLI evaluates serially and starts no threads")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, err = run(capsys, command, "--workload", "mlperf-tiny-layers",
+                             "--type", "both", "--sizes", "16,64", "--jobs", "4")
+        assert code == 0, err
+        assert {(r["imc_type"], r["d_i"]) for r in parse_csv(out)} == {
+            ("aimc", "16"), ("aimc", "64"), ("dimc", "16"), ("dimc", "64")}
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--sizes", "32,128")
@@ -235,6 +250,17 @@ class TestOutputFile:
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+    def test_out_file_mode_follows_umask(self, capsys, tmp_path, umask):
+        target = tmp_path / "rows.csv"
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run(capsys, "validate", "--out", str(target))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
     def test_unwritable_out_fails_cleanly(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "rows.csv"
         code, _, err = run(capsys, "validate", "--out", str(target))
@@ -263,6 +289,30 @@ class TestExitCodes:
         invalid = tmp_path / "invalid.json"
         invalid.write_text(json.dumps({"macro": {"d_i": -4}}))
         assert run(capsys, "peak", "--config", str(invalid))[0] == 2
+
+    @pytest.mark.parametrize("command", ["peak", "validate"])
+    @pytest.mark.parametrize("doc", [
+        {"cache": {"capacity_bits": 0}},
+        {"dram_energy_per_bit": -1},
+        {"cache": {"read_energy": "cheap"}},
+        {"dram_energy_per_bit": float("nan")},
+        {"dram_energy_per_bit": 10 ** 400},
+    ], ids=["zero-capacity", "negative-dram", "string-energy", "nan-dram", "huge-dram"])
+    def test_invalid_cache_or_dram_is_a_config_error(self, capsys, tmp_path, command, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 2 and out == ""
+        assert "config error" in err
+
+    def test_narrow_cache_bandwidth_is_an_evaluation_error(self, capsys, tmp_path):
+        # whether the bandwidth fits depends on --sizes, so the config loads
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cache": {"bandwidth_bits_per_cycle": 8}}))
+        assert run(capsys, "validate", "--config", str(config))[0] == 0
+        code, out, err = run(capsys, "peak", "--config", str(config))
+        assert code == 3 and out == ""
+        assert "does not fit the macro dimensions" in err
 
     def test_evaluation_errors(self, capsys, tmp_path):
         assert run(capsys, "layer", "--workload", "no-such-net")[0] == 3

@@ -9,8 +9,10 @@ SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``). The matrix is every command (sweep, peak, validate, layer,
 network) in CSV and JSON, with the objectives energy, latency and edp for the
 mapping commands, under nine configurations that switch on the options that
-change how a macro is priced. Only the command outputs are written; warnings
-on stderr are not part of the snapshot. Stdlib only.
+change how a macro is priced. Each mapping command also runs with ``--jobs 2``
+into its own ``*-jobs2`` output, so a tree that evaluated ``--jobs`` on a thread
+pool can be compared with one that evaluates serially. Only the command outputs
+are written; warnings on stderr are not part of the snapshot. Stdlib only.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ def commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
     selection = [arg for workload in workloads for arg in ("--workload", workload)]
     for command in ("layer", "network"):
         for objective in OBJECTIVES:
-            out.append((f"{command}-{objective}",
-                        [command, *selection, "--type", "both", "--sizes", MAPPING_SIZES,
-                         "--objective", objective]))
+            argv = [command, *selection, "--type", "both", "--sizes", MAPPING_SIZES,
+                    "--objective", objective]
+            out.append((f"{command}-{objective}", argv))
+            out.append((f"{command}-{objective}-jobs2", [*argv, "--jobs", "2"]))
     return out
 
 
