@@ -20,14 +20,16 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .components import TechnologyParams
 from .macro import ImcMacroConfig, ImcType, MacroMetrics, macro_metrics
+from .mapper import OBJECTIVES
 from .system import (
     ENERGY_BREAKDOWN_KEYS,
     MemoryLevel,
     SystemConfig,
+    SystemMetrics,
     default_cache,
     geomean_efficiency,
     layer_system_metrics,
@@ -48,6 +50,7 @@ __all__ = ["main"]
 
 CONFIG_DIR_ENV = "IMCPERF_CONFIG_DIR"
 DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024)
+_IMC_TYPES = tuple(imc_type.value for imc_type in ImcType)
 
 PEAK_FIELDS = (
     "imc_type", "d_i", "d_o", "b_i", "b_w", "b_cycle", "m", "n_macros",
@@ -57,22 +60,26 @@ PEAK_FIELDS = (
     "system_energy_per_mvm", "system_latency", "system_tops", "system_tops_per_w",
     "system_tops_per_mm2", "system_area",
 )
+# the SystemMetrics columns that end every layer and network row
+_METRICS = ("energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area")
+_METRIC_FIELDS = (_METRICS + tuple(f"energy_{key}" for key in ENERGY_BREAKDOWN_KEYS)
+                  + ("warnings",))
 LAYER_FIELDS = (
     "workload", "layer_index", "layer", "kind", "imc_type", "d_i", "d_o", "macs",
     "k_u", "ox_u", "c_u", "fx_u", "fy_u", "rows", "cols",
     "spatial_utilization", "in_unroll_ratio", "out_unroll_ratio",
     "mvm_invocations", "total_cycles", "weight_tile_loads",
     "w_dram_bits", "w_macro_bits", "i_dram_bits", "i_cache_bits", "o_cache_bits",
-    "energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area",
-) + tuple(f"energy_{key}" for key in ENERGY_BREAKDOWN_KEYS) + ("warnings",)
+) + _METRIC_FIELDS
 NETWORK_FIELDS = (
     "workload", "imc_type", "d_i", "d_o", "n_layers", "macs",
-    "energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area",
-) + tuple(f"energy_{key}" for key in ENERGY_BREAKDOWN_KEYS) + ("warnings",)
+) + _METRIC_FIELDS
 VALIDATE_FIELDS = (
     "ref_index", "imc_type", "b_i", "b_w", "b_cycle", "d_i", "d_o", "m", "n_macros",
     "energy_per_mac", "clock_period", "area",
 )
+# what a command returns: its columns and its rows
+_Rows = tuple[tuple[str, ...], list[dict[str, Any]]]
 
 
 class ConfigError(Exception):
@@ -132,7 +139,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
     if path is not None:
         try:
             raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             doc = json.loads(raw)
@@ -140,6 +147,8 @@ def load_config(path_arg: str | None) -> ConfigBundle:
             raise ConfigError(
                 f"invalid JSON in {path}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
             ) from exc
+        except (ValueError, RecursionError) as exc:  # overlong integer, deep nesting
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config root in {path} must be a JSON object")
     _check_keys(doc, {"technology", "macro", "cache", "dram_energy_per_bit"}, "config")
@@ -233,11 +242,18 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
 
 def _resolve_types(type_arg: str | None, default_both: bool) -> tuple[str | None, ...]:
     """None means: keep the type the config macro declares."""
-    if type_arg is None:
-        return ("aimc", "dimc") if default_both else (None,)
-    if type_arg == "both":
-        return ("aimc", "dimc")
+    if type_arg == "both" or (type_arg is None and default_both):
+        return _IMC_TYPES
     return (type_arg,)
+
+
+def _design_points(args: argparse.Namespace, bundle: ConfigBundle,
+                   default_both: bool = False,
+                   default_sizes: tuple[int, ...] | None = None) -> list[ImcMacroConfig]:
+    """The macros of --type x --sizes, ordered by type, then size."""
+    sizes = _parse_sizes(args.sizes) or default_sizes or (None,)
+    return [build_macro(bundle, imc_type, size)
+            for imc_type in _resolve_types(args.type, default_both) for size in sizes]
 
 
 def _load_workload(arg: str) -> Network:
@@ -269,18 +285,14 @@ def _peak_row(bundle: ConfigBundle, macro: ImcMacroConfig) -> dict[str, Any]:
 
 def _cmd_peak(args: argparse.Namespace, bundle: ConfigBundle,
               default_both: bool = False,
-              default_sizes: tuple[int, ...] | None = None
-              ) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
-    sizes = _parse_sizes(args.sizes) or default_sizes or (None,)
-    types = _resolve_types(args.type, default_both)
-    macros = [build_macro(bundle, imc_type, size) for imc_type in types for size in sizes]
-    rows = [_peak_row(bundle, macro) for macro in macros]
+              default_sizes: tuple[int, ...] | None = None) -> _Rows:
+    rows = [_peak_row(bundle, macro)
+            for macro in _design_points(args, bundle, default_both, default_sizes)]
     rows.sort(key=lambda r: (r["imc_type"], r["d_i"], r["d_o"]))
     return PEAK_FIELDS, rows
 
 
-def _cmd_sweep(args: argparse.Namespace,
-               bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
+def _cmd_sweep(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     return _cmd_peak(args, bundle, default_both=True, default_sizes=DEFAULT_SWEEP_SIZES)
 
 
@@ -288,10 +300,16 @@ def _workload_points(args: argparse.Namespace, bundle: ConfigBundle
                      ) -> tuple[list[Network], list[ImcMacroConfig]]:
     """The workloads in argument order, and the macros ordered by type, then size."""
     networks = [_load_workload(arg) for arg in args.workload]
-    sizes = _parse_sizes(args.sizes) or (None,)
-    types = _resolve_types(args.type, default_both=False)
-    return networks, [build_macro(bundle, imc_type, size)
-                      for imc_type in types for size in sizes]
+    return networks, _design_points(args, bundle)
+
+
+def _metric_cells(metrics: SystemMetrics) -> dict[str, Any]:
+    """The _METRIC_FIELDS cells of a layer or network row."""
+    cells: dict[str, Any] = {name: getattr(metrics, name) for name in _METRICS}
+    for key in ENERGY_BREAKDOWN_KEYS:
+        cells[f"energy_{key}"] = metrics.energy_breakdown[key]
+    cells["warnings"] = "; ".join(metrics.warnings)
+    return cells
 
 
 def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
@@ -301,7 +319,7 @@ def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
     for index, layer in enumerate(network.layers):
         result, metrics = layer_system_metrics(system, layer, objective)
         mapping = result.mapping
-        row: dict[str, Any] = {
+        rows.append({
             "workload": network.name,
             "layer_index": index,
             "layer": layer.name or f"layer{index}",
@@ -323,19 +341,12 @@ def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
             "i_dram_bits": result.traffic[("I", "dram")],
             "i_cache_bits": result.traffic[("I", "cache")],
             "o_cache_bits": result.traffic[("O", "cache")],
-            "energy": metrics.energy, "latency": metrics.latency,
-            "tops": metrics.tops, "tops_per_w": metrics.tops_per_w,
-            "tops_per_mm2": metrics.tops_per_mm2, "area": metrics.area,
-            "warnings": "; ".join(metrics.warnings),
-        }
-        for key in ENERGY_BREAKDOWN_KEYS:
-            row[f"energy_{key}"] = metrics.energy_breakdown[key]
-        rows.append(row)
+            **_metric_cells(metrics),
+        })
     return rows
 
 
-def _cmd_layer(args: argparse.Namespace,
-               bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
+def _cmd_layer(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     networks, macros = _workload_points(args, bundle)
     rows = [row for macro in macros for network in networks
             for row in _layer_rows(bundle, macro, network, args.objective)]
@@ -344,28 +355,22 @@ def _cmd_layer(args: argparse.Namespace,
 
 
 def _network_row(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
-                 objective: str) -> tuple[dict[str, Any], Any]:
+                 objective: str) -> tuple[dict[str, Any], SystemMetrics]:
     system = make_system(bundle, macro)
     summary, reports = network_system_metrics(system, network, objective)
     macs = sum(report.repeat * total_macs(report.layer) for report in reports)
-    row: dict[str, Any] = {
+    row = {
         "workload": network.name,
         "imc_type": macro.imc_type.value,
         "d_i": macro.d_i, "d_o": macro.d_o,
         "n_layers": len(network.layers),
         "macs": macs,
-        "energy": summary.energy, "latency": summary.latency,
-        "tops": summary.tops, "tops_per_w": summary.tops_per_w,
-        "tops_per_mm2": summary.tops_per_mm2, "area": summary.area,
-        "warnings": "; ".join(summary.warnings),
+        **_metric_cells(summary),
     }
-    for key in ENERGY_BREAKDOWN_KEYS:
-        row[f"energy_{key}"] = summary.energy_breakdown[key]
     return row, summary
 
 
-def _cmd_network(args: argparse.Namespace,
-                 bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
+def _cmd_network(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     networks, macros = _workload_points(args, bundle)
     rows: list[dict[str, Any]] = []
     for macro in macros:
@@ -376,19 +381,17 @@ def _cmd_network(args: argparse.Namespace,
         if len(networks) > 1:
             # argument order, not row order: the float sum depends on it
             means = geomean_efficiency([summary for _, summary in results])
-            first = group_rows[0]
             rows.append({
                 "workload": "geomean",
-                "imc_type": first["imc_type"],
-                "d_i": first["d_i"], "d_o": first["d_o"],
+                "imc_type": macro.imc_type.value,
+                "d_i": macro.d_i, "d_o": macro.d_o,
                 "tops": means["tops"], "tops_per_w": means["tops_per_w"],
                 "tops_per_mm2": means["tops_per_mm2"],
             })
     return NETWORK_FIELDS, rows
 
 
-def _cmd_validate(args: argparse.Namespace,
-                  bundle: ConfigBundle) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
+def _cmd_validate(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     from importlib import resources
 
     raw = resources.files("imcperf").joinpath("data", "reference-configs.json").read_text("utf-8")
@@ -416,13 +419,7 @@ def _cmd_validate(args: argparse.Namespace,
 
 
 def _format_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+    return format(value, ".6g") if isinstance(value, float) else str(value)
 
 
 def _render_csv(fieldnames: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
@@ -462,6 +459,23 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace, ConfigBundle], _Rows]
+    help: str
+    takes_workload: bool = False
+
+
+_COMMANDS = {
+    "peak": _Command(_cmd_peak, "peak metrics for the configured design point"),
+    "sweep": _Command(_cmd_sweep, "peak metrics over sizes x {aimc, dimc}"),
+    "layer": _Command(_cmd_layer, "per-layer mapping and system metrics",
+                      takes_workload=True),
+    "network": _Command(_cmd_network, "whole-network metrics per workload",
+                        takes_workload=True),
+    "validate": _Command(_cmd_validate, "estimates for seven published configurations"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="imcperf",
                      description="Analytical performance model for SRAM-based "
@@ -472,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
                              f"${CONFIG_DIR_ENV}/config.json if present, else built-ins)")
     common.add_argument("--sizes", metavar="N,N,...",
                         help="comma-separated square array sizes, powers of two in [8, 4096]")
-    common.add_argument("--type", choices=("aimc", "dimc", "both"),
+    common.add_argument("--type", choices=_IMC_TYPES + ("both",),
                         help="macro type override (default: from config; sweep: both)")
-    common.add_argument("--objective", choices=("energy", "latency", "edp"),
+    common.add_argument("--objective", choices=OBJECTIVES,
                         default="energy", help="mapping objective (default: energy)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
@@ -484,54 +498,38 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility (N >= 1); evaluation is serial")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("peak", parents=[common],
-                   help="peak metrics for the configured design point")
-    sub.add_parser("sweep", parents=[common],
-                   help="peak metrics over sizes x {aimc, dimc}")
-    for name, help_text in (("layer", "per-layer mapping and system metrics"),
-                            ("network", "whole-network metrics per workload")):
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
-        cmd.add_argument("--workload", action="append", metavar="PATH",
-                         help="workload JSON file or bundled name (repeatable)")
-    sub.add_parser("validate", parents=[common],
-                   help="estimates for seven published configurations")
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=command.help)
+        if command.takes_workload:
+            cmd.add_argument("--workload", action="append", metavar="PATH",
+                             help="workload JSON file or bundled name (repeatable)")
     return parser
 
 
-_COMMANDS = {
-    "peak": _cmd_peak,
-    "sweep": _cmd_sweep,
-    "layer": _cmd_layer,
-    "network": _cmd_network,
-    "validate": _cmd_validate,
-}
+# built once per process: parse_args keeps no state between calls, and the
+# --workload list starts from a None default on every call
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    command = _COMMANDS[args.command]
     try:
-        if args.command in ("layer", "network") and not args.workload:
+        if command.takes_workload and not args.workload:
             raise UsageError(f"--workload is required for '{args.command}'")
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        bundle = load_config(args.config)
+        fieldnames, rows = command.run(args, load_config(args.config))
     except UsageError as exc:
         print(f"imcperf: error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"imcperf: config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        fieldnames, rows = _COMMANDS[args.command](args, bundle)
-    except UsageError as exc:
-        print(f"imcperf: error: {exc}", file=sys.stderr)
-        return 1
     except (WorkloadError, ValueError, ArithmeticError) as exc:
         print(f"imcperf: evaluation error: {exc}", file=sys.stderr)
         return 3

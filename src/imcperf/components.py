@@ -167,10 +167,18 @@ def adc_resolution(params: TechnologyParams, bits_per_cycle: int, d_i: int) -> i
     return max(1, math.ceil(raw))
 
 
+def _adc_power(base: float, res: int) -> float:
+    """base**res as a float; a resolution past the float range is a ValueError."""
+    try:
+        return base**res
+    except OverflowError:
+        raise ValueError(f"ADC resolution of {res} bits is too large to price") from None
+
+
 def adc_energy(params: TechnologyParams, res: int) -> float:
     """SAR ADC conversion energy: (k1*res + k2*4**res) * v_dd^2."""
     _check_count("res", res)
-    return (params.k1 * res + params.k2 * 4**res) * params.v_dd**2
+    return (params.k1 * res + params.k2 * _adc_power(4.0, res)) * params.v_dd**2
 
 
 def adc_delay(params: TechnologyParams, res: int, d_i: int) -> float:
@@ -187,7 +195,7 @@ def adc_delay(params: TechnologyParams, res: int, d_i: int) -> float:
 def adc_area(params: TechnologyParams, res: int) -> float:
     """SAR ADC area: 10**(-k5*res + k6) * 2**res."""
     _check_count("res", res)
-    return 10.0 ** (-params.k5 * res + params.k6) * 2**res
+    return 10.0 ** (-params.k5 * res + params.k6) * _adc_power(2.0, res)
 
 
 def dac_energy(params: TechnologyParams, res: int) -> float:

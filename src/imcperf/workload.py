@@ -74,6 +74,8 @@ class Layer:
             if value is not None and (
                     isinstance(value, bool) or not isinstance(value, int) or value < 1):
                 problems.append(f"{f} must be an integer >= 1 when given, got {value!r}")
+        if not isinstance(self.name, str):
+            problems.append(f"name must be a string, got {self.name!r}")
         if problems:
             raise WorkloadError("; ".join(problems))
 
@@ -189,15 +191,19 @@ def load_network(path: str | Path) -> Network:
     """Parse a network JSON file; unknown fields and invalid bounds are rejected."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise WorkloadError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise WorkloadError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkloadError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # overlong integer, deep nesting
+        raise WorkloadError(f"{path}: invalid JSON: {exc}") from None
     return _network_from_dict(doc, str(path), default_name=path.stem)
 
 

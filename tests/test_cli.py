@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -268,6 +269,18 @@ class TestOutputFile:
         assert "cannot write output" in err
         assert not target.exists()
 
+    def test_out_directory_fails_cleanly(self, capsys, tmp_path):
+        # the staged file is written, then cannot replace a directory
+        target = tmp_path / "rows"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept\n")
+        code, out, err = run(capsys, "validate", "--out", str(target))
+        assert code == 1 and out == ""
+        assert "cannot write output" in err
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows"]
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys, tmp_path):
@@ -305,6 +318,34 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "config error" in err
 
+    def test_non_utf8_config_is_a_config_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"{}\xff")
+        code, out, err = run(capsys, "peak", "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"config error: cannot read config file {config}" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"dram_energy_per_bit": ' + "1" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["overlong-integer", "deep-nesting"])
+    def test_undecodable_json_is_a_config_error(self, capsys, tmp_path, text):
+        # json.loads raises ValueError past 4300 digits, RecursionError when too deep
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = run(capsys, "peak", "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"config error: invalid JSON in {config}" in err
+
+    def test_oversized_adc_is_an_evaluation_error(self, capsys, tmp_path):
+        # b_i sets the ADC resolution; 4**res must not become a 200-Mbit integer
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"macro": {
+            "b_i": 100_000_000, "adc_resolution_from_full_precision": True}}))
+        code, out, err = run(capsys, "peak", "--config", str(config))
+        assert code == 3 and out == ""
+        assert "ADC resolution of 100000003 bits is too large to price" in err
+
     def test_narrow_cache_bandwidth_is_an_evaluation_error(self, capsys, tmp_path):
         # whether the bandwidth fits depends on --sizes, so the config loads
         config = tmp_path / "config.json"
@@ -341,6 +382,36 @@ class TestExitCodes:
     def test_errors_reach_stderr_not_stdout(self, capsys):
         code, out, err = run(capsys, "layer")
         assert code == 1 and out == "" and "workload" in err
+
+
+class TestParserReuse:
+    @staticmethod
+    def write_network(tmp_path, name, k):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"layers": [{"k": k, "c": 8, "ox": 4, "oy": 4}]}))
+        return str(path)
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch, tmp_path):
+        workload = self.write_network(tmp_path, "net", 16)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("main built an argument parser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert run(capsys, "validate")[0] == 0
+        code, out, err = run(capsys, "layer", "--workload", workload)
+        assert code == 0, err
+        assert [r["workload"] for r in parse_csv(out)] == ["net"]
+
+    def test_back_to_back_calls_are_independent(self, capsys, tmp_path):
+        first_net = self.write_network(tmp_path, "first", 16)
+        second_net = self.write_network(tmp_path, "second", 32)
+        _, first, _ = run(capsys, "layer", "--workload", first_net)
+        _, second, _ = run(capsys, "layer", "--workload", second_net)
+        _, again, _ = run(capsys, "layer", "--workload", first_net)
+        assert [r["workload"] for r in parse_csv(first)] == ["first"]
+        assert [r["workload"] for r in parse_csv(second)] == ["second"]
+        assert again == first
 
 
 def test_python_dash_m_entry():

@@ -77,6 +77,19 @@ class TestAdcChain:
         assert adc_area(params, 7) == pytest.approx(1134.9, rel=PRINTED)
         assert adc_area(params, 10) == pytest.approx(7033.0, rel=PRINTED)
 
+    def test_oversized_resolution_is_a_value_error(self, params):
+        # 4**2000 does not fit a float; the error names the resolution
+        for price in (adc_energy, adc_area):
+            with pytest.raises(ValueError, match="ADC resolution of 2000 bits"):
+                price(params, 2000)
+
+    def test_float_powers_match_integer_powers(self, params):
+        # 4.0**res and 2.0**res are exact wherever the integer power fits a float
+        for res in range(1, 512):
+            assert adc_energy(params, res) == (
+                params.k1 * res + params.k2 * 4**res) * params.v_dd**2
+            assert adc_area(params, res) == 10.0 ** (-params.k5 * res + params.k6) * 2**res
+
     @given(res=st.integers(min_value=1, max_value=14))
     def test_strictly_increasing_in_resolution(self, res):
         p = TechnologyParams()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,10 @@ class TestLayerValidation:
         assert layer.ix == 25
         assert layer.iy == 14
 
+    def test_rejects_a_name_that_is_not_a_string(self):
+        with pytest.raises(WorkloadError, match="name must be a string, got 5"):
+            Layer(k=4, name=5)
+
     def test_element_counts(self):
         assert CONV.weight_elements == 16 * 16 * 3 * 3
         assert CONV.input_elements == 16 * 34 * 34
@@ -139,6 +144,28 @@ class TestLoadNetwork:
     def test_absurd_bounds_rejected_at_load(self, tmp_path):
         path = self.write(tmp_path, {"layers": [{"k": 1 << 31, "c": 1 << 31, "ox": 4}]})
         with pytest.raises(WorkloadError, match="overflows"):
+            load_network(path)
+
+    def test_layer_name_must_be_a_string(self, tmp_path):
+        path = self.write(tmp_path, {"layers": [{"k": 2}, {"k": 2, "name": 5}]})
+        with pytest.raises(WorkloadError, match="layer 1: name must be a string"):
+            load_network(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"layers": [{"k": ' + "1" * 5000 + "}]}",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["overlong-integer", "deep-nesting"])
+    def test_undecodable_json_names_the_file(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(WorkloadError, match=re.escape(f"{path}: invalid JSON")):
+            load_network(path)
+
+    def test_file_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_bytes('{"layers": [{"k": 2, "name": "café"}]}'.encode("utf-8"))
+        assert load_network(path).layers[0].name == "café"
+        path.write_bytes(b'{"layers": [{"k": 2}]}\xff')
+        with pytest.raises(WorkloadError, match=re.escape(str(path))):
             load_network(path)
 
 

@@ -12,13 +12,23 @@ mapping commands, under nine configurations that switch on the options that
 change how a macro is priced. Each mapping command also runs with ``--jobs 2``
 into its own ``*-jobs2`` output, so a tree that evaluated ``--jobs`` on a thread
 pool can be compared with one that evaluates serially. Only the command outputs
-are written; warnings on stderr are not part of the snapshot. Stdlib only.
+are written; warnings on stderr are not part of the snapshot.
+
+The front end is snapshotted too: under ``frontend/``, one file per case holds
+the exit code, stdout and stderr of ``--help`` (top level and every command) and
+of a fixed set of usage, configuration and evaluation errors. Help text is
+formatted for an 80-column terminal, and the output directory's path is
+replaced by ``<OUT>`` so that snapshots written to two directories compare
+equal. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -64,6 +74,81 @@ def commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
     return out
 
 
+# inputs of the error cases, written under frontend/inputs/
+FRONTEND_INPUTS: dict[str, str] = {
+    "bad-json.json": "{not json",
+    "not-object.json": "[]",
+    "unknown-key.json": json.dumps({"macro": {"rows": 32}}),
+    "invalid-macro.json": json.dumps({"macro": {"d_i": -4}}),
+    "zero-capacity.json": json.dumps({"cache": {"capacity_bits": 0}}),
+    "narrow-bandwidth.json": json.dumps({"cache": {"bandwidth_bits_per_cycle": 8}}),
+    "degenerate.json": json.dumps({"technology": {"d_gate": 0, "k3": 0, "k4": 0}}),
+    "huge-layer.json": json.dumps({"layers": [
+        {"name": "huge", "k": 5040, "c": 5040, "ox": 5040, "fx": 5040}]}),
+}
+
+
+def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
+    """(case name, argv) of the help texts and of the usage, config and evaluation errors."""
+    def config(name: str) -> list[str]:
+        return ["--config", str(inputs / name)]
+
+    tiny = ["--workload", "mlperf-tiny-layers"]
+    cases = [("help", ["--help"])]
+    cases += [(f"help-{command}", [command, "--help"])
+              for command in ("peak", "sweep", "layer", "network", "validate")]
+    return cases + [
+        ("no-command", []),
+        ("unknown-command", ["bogus"]),
+        ("unknown-option", ["peak", "--bogus"]),
+        ("sizes-not-integer", ["peak", "--sizes", "abc"]),
+        ("sizes-not-power-of-two", ["peak", "--sizes", "33"]),
+        ("sizes-out-of-range", ["sweep", "--sizes", "4,8192"]),
+        ("sizes-empty", ["peak", "--sizes", ""]),
+        ("bad-type", ["peak", "--type", "cimc"]),
+        ("bad-objective", ["layer", *tiny, "--objective", "power"]),
+        ("bad-format", ["validate", "--format", "xml"]),
+        ("jobs-zero", ["peak", "--jobs", "0"]),
+        ("jobs-not-integer", ["network", *tiny, "--jobs", "two"]),
+        ("layer-without-workload", ["layer"]),
+        ("network-without-workload", ["network", "--type", "both"]),
+        ("peak-with-workload", ["peak", "--workload", "x"]),
+        ("missing-config", ["peak", *config("missing.json")]),
+        ("config-bad-json", ["sweep", *config("bad-json.json")]),
+        ("config-not-object", ["peak", *config("not-object.json")]),
+        ("config-unknown-key", ["validate", *config("unknown-key.json")]),
+        ("config-invalid-macro", ["peak", *config("invalid-macro.json")]),
+        ("zero-cache-capacity-peak", ["peak", *config("zero-capacity.json")]),
+        ("zero-cache-capacity-validate", ["validate", *config("zero-capacity.json")]),
+        ("narrow-cache-bandwidth", ["peak", *config("narrow-bandwidth.json")]),
+        ("unknown-workload", ["layer", "--workload", "no-such-net"]),
+        ("search-budget", ["layer", "--workload", str(inputs / "huge-layer.json"),
+                           "--type", "dimc", "--sizes", "4096"]),
+        ("degenerate-technology-aimc", ["peak", "--type", "aimc", *config("degenerate.json")]),
+        ("degenerate-technology-dimc", ["peak", "--type", "dimc", *config("degenerate.json")]),
+    ]
+
+
+def snapshot_frontend(imcperf_main, out_dir: Path) -> None:
+    """Write the exit code, stdout and stderr of every front-end case."""
+    frontend = out_dir / "frontend"
+    inputs = frontend / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    for name, text in FRONTEND_INPUTS.items():
+        (inputs / name).write_text(text + "\n")
+    for name, argv in frontend_cases(inputs.resolve()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("ignore")
+            code = imcperf_main(argv)
+        text = (f"exit {code}\n--- stdout ---\n{stdout.getvalue()}"
+                f"--- stderr ---\n{stderr.getvalue()}")
+        text = text.replace(str(out_dir.resolve()), "<OUT>")
+        (frontend / f"{name}.txt").write_text(text)
+        print(f"frontend/{name}.txt: exit {code}", flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
@@ -71,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory holding the imcperf package (default: ./src)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    # fixed help width, and no config picked up from the environment
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("IMCPERF_CONFIG_DIR", None)
     from imcperf.cli import main as imcperf_main
 
     workloads = ["mlperf-tiny-layers"] + [str(p) for p in sorted(NETWORK_DIR.glob("*.json"))]
@@ -92,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                     failed += 1
                     target.write_text(f"exit code {code}\n")
                 print(f"{config_name}/{target.name}: exit {code}", flush=True)
+    snapshot_frontend(imcperf_main, args.out_dir)
     return 1 if failed else 0
 
 
