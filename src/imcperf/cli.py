@@ -222,6 +222,7 @@ def make_system(bundle: ConfigBundle, macro: ImcMacroConfig) -> SystemConfig:
 
 
 def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
+    """The --sizes value as sizes, checked for every command, even one that ignores it."""
     if text is None:
         return None
     sizes: list[int] = []
@@ -251,7 +252,7 @@ def _design_points(args: argparse.Namespace, bundle: ConfigBundle,
                    default_both: bool = False,
                    default_sizes: tuple[int, ...] | None = None) -> list[ImcMacroConfig]:
     """The macros of --type x --sizes, ordered by type, then size."""
-    sizes = _parse_sizes(args.sizes) or default_sizes or (None,)
+    sizes = args.sizes or default_sizes or (None,)
     return [build_macro(bundle, imc_type, size)
             for imc_type in _resolve_types(args.type, default_both) for size in sizes]
 
@@ -444,8 +445,9 @@ def _emit(text: str, out_path: str | None) -> None:
         return
     target = Path(out_path)
     # all-or-nothing: stage next to the target, then atomically replace; open()
-    # creates the staged file 0o666 less the umask, as a shell redirect would
-    staged = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+    # creates the staged file 0o666 less the umask, as a shell redirect would.
+    # The staged name has a fixed length, so any legal target name can be staged.
+    staged = target.parent / f".imcperf-{os.urandom(8).hex()}.tmp"
     stream = open(staged, "x", encoding="utf-8")
     try:
         with stream:
@@ -523,7 +525,9 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--workload is required for '{args.command}'")
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        fieldnames, rows = command.run(args, load_config(args.config))
+        bundle = load_config(args.config)
+        args.sizes = _parse_sizes(args.sizes)
+        fieldnames, rows = command.run(args, bundle)
     except UsageError as exc:
         print(f"imcperf: error: {exc}", file=sys.stderr)
         return 1

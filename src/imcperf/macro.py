@@ -167,14 +167,15 @@ def resolve_layer_precisions(cfg: ImcMacroConfig, b_i: int, b_w: int,
 
 
 def _price_components(params: TechnologyParams, cfg: ImcMacroConfig
-                      ) -> tuple[Callable[[int, int], dict[str, float]],
+                      ) -> tuple[Callable[..., dict[str, float]],
                                  dict[str, tuple[float, float]]]:
     """Price every component of one config once.
 
-    Returns the per-cycle energy by component as a function of the active
-    (rows, cols), and each component's (clock-path delay, area). A component
-    the macro type lacks has zero unit energy, delay and area, so both types
-    share one set of energy expressions and one key set.
+    Returns the energy by component of `cycles` cycles (one by default) as a
+    function of the active (rows, cols, cycles), and each component's
+    (clock-path delay, area). A component the macro type lacks has zero unit
+    energy, delay and area, so both types share one set of energy expressions
+    and one key set.
     """
     alpha = cfg.activity
     d_i, d_o, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_w, cfg.b_cycle
@@ -213,19 +214,21 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig
         dff_e = params.dff_energy
     combine_e, acc_e = combine.energy, acc.energy
 
-    def cycle_energies(rows: int, cols: int) -> dict[str, float]:
+    # cycles is every expression's last multiply: the floats equal multiplying
+    # each one-cycle entry by cycles afterwards, bit for bit
+    def cycle_energies(rows: int, cols: int, cycles: int = 1) -> dict[str, float]:
         return {
-            "cell_array": cell_e,
-            "dac": rows * dac_e,
-            "adc": cols * b_w * adc_e,
-            "multiplier": rows * cols * b_w * b_cycle * mult_e * alpha,
+            "cell_array": cell_e * cycles,
+            "dac": rows * dac_e * cycles,
+            "adc": cols * b_w * adc_e * cycles,
+            "multiplier": rows * cols * b_w * b_cycle * mult_e * alpha * cycles,
             # Idle rows feed constant zeros into the tree, so tree switching scales
             # with the populated row fraction even though the tree is full-depth.
-            "adder_tree": cols * b_cycle * tree_e * (rows / d_i),
-            "combine_tree": cols * combine_e,
-            "accumulator": cols * acc_e,
+            "adder_tree": cols * b_cycle * tree_e * (rows / d_i) * cycles,
+            "combine_tree": cols * combine_e * cycles,
+            "accumulator": cols * acc_e * cycles,
             "input_register": 0.0,
-            "pipeline_register": cols * pipeline_bits * dff_e,
+            "pipeline_register": cols * pipeline_bits * dff_e * cycles,
         }
 
     return cycle_energies, timing
@@ -271,8 +274,7 @@ def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics
     cycle_energies, timing = _price_components(params, cfg)
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
-    per_mvm = {name: energy * cycles
-               for name, energy in cycle_energies(cfg.d_i, cfg.d_o).items()}
+    per_mvm = cycle_energies(cfg.d_i, cfg.d_o, cycles)
     per_mvm["input_register"] += per_mvm_register_energy(params, cfg)
     breakdown = {name: ComponentCost(energy=per_mvm[name] * n, delay=delay, area=area * n)
                  for name, (delay, area) in timing.items()}

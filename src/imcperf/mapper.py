@@ -10,6 +10,7 @@ loop bounds are admitted as unroll factors, which keeps tile arithmetic exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer, WorkloadError
@@ -50,6 +51,13 @@ class SpatialMapping:
     fy_u: int = 1
 
     def __post_init__(self) -> None:
+        k_u, ox_u, c_u, fx_u, fy_u = self.k_u, self.ox_u, self.c_u, self.fx_u, self.fy_u
+        # fast path for the search's plain ints; anything else, bool included,
+        # takes the loop below
+        if (type(k_u) is int and type(ox_u) is int and type(c_u) is int
+                and type(fx_u) is int and type(fy_u) is int
+                and k_u >= 1 and ox_u >= 1 and c_u >= 1 and fx_u >= 1 and fy_u >= 1):
+            return
         for name in ("k_u", "ox_u", "c_u", "fx_u", "fy_u"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
@@ -136,6 +144,62 @@ def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) 
             f"infeasible mapping: {mapping.cols} columns exceed d_o={cfg.d_o}")
 
 
+class _MappingContext(NamedTuple):
+    """What every mapping of one layer on one macro shares."""
+
+    k: int
+    ox: int
+    c: int
+    fx: int
+    fy: int
+    d_i: int
+    d_o: int
+    b_oy: int  # batch x output rows: temporal loops no unrolling touches
+    g: int
+    cycles_per_mvm: int
+    b_i: int
+    b_w: int
+    weight_dram_bits: int
+    input_dram_bits: int
+    output_cache_bits: int
+    array_cells: int  # d_i * d_o
+    reduction: int  # c * fx * fy
+    col_bound: int  # min(d_o, k * ox)
+
+
+# The last context built, as (layer, cfg, context). A search evaluates every
+# candidate of one layer on one macro in turn. The entry holds both frozen
+# objects, so neither can be freed and its id reused while the entry lives;
+# equal but distinct objects rebuild. The tuple is read once and replaced
+# whole, so a reader never sees a context paired with the wrong key.
+_context_entry: tuple[Layer, ImcMacroConfig, _MappingContext] | None = None
+
+
+def _mapping_context(layer: Layer, cfg: ImcMacroConfig) -> _MappingContext:
+    global _context_entry
+    entry = _context_entry
+    if entry is not None and entry[0] is layer and entry[1] is cfg:
+        return entry[2]
+    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
+    context = _MappingContext(
+        k=layer.k, ox=layer.ox, c=layer.c, fx=layer.fx, fy=layer.fy,
+        d_i=cfg.d_i, d_o=cfg.d_o,
+        b_oy=layer.b * layer.oy,
+        g=layer.g,
+        cycles_per_mvm=-(-b_i // b_cycle),
+        b_i=b_i,
+        b_w=b_w,
+        weight_dram_bits=layer.weight_elements * b_w,
+        input_dram_bits=layer.input_elements * b_i,
+        output_cache_bits=layer.output_elements * b_o,
+        array_cells=cfg.d_i * cfg.d_o,
+        reduction=layer.c * layer.fx * layer.fy,
+        col_bound=min(cfg.d_o, layer.k * layer.ox),
+    )
+    _context_entry = (layer, cfg, context)
+    return context
+
+
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
                      mapping: SpatialMapping) -> MappingResult:
     """Cycle counts, weight-reload events, and per-operand traffic of one mapping.
@@ -146,35 +210,37 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     rows; the column multicast is free. Outputs stay in the accumulators until
     their reduction finishes and are then written to the cache once.
     """
-    _check_feasible(layer, cfg, mapping)
-    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
+    (k, ox, c, fx, fy, d_i, d_o, b_oy, g, cycles_per_mvm, b_i, b_w, weight_dram_bits,
+     input_dram_bits, output_cache_bits, array_cells, reduction,
+     col_bound) = _mapping_context(layer, cfg)
+    k_u, ox_u, c_u, fx_u, fy_u = (mapping.k_u, mapping.ox_u, mapping.c_u,
+                                  mapping.fx_u, mapping.fy_u)
+    rows = c_u * fx_u * fy_u
+    cols = k_u * ox_u
+    if k % k_u | ox % ox_u | c % c_u | fx % fx_u | fy % fy_u or rows > d_i or cols > d_o:
+        _check_feasible(layer, cfg, mapping)  # raises, with the failing bound named
 
-    k_tiles = layer.k // mapping.k_u
-    c_tiles = layer.c // mapping.c_u
-    ox_tiles = layer.ox // mapping.ox_u
-    fx_tiles = layer.fx // mapping.fx_u
-    fy_tiles = layer.fy // mapping.fy_u
-
-    mvms = layer.b * layer.g * k_tiles * c_tiles * ox_tiles * layer.oy * fx_tiles * fy_tiles
-    loads = layer.g * k_tiles * c_tiles * fx_tiles * fy_tiles
-    cycles_per_mvm = -(-b_i // b_cycle)
-
-    traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
-    traffic[("W", "dram")] = layer.weight_elements * b_w
-    traffic[("W", "macro")] = loads * mapping.rows * mapping.cols * b_w
-    traffic[("I", "dram")] = layer.input_elements * b_i
-    traffic[("I", "cache")] = mvms * mapping.rows * b_i
-    traffic[("O", "cache")] = layer.output_elements * b_o
-
+    loads = g * (k // k_u) * (c // c_u) * (fx // fx_u) * (fy // fy_u)
+    mvms = loads * (ox // ox_u) * b_oy
     return MappingResult(
         mapping=mapping,
-        spatial_utilization=(mapping.rows * mapping.cols) / (cfg.d_i * cfg.d_o),
+        spatial_utilization=(rows * cols) / array_cells,
         mvm_invocations=mvms,
         total_cycles=mvms * cycles_per_mvm,
         weight_tile_loads=loads,
-        traffic=traffic,
-        in_unroll_ratio=mapping.rows / (layer.c * layer.fx * layer.fy),
-        out_unroll_ratio=mapping.cols / min(cfg.d_o, layer.k * layer.ox),
+        traffic={
+            ("W", "dram"): weight_dram_bits,
+            ("W", "cache"): 0,
+            ("W", "macro"): loads * rows * cols * b_w,
+            ("I", "dram"): input_dram_bits,
+            ("I", "cache"): mvms * rows * b_i,
+            ("I", "macro"): 0,
+            ("O", "dram"): 0,
+            ("O", "cache"): output_cache_bits,
+            ("O", "macro"): 0,
+        },
+        in_unroll_ratio=rows / reduction,
+        out_unroll_ratio=cols / col_bound,
     )
 
 
@@ -191,6 +257,7 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
     from .system import evaluate_layer_mapping
 
     best: tuple | None = None
+    best_value = 0.0
     best_result: MappingResult | None = None
     for mapping in enumerate_mappings(layer, system.macro):
         result = evaluate_mapping(layer, system.macro, mapping)
@@ -201,9 +268,13 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
             value = metrics.latency
         else:
             value = metrics.energy * metrics.latency
-        key = (value, -result.spatial_utilization, mapping.factors())
-        if best is None or key < best:
-            best = key
-            best_result = result
+        # A key below best needs value <= best_value (a NaN on either side
+        # compares false both ways), so the tuple is built only for contenders.
+        if best is None or value <= best_value:
+            key = (value, -result.spatial_utilization, mapping.factors())
+            if best is None or key < best:
+                best = key
+                best_value = value
+                best_result = result
     assert best_result is not None  # all-ones mapping always enumerates
     return best_result

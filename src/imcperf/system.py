@@ -12,7 +12,6 @@ rows/columns are energy-gated.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -196,31 +195,52 @@ class _LayerPricing:
     metrics: MacroMetrics
     area_breakdown: dict[str, float]
     register_energy_per_bit: float
-    cycle_energies: Callable[[int, int], dict[str, float]]
+    cycle_energies: Callable[..., dict[str, float]]
     ops: float
+    area: float  # macro plus cache
+    # The layer's own activation sizes and their spill warnings, None where the
+    # size fits the cache; a result with other traffic gets its text formatted.
+    input_bits: int
+    input_spill: str | None
+    output_bits: int
+    output_spill: str | None
 
 
-_pricing_memo = threading.local()
+def _input_spill(bits: int, capacity: int) -> str:
+    return (f"input activations ({bits} bits) exceed the cache capacity "
+            f"({capacity} bits); inputs stream from DRAM per access")
+
+
+def _output_spill(bits: int, capacity: int) -> str:
+    return (f"output activations ({bits} bits) exceed the cache capacity "
+            f"({capacity} bits); outputs spill to DRAM")
+
+
+# The last pricing built, as (system, layer, pricing). A mapper search prices
+# every candidate of one layer on one system in turn. The entry holds both
+# frozen objects, so neither can be freed and its id reused while the entry
+# lives; equal but distinct objects rebuild. The tuple is read once and
+# replaced whole, so a reader never sees a pricing paired with the wrong key.
+_pricing_entry: tuple[SystemConfig, Layer, _LayerPricing] | None = None
 
 
 def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
-    """The layer's candidate-invariant costs, built once per (system, layer).
-
-    A mapper search prices every candidate of one layer on one system in turn,
-    so each thread keeps the last pricing it built, keyed on the identity of
-    the two frozen objects. The entry holds both, so neither can be freed and
-    its id reused while the entry lives; equal but distinct objects rebuild.
-    """
-    entry = getattr(_pricing_memo, "entry", None)
+    """The layer's candidate-invariant costs, built once per (system, layer)."""
+    global _pricing_entry
+    entry = _pricing_entry
     if entry is not None and entry[0] is system and entry[1] is layer:
         return entry[2]
     b_i, b_w, b_o, b_cycle = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
     # One replace, so a b_cycle that does not divide b_i warns once per layer.
     cfg = replace(system.macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
     params = system.params
+    cache = system.cache
     mm = macro_metrics(params, cfg)
     area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
-    area_breakdown["cache"] = system.cache.area
+    area_breakdown["cache"] = cache.area
+    input_bits = layer.input_elements * b_i
+    output_bits = layer.output_elements * b_o
+    capacity = cache.capacity_bits
     pricing = _LayerPricing(
         cfg=cfg,
         metrics=mm,
@@ -229,8 +249,13 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
         register_energy_per_bit=register_cost(params, 1).energy,
         cycle_energies=_price_components(params, cfg)[0],
         ops=2.0 * total_macs(layer),
+        area=mm.area + cache.area,
+        input_bits=input_bits,
+        input_spill=_input_spill(input_bits, capacity) if input_bits > capacity else None,
+        output_bits=output_bits,
+        output_spill=_output_spill(output_bits, capacity) if output_bits > capacity else None,
     )
-    _pricing_memo.entry = (system, layer, pricing)
+    _pricing_entry = (system, layer, pricing)
     return pricing
 
 
@@ -246,58 +271,55 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     """
     pricing = _layer_pricing(system, layer)
     cfg = pricing.cfg
-    mm = pricing.metrics
-    params = system.params
+    cache = system.cache
+    capacity = cache.capacity_bits
+    dram_rate = system.dram_energy_per_bit
+    clock = pricing.metrics.clock_period
 
     rows = result.mapping.rows
     cols = result.mapping.cols
     if rows > cfg.d_i or cols > cfg.d_o:
         raise ValueError(f"a {rows} x {cols} mapping does not fit the "
                          f"{cfg.d_i} x {cfg.d_o} macro")
-    cycle_energies = pricing.cycle_energies(rows, cols)
-    reg_energy = rows * cfg.b_i * pricing.register_energy_per_bit
+    cycles = result.total_cycles
 
     notes: list[str] = []
     traffic = result.traffic
     input_bits_from_dram = traffic[("I", "dram")]
     input_cache_reads = traffic[("I", "cache")]
     output_bits = traffic[("O", "cache")]
+    weight_macro_bits = traffic[("W", "macro")]
 
-    if input_bits_from_dram > system.cache.capacity_bits:
-        notes.append(
-            f"input activations ({input_bits_from_dram} bits) exceed the cache capacity "
-            f"({system.cache.capacity_bits} bits); inputs stream from DRAM per access")
-        dram_in = input_cache_reads * system.dram_energy_per_bit
+    if input_bits_from_dram > capacity:
+        notes.append(pricing.input_spill if input_bits_from_dram == pricing.input_bits
+                     else _input_spill(input_bits_from_dram, capacity))
+        dram_in = input_cache_reads * dram_rate
         cache_in = 0.0
     else:
-        dram_in = input_bits_from_dram * system.dram_energy_per_bit
-        cache_in = input_cache_reads * system.cache.read_energy
+        dram_in = input_bits_from_dram * dram_rate
+        cache_in = input_cache_reads * cache.read_energy
 
-    cache_out = output_bits * system.cache.write_energy
+    cache_out = output_bits * cache.write_energy
     dram_out = 0.0
-    if output_bits > system.cache.capacity_bits:
-        notes.append(
-            f"output activations ({output_bits} bits) exceed the cache capacity "
-            f"({system.cache.capacity_bits} bits); outputs spill to DRAM")
-        dram_out = output_bits * system.dram_energy_per_bit
+    if output_bits > capacity:
+        notes.append(pricing.output_spill if output_bits == pricing.output_bits
+                     else _output_spill(output_bits, capacity))
+        dram_out = output_bits * dram_rate
 
-    weight_load = (traffic[("W", "dram")] * system.dram_energy_per_bit
-                   + traffic[("W", "macro")] * params.sram_cell_write_energy)
-
-    energy_breakdown = {name: energy * result.total_cycles
-                        for name, energy in cycle_energies.items()}
-    energy_breakdown["input_register"] += reg_energy * result.mvm_invocations
+    energy_breakdown = pricing.cycle_energies(rows, cols, cycles)
+    energy_breakdown["input_register"] += (rows * cfg.b_i * pricing.register_energy_per_bit
+                                           * result.mvm_invocations)
     energy_breakdown["cache"] = cache_in + cache_out
     energy_breakdown["dram"] = dram_in + dram_out
-    energy_breakdown["weight_load"] = weight_load
+    energy_breakdown["weight_load"] = (traffic[("W", "dram")] * dram_rate
+                                       + weight_macro_bits * system.params.sram_cell_write_energy)
     energy = sum(energy_breakdown.values())
 
-    compute_time = result.total_cycles * mm.clock_period
-    stall_cycles = traffic[("W", "macro")] / system.cache.bandwidth_bits_per_cycle
-    stall_time = stall_cycles * mm.clock_period
+    compute_time = cycles * clock
+    stall_time = weight_macro_bits / cache.bandwidth_bits_per_cycle * clock
     latency = compute_time + stall_time
 
-    area = mm.area + system.cache.area
+    area = pricing.area
     ops = pricing.ops
     return SystemMetrics(
         tops=ops / latency,

@@ -2,8 +2,10 @@
 
 Everything here is deliberately brute force: the tree oracle builds the adder
 tree level by level, the mapping oracle enumerates every single MAC's loop
-indices and counts events with np.unique, and the layer-metrics oracle prices
-every component from scratch for each mapping. Slow and obviously correct.
+indices and counts events with np.unique, the mapping-result oracle derives a
+mapping's counts from the loop bounds alone, the layer-metrics oracle prices
+every component from scratch for each mapping, and the search oracle prices
+every candidate and takes the least key. Slow and obviously correct.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from imcperf import (
+    ImcMacroConfig,
     ImcType,
     Layer,
     MappingResult,
@@ -30,11 +33,15 @@ from imcperf import (
     ceil_log2,
     cell_array_energy,
     dac_energy,
+    enumerate_mappings,
+    evaluate_layer_mapping,
+    evaluate_mapping,
     multiplier_cost,
     register_cost,
     sram_array_area,
     total_macs,
 )
+from imcperf.mapper import TRAFFIC_KEYS
 
 
 def ripple_tree(params: TechnologyParams, fan_in: int, b_in: int) -> tuple[int, float]:
@@ -111,6 +118,65 @@ def simulate_mapping(layer: Layer, mapping: SpatialMapping,
         input_cache_bits=input_reads * b_i,
         output_cache_bits=outputs * b_o,
     )
+
+
+def mapping_result_oracle(layer: Layer, cfg: ImcMacroConfig,
+                          mapping: SpatialMapping) -> MappingResult:
+    """One mapping's result straight from the loop bounds, sharing nothing between calls.
+
+    Every tile count, cycle count and traffic entry is derived from the layer,
+    the macro and the mapping alone, so a stale per-layer cache in the package
+    shows as a mismatch.
+    """
+    b_i = cfg.b_i if layer.b_i is None else layer.b_i
+    b_w = cfg.b_w if layer.b_w is None else layer.b_w
+    b_o = cfg.b_o if layer.b_o is None else layer.b_o
+    b_cycle = min(cfg.b_cycle, b_i)
+    k_t, ox_t = layer.k // mapping.k_u, layer.ox // mapping.ox_u
+    c_t, fx_t, fy_t = layer.c // mapping.c_u, layer.fx // mapping.fx_u, layer.fy // mapping.fy_u
+    rows = mapping.c_u * mapping.fx_u * mapping.fy_u
+    cols = mapping.k_u * mapping.ox_u
+    loads = layer.g * k_t * c_t * fx_t * fy_t
+    mvms = layer.b * layer.oy * ox_t * loads
+    ix = (layer.ox - 1) * layer.sx + layer.fx
+    iy = (layer.oy - 1) * layer.sy + layer.fy
+    traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
+    traffic[("W", "dram")] = layer.g * layer.k * layer.c * layer.fx * layer.fy * b_w
+    traffic[("W", "macro")] = loads * rows * cols * b_w
+    traffic[("I", "dram")] = layer.b * layer.g * layer.c * ix * iy * b_i
+    traffic[("I", "cache")] = mvms * rows * b_i
+    traffic[("O", "cache")] = layer.b * layer.g * layer.k * layer.ox * layer.oy * b_o
+    return MappingResult(
+        mapping=mapping,
+        spatial_utilization=rows * cols / (cfg.d_i * cfg.d_o),
+        mvm_invocations=mvms,
+        total_cycles=mvms * ((b_i + b_cycle - 1) // b_cycle),
+        weight_tile_loads=loads,
+        traffic=traffic,
+        in_unroll_ratio=rows / (layer.c * layer.fx * layer.fy),
+        out_unroll_ratio=cols / min(cfg.d_o, layer.k * layer.ox),
+    )
+
+
+def exhaustive_best_mapping(layer: Layer, system: SystemConfig,
+                            objective: str) -> tuple[MappingResult, SystemMetrics]:
+    """The search's answer by brute force: price every candidate, take the least key.
+
+    The key is the objective, then higher spatial utilization, then the
+    smallest factor tuple; every candidate's key is distinct, so the minimum
+    does not depend on the order of the candidates.
+    """
+    priced = []
+    for mapping in enumerate_mappings(layer, system.macro):
+        result = evaluate_mapping(layer, system.macro, mapping)
+        metrics = evaluate_layer_mapping(system, layer, result)
+        value = {"energy": metrics.energy, "latency": metrics.latency,
+                 "edp": metrics.energy * metrics.latency}[objective]
+        key = (value, -result.spatial_utilization,
+               (mapping.k_u, mapping.ox_u, mapping.c_u, mapping.fx_u, mapping.fy_u))
+        priced.append((key, result, metrics))
+    _, result, metrics = min(priced, key=lambda entry: entry[0])
+    return result, metrics
 
 
 def random_oracle_cases(n_cases: int, seed: int, max_bound: int = 8,

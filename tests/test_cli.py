@@ -262,6 +262,16 @@ class TestOutputFile:
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
+    @pytest.mark.parametrize("length", [244, 255])
+    def test_out_name_up_to_the_filesystem_limit(self, capsys, tmp_path, length):
+        # the staged name must not grow with the target's: 255 bytes is NAME_MAX
+        target = tmp_path / ("r" * (length - 4) + ".csv")
+        code, out, err = run(capsys, "validate", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        _, stdout_text, _ = run(capsys, "validate")
+        assert target.read_text() == stdout_text
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
     def test_unwritable_out_fails_cleanly(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "rows.csv"
         code, _, err = run(capsys, "validate", "--out", str(target))
@@ -290,6 +300,15 @@ class TestExitCodes:
         assert run(capsys, "peak", "--jobs", "0")[0] == 1
         assert run(capsys, "layer")[0] == 1
         assert run(capsys, "network")[0] == 1
+
+    @pytest.mark.parametrize("command", ["peak", "sweep", "validate", "layer", "network"])
+    @pytest.mark.parametrize("sizes", ["33", "", "abc", "4,8192"])
+    def test_sizes_are_checked_under_every_command(self, capsys, command, sizes):
+        workload = ["--workload", "mlperf-tiny-layers"] if command in ("layer", "network") else []
+        code, out, err = run(capsys, command, *workload, "--sizes", sizes)
+        expected = run(capsys, "peak", "--sizes", sizes)
+        assert (code, out, err) == expected
+        assert code == 1 and out == "" and err.startswith("imcperf: error: --sizes")
 
     def test_config_errors(self, capsys, tmp_path):
         assert run(capsys, "peak", "--config", str(tmp_path / "nope.json"))[0] == 2

@@ -1,4 +1,12 @@
+import random
+import sys
+import threading
+import warnings
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imcperf import (
     OBJECTIVES,
@@ -6,16 +14,25 @@ from imcperf import (
     ImcType,
     Layer,
     SpatialMapping,
+    SystemConfig,
+    TechnologyParams,
     WorkloadError,
     best_mapping,
+    default_cache,
     default_system_config,
     enumerate_mappings,
+    evaluate_layer_mapping,
     evaluate_mapping,
     layer_system_metrics,
     total_macs,
 )
 from imcperf import mapper
-from _oracles import random_oracle_cases, simulate_mapping
+from _oracles import (
+    exhaustive_best_mapping,
+    mapping_result_oracle,
+    random_oracle_cases,
+    simulate_mapping,
+)
 
 FC = Layer(k=128, c=640)
 PW = Layer(k=64, c=64, ox=12, oy=12)
@@ -183,3 +200,171 @@ class TestBestMapping:
                 counts = [r.mvm_invocations for r in best]
                 assert all(a >= b for a, b in zip(counts, counts[1:])), (
                     make.__name__, layer, counts)
+
+
+class TestMappingContext:
+    """evaluate_mapping keeps one (layer, macro) context; whatever it evaluated
+    before, every result must equal one derived from the loop bounds alone."""
+
+    @staticmethod
+    def _interleaved_pool():
+        """(layer, macro, mapping, expected) whose contexts differ in one input at a
+        time, plus equal but distinct copies of a layer and of a macro."""
+        base = ImcMacroConfig(imc_type=ImcType.AIMC, d_i=32, d_o=32)
+        macros = [
+            base,
+            ImcMacroConfig(imc_type=ImcType.AIMC, d_i=32, d_o=32),
+            replace(base, d_o=16),
+            replace(base, b_w=4, b_cycle=1),
+            replace(base, imc_type=ImcType.DIMC, b_o=16),
+        ]
+        layers = [
+            Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3),
+            Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3),
+            Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, b_i=4, b_w=2, b_o=4),
+            Layer(k=16, c=8, ox=4, oy=2, fx=3, fy=3, sx=2),
+        ]
+        assert macros[0] == macros[1] and macros[0] is not macros[1]
+        assert layers[0] == layers[1] and layers[0] is not layers[1]
+        return [(layer, macro, mapping, mapping_result_oracle(layer, macro, mapping))
+                for macro in macros for layer in layers
+                for mapping in enumerate_mappings(layer, macro)[::5]]
+
+    def test_context_is_never_stale_across_interleaved_layers_and_macros(self):
+        pool = self._interleaved_pool()
+        rng = random.Random(11)
+        for _ in range(4):
+            rng.shuffle(pool)
+            for layer, macro, mapping, expected in pool:
+                assert evaluate_mapping(layer, macro, mapping) == expected
+
+    def test_context_is_never_stale_across_threads(self):
+        pool = self._interleaved_pool()
+        failures = []
+
+        def worker(seed):
+            order = list(pool)
+            random.Random(seed).shuffle(order)
+            for _ in range(3):
+                for layer, macro, mapping, expected in order:
+                    if evaluate_mapping(layer, macro, mapping) != expected:
+                        failures.append((seed, layer, macro, mapping))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+class TestErrorText:
+    """The fast paths fall back to the checks that word every error."""
+
+    LAYER = Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3)
+
+    @pytest.mark.parametrize("mapping, message", [
+        (SpatialMapping(k_u=3), "k_u=3 does not divide the loop bound 16"),
+        (SpatialMapping(ox_u=3), "ox_u=3 does not divide the loop bound 4"),
+        (SpatialMapping(c_u=3), "c_u=3 does not divide the loop bound 8"),
+        (SpatialMapping(fx_u=2), "fx_u=2 does not divide the loop bound 3"),
+        (SpatialMapping(fy_u=2), "fy_u=2 does not divide the loop bound 3"),
+        (SpatialMapping(c_u=8, fx_u=3, fy_u=3), "72 rows exceed d_i=32"),
+        (SpatialMapping(k_u=16, ox_u=4), "64 columns exceed d_o=32"),
+        # the first failing check names the error
+        (SpatialMapping(k_u=16, ox_u=4, c_u=8, fx_u=3, fy_u=2),
+         "fy_u=2 does not divide the loop bound 3"),
+        (SpatialMapping(k_u=16, ox_u=4, c_u=8, fx_u=3, fy_u=3), "72 rows exceed d_i=32"),
+    ])
+    def test_infeasible_mapping_messages(self, mapping, message):
+        with pytest.raises(ValueError) as info:
+            evaluate_mapping(self.LAYER, dimc(32), mapping)
+        assert str(info.value) == f"infeasible mapping: {message}"
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("k_u", 0, "0"),
+        ("ox_u", -1, "-1"),
+        ("c_u", 1.0, "1.0"),
+        ("fy_u", "2", "'2'"),
+    ])
+    def test_spatial_mapping_messages(self, field, value, shown):
+        with pytest.raises(ValueError) as info:
+            SpatialMapping(**{field: value})
+        assert str(info.value) == f"{field} must be an integer >= 1, got {shown}"
+
+    def test_first_bad_factor_is_named(self):
+        with pytest.raises(ValueError, match="^k_u must be"):
+            SpatialMapping(k_u=0, fy_u="2")
+
+    def test_bool_factor_is_still_accepted(self):
+        mapping = SpatialMapping(k_u=True)
+        assert mapping.k_u is True and mapping.cols == 1
+
+    def test_oversized_mapping_message(self):
+        system = default_system_config(dimc(32))
+        result = evaluate_mapping(self.LAYER, dimc(64), SpatialMapping(k_u=16, ox_u=4, c_u=8))
+        with pytest.raises(ValueError) as info:
+            evaluate_layer_mapping(system, self.LAYER, result)
+        assert str(info.value) == "a 8 x 64 mapping does not fit the 32 x 32 macro"
+
+
+_LAYERS = st.builds(
+    Layer,
+    b=st.integers(1, 2), g=st.integers(1, 3), k=st.integers(1, 24), c=st.integers(1, 24),
+    ox=st.integers(1, 12), oy=st.integers(1, 6), fx=st.integers(1, 3), fy=st.integers(1, 3),
+    sx=st.integers(1, 2), sy=st.integers(1, 2),
+    b_i=st.none() | st.integers(1, 8), b_w=st.none() | st.integers(1, 8),
+    b_o=st.none() | st.integers(1, 16),
+)
+_MACRO_OPTIONS = st.fixed_dictionaries({
+    "d_i": st.sampled_from((4, 8, 16, 32, 64)),
+    "d_o": st.sampled_from((4, 8, 16, 32, 64)),
+    "b_cycle": st.integers(1, 4),
+    "pipelined": st.booleans(),
+    "weight_sparsity": st.sampled_from((0.0, 0.3, 0.75)),
+    "adc_resolution_from_full_precision": st.booleans(),
+})
+# bits: spills nearly every layer's inputs and outputs, some, none
+_CAPACITIES = st.sampled_from((64, 4096, 256 * 1024 * 8))
+_BOTH_SPILL = dict(layer=Layer(k=8, c=8, ox=6, oy=6, fx=3, fy=3, b_i=7),
+                   options=dict(d_i=16, d_o=16, b_cycle=3, pipelined=True,
+                                weight_sparsity=0.3, adc_resolution_from_full_precision=True),
+                   capacity=64)
+
+
+class TestSearchProperty:
+    """best_mapping must pick what an exhaustive search with the same tie-break
+    picks, with equal metrics, on random layers, macros and caches."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("imc_type", list(ImcType), ids=lambda t: t.value)
+    @settings(max_examples=40)
+    @example(**_BOTH_SPILL)
+    @given(layer=_LAYERS, options=_MACRO_OPTIONS, capacity=_CAPACITIES)
+    def test_search_matches_the_exhaustive_reference(self, imc_type, objective,
+                                                     layer, options, capacity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+            macro = ImcMacroConfig(imc_type=imc_type, **options)
+            cache = replace(default_cache(macro), capacity_bits=capacity)
+            system = SystemConfig(macro=macro, params=TechnologyParams(), cache=cache)
+            expected = exhaustive_best_mapping(layer, system, objective)
+            result, metrics = layer_system_metrics(system, layer, objective)
+        assert result.mapping == expected[0].mapping
+        assert (result, metrics) == expected
+
+    def test_pinned_example_spills_both_activations(self):
+        options, capacity = _BOTH_SPILL["options"], _BOTH_SPILL["capacity"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            macro = ImcMacroConfig(imc_type=ImcType.AIMC, **options)
+            system = SystemConfig(macro=macro, params=TechnologyParams(),
+                                  cache=replace(default_cache(macro), capacity_bits=capacity))
+            _, metrics = layer_system_metrics(system, _BOTH_SPILL["layer"])
+        assert [note.split(" ")[0] for note in metrics.warnings] == ["input", "output"]

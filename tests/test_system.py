@@ -319,6 +319,22 @@ class TestLayerPricing:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
 
+    def test_spill_text_follows_the_result_traffic(self):
+        # a result evaluated at other precisions carries other activation sizes;
+        # the warnings must quote those, not the layer's own
+        macro = ImcMacroConfig(imc_type=ImcType.AIMC, d_i=32, d_o=32)
+        system = SystemConfig(macro=macro, params=TechnologyParams(),
+                              cache=replace(default_cache(macro), capacity_bits=256))
+        layer = Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3)
+        own = evaluate_mapping(layer, macro, SpatialMapping(k_u=4))
+        other = evaluate_mapping(layer, replace(macro, b_i=4, b_o=4), SpatialMapping(k_u=4))
+        assert own.traffic[("I", "dram")] != other.traffic[("I", "dram")]
+        for result in (own, other, own):
+            metrics = evaluate_layer_mapping(system, layer, result)
+            assert metrics == layer_metrics_oracle(system, layer, result)
+            assert f"({result.traffic[('I', 'dram')]} bits)" in metrics.warnings[0]
+            assert f"({result.traffic[('O', 'cache')]} bits)" in metrics.warnings[1]
+
     def test_b_cycle_warning_once_per_layer(self):
         # b_i=7 is not a multiple of the AIMC default b_cycle of 2
         system = system_for(ImcType.AIMC, 64)
