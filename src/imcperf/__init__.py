@@ -43,6 +43,7 @@ from .mapper import (
     best_mapping,
     enumerate_mappings,
     evaluate_mapping,
+    mapping_space,
 )
 from .system import (
     LayerReport,
@@ -87,7 +88,7 @@ __all__ = [
     "load_network", "bundled_network", "bundled_network_names",
     # mapper
     "SpatialMapping", "MappingResult", "OBJECTIVES",
-    "enumerate_mappings", "evaluate_mapping", "best_mapping",
+    "mapping_space", "enumerate_mappings", "evaluate_mapping", "best_mapping",
     # system
     "MemoryLevel", "SystemConfig", "SystemMetrics", "LayerReport",
     "default_cache", "default_system_config", "peak_system_metrics",

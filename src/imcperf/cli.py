@@ -433,10 +433,22 @@ def _render_csv(fieldnames: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
     return buffer.getvalue()
 
 
+# A row's items at the depth json.dumps(..., indent=2) puts them. With indent
+# None the encoder runs in C; the rows hold scalars only.
+_encode_row = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def _render_json(command: str, fieldnames: tuple[str, ...],
                  rows: list[dict[str, Any]]) -> str:
-    full = [{key: row.get(key) for key in fieldnames} for row in rows]
-    return json.dumps({"command": command, "rows": full}, indent=2) + "\n"
+    """json.dumps({"command": command, "rows": rows}, indent=2) plus a newline,
+    byte for byte, with every row in the columns' order; fieldnames is not empty."""
+    head = f'{{\n  "command": {json.dumps(command)},\n  "rows": '
+    if not rows:
+        return head + "[]\n}\n"
+    body = ",\n    ".join(
+        "{\n      " + _encode_row({key: row.get(key) for key in fieldnames})[1:-1] + "\n    }"
+        for row in rows)
+    return head + "[\n    " + body + "\n  ]\n}\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:

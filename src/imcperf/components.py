@@ -100,6 +100,14 @@ class TechnologyParams:
             raise ValueError(f"adc_fs must lie in (0, 1], got {self.adc_fs!r}")
         if self.adc_k < 1.0:
             raise ValueError(f"adc_k must be >= 1, got {self.adc_k!r}")
+        for name in ("fa_energy", "dff_energy", "fa_sum_delay", "fa_carry_delay",
+                     "fa_area", "dff_area"):
+            try:
+                value = getattr(self, name)
+            except OverflowError:  # v_dd**2
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{name} derived from the technology constants is not finite")
 
     # Derived unit costs. E_FA = 6*C_gate*V_dd^2 and friends hold exactly.
     @property
@@ -164,6 +172,8 @@ def adc_resolution(params: TechnologyParams, bits_per_cycle: int, d_i: int) -> i
     _check_count("bits_per_cycle", bits_per_cycle)
     _check_count("d_i", d_i)
     raw = bits_per_cycle + math.log2(params.adc_k * params.adc_fs * math.sqrt(d_i))
+    if raw == math.inf:
+        raise ValueError(f"ADC resolution for adc_k={params.adc_k!r} is too large to price")
     return max(1, math.ceil(raw))
 
 
@@ -195,7 +205,13 @@ def adc_delay(params: TechnologyParams, res: int, d_i: int) -> float:
 def adc_area(params: TechnologyParams, res: int) -> float:
     """SAR ADC area: 10**(-k5*res + k6) * 2**res."""
     _check_count("res", res)
-    return 10.0 ** (-params.k5 * res + params.k6) * _adc_power(2.0, res)
+    exponent = -params.k5 * res + params.k6
+    try:
+        scale = 10.0**exponent
+    except OverflowError:
+        raise ValueError(f"ADC area exponent -k5*res + k6 = {exponent!r} is too large "
+                         "to price") from None
+    return scale * _adc_power(2.0, res)
 
 
 def dac_energy(params: TechnologyParams, res: int) -> float:

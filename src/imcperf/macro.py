@@ -12,6 +12,7 @@ metric is read from those prices.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -166,17 +167,33 @@ def resolve_layer_precisions(cfg: ImcMacroConfig, b_i: int, b_w: int,
     return replace(cfg, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
 
 
-def _price_components(params: TechnologyParams, cfg: ImcMacroConfig
-                      ) -> tuple[Callable[..., dict[str, float]],
-                                 dict[str, tuple[float, float]]]:
+_Pricing = tuple[Callable[..., dict[str, float]], dict[str, tuple[float, float]]]
+
+# The last pricing and the last metrics built, each as (params, cfg, value).
+# Callers price one macro several times in a row: a peak row and its system
+# metrics, a layer's pricing and its macro metrics, the layers of a network
+# that share their precisions. Each entry holds both frozen objects, so neither
+# can be freed and its id reused while the entry lives; equal but distinct
+# objects price afresh. A tuple is read once and replaced whole, so a reader
+# never sees a value paired with the wrong key.
+_components_entry: tuple[TechnologyParams, ImcMacroConfig, _Pricing] | None = None
+_metrics_entry: tuple[TechnologyParams, ImcMacroConfig, MacroMetrics] | None = None
+
+
+def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing:
     """Price every component of one config once.
 
     Returns the energy by component of `cycles` cycles (one by default) as a
     function of the active (rows, cols, cycles), and each component's
     (clock-path delay, area). A component the macro type lacks has zero unit
     energy, delay and area, so both types share one set of energy expressions
-    and one key set.
+    and one key set. The timing dict is shared with later calls on the same
+    objects: read it, never change it.
     """
+    global _components_entry
+    entry = _components_entry
+    if entry is not None and entry[0] is params and entry[1] is cfg:
+        return entry[2]
     alpha = cfg.activity
     d_i, d_o, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_w, cfg.b_cycle
     timing = dict.fromkeys(BREAKDOWN_COMPONENTS, (0.0, 0.0))
@@ -231,6 +248,7 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig
             "pipeline_register": cols * pipeline_bits * dff_e * cycles,
         }
 
+    _components_entry = (params, cfg, (cycle_energies, timing))
     return cycle_energies, timing
 
 
@@ -264,13 +282,30 @@ def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
     return register_cost(params, rows * cfg.b_i).energy
 
 
+def _check_range(cfg: ImcMacroConfig, quantities: tuple[tuple[str, float], ...]) -> None:
+    """A ValueError for the first quantity that is not a finite positive float."""
+    for quantity, value in quantities:
+        if value == 0.0:
+            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is zero: "
+                             "its technology constants are degenerate")
+        if not value < math.inf:  # inf, or NaN
+            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is {value!r}: "
+                             "its technology constants are out of range")
+
+
 def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
     """Peak metrics of either macro type, composed from its priced components.
 
     Pipelining places one register boundary after the front end (the ADCs of
     an analog macro, the multipliers of a digital one), so the clock is the
-    longer of the front end and everything after it.
+    longer of the front end and everything after it. Calls on the same params
+    and cfg objects in a row return the same metrics object, whose breakdown
+    must not be changed.
     """
+    global _metrics_entry
+    entry = _metrics_entry
+    if entry is not None and entry[0] is params and entry[1] is cfg:
+        return entry[2]
     cycle_energies, timing = _price_components(params, cfg)
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
@@ -285,23 +320,27 @@ def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics
     clock = max(front, total - front) if cfg.pipelined else total
     energy_per_mvm = sum(c.energy for c in breakdown.values())
     area = sum(c.area for c in breakdown.values())
-    checks = (("energy per MVM", energy_per_mvm), ("clock period", clock), ("area", area))
-    for quantity, value in checks:
-        if value == 0.0:
-            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is zero: "
-                             "its technology constants are degenerate")
+    area_mm2 = area * 1e-6
+    _check_range(cfg, (("energy per MVM", energy_per_mvm), ("clock period", clock),
+                       ("area", area_mm2)))
     ops = 2.0 * cfg.d_i * cfg.d_o * n
     tops = ops / (clock * cycles)
-    return MacroMetrics(
+    tops_per_w = ops / energy_per_mvm
+    tops_per_mm2 = tops / area_mm2
+    _check_range(cfg, (("throughput", tops), ("energy efficiency", tops_per_w),
+                       ("area efficiency", tops_per_mm2)))
+    metrics = MacroMetrics(
         energy_per_mvm=energy_per_mvm,
         clock_period=clock,
         cycles_per_mvm=cycles,
         area=area,
         tops=tops,
-        tops_per_w=ops / energy_per_mvm,
-        tops_per_mm2=tops / (area * 1e-6),
+        tops_per_w=tops_per_w,
+        tops_per_mm2=tops_per_mm2,
         breakdown=breakdown,
     )
+    _metrics_entry = (params, cfg, metrics)
+    return metrics
 
 
 def aimc_macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:

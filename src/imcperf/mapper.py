@@ -19,6 +19,7 @@ __all__ = [
     "SpatialMapping",
     "MappingResult",
     "TRAFFIC_KEYS",
+    "mapping_space",
     "enumerate_mappings",
     "evaluate_mapping",
     "best_mapping",
@@ -94,13 +95,13 @@ def _divisors(n: int, limit: int) -> list[int]:
     return [d for d in range(1, min(n, limit) + 1) if n % d == 0]
 
 
-def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping]:
-    """All divisor-only unroll factor tuples fitting the array capacity.
+def mapping_space(layer: Layer, cfg: ImcMacroConfig
+                  ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """The (c_u, fx_u, fy_u) row tuples and (k_u, ox_u) column pairs that fit.
 
-    The all-ones mapping always qualifies, so the list is never empty. Order is
-    lexicographic in (k_u, ox_u, c_u, fx_u, fy_u) for deterministic iteration.
-    Raises WorkloadError, before building any mapping, when the layer has more
-    than MAX_CANDIDATES of them.
+    Every row tuple combines with every column pair, so the layer has
+    len(rows) * len(cols) candidates; both lists are in lexicographic order.
+    Raises WorkloadError when that product exceeds MAX_CANDIDATES.
     """
     row_candidates = [
         (c_u, fx_u, fy_u)
@@ -121,6 +122,18 @@ def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping
         raise WorkloadError(
             f"layer {name} has {count} mapping candidates on a {cfg.d_i} x {cfg.d_o} "
             f"macro, more than the search budget of {MAX_CANDIDATES}")
+    return row_candidates, col_candidates
+
+
+def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping]:
+    """All divisor-only unroll factor tuples fitting the array capacity.
+
+    The all-ones mapping always qualifies, so the list is never empty. Order is
+    lexicographic in (k_u, ox_u, c_u, fx_u, fy_u) for deterministic iteration.
+    Raises WorkloadError, before building any mapping, when the layer has more
+    than MAX_CANDIDATES of them.
+    """
+    row_candidates, col_candidates = mapping_space(layer, cfg)
     return [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
             for k_u, ox_u in col_candidates for c_u, fx_u, fy_u in row_candidates]
 

@@ -146,6 +146,16 @@ class LayerReport:
     metrics: SystemMetrics
 
 
+def _in_range(metrics: SystemMetrics, scope: str) -> SystemMetrics:
+    """metrics, if every headline value is a finite positive float; else a ValueError."""
+    for name in ("energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area"):
+        value = getattr(metrics, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} of the {scope} is {value!r}: the technology "
+                             "constants or the workload are out of range")
+    return metrics
+
+
 def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     """Peak metrics with activation streaming through cache and DRAM.
 
@@ -174,7 +184,7 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     area_breakdown["cache"] = system.cache.area
 
     ops = 2.0 * macro.d_i * macro.d_o * macro.n_macros
-    return SystemMetrics(
+    return _in_range(SystemMetrics(
         tops=mm.tops,
         tops_per_w=ops / energy,
         tops_per_mm2=mm.tops / (area * 1e-6),
@@ -184,7 +194,7 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
         energy_breakdown=energy_breakdown,
         delay_breakdown={"compute": latency, "weight_load_stall": 0.0},
         area_breakdown=area_breakdown,
-    )
+    ), "system at peak")
 
 
 @dataclass(frozen=True)
@@ -231,8 +241,12 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
     if entry is not None and entry[0] is system and entry[1] is layer:
         return entry[2]
     b_i, b_w, b_o, b_cycle = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
-    # One replace, so a b_cycle that does not divide b_i warns once per layer.
-    cfg = replace(system.macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
+    cfg = entry[2].cfg if entry is not None and entry[0] is system else None
+    if cfg is None or (cfg.b_i, cfg.b_w, cfg.b_o, cfg.b_cycle) != (b_i, b_w, b_o, b_cycle):
+        # One replace, so a b_cycle that does not divide b_i warns once per run
+        # of layers at the same precisions. Keeping the last layer's macro
+        # otherwise lets macro_metrics and _price_components reuse its prices.
+        cfg = replace(system.macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
     params = system.params
     cache = system.cache
     mm = macro_metrics(params, cfg)
@@ -339,7 +353,7 @@ def layer_system_metrics(system: SystemConfig, layer: Layer,
                          objective: str = "energy") -> tuple[MappingResult, SystemMetrics]:
     """Best mapping for the layer under the objective, and its system metrics."""
     result = best_mapping(layer, system, objective)
-    return result, evaluate_layer_mapping(system, layer, result)
+    return result, _in_range(evaluate_layer_mapping(system, layer, result), "layer")
 
 
 def network_system_metrics(system: SystemConfig, network: Network,
@@ -376,7 +390,7 @@ def network_system_metrics(system: SystemConfig, network: Network,
         area_breakdown = metrics.area_breakdown
 
     ops = 2.0 * macs
-    summary = SystemMetrics(
+    summary = _in_range(SystemMetrics(
         tops=ops / latency,
         tops_per_w=ops / energy,
         tops_per_mm2=ops / latency / (area * 1e-6),
@@ -387,7 +401,7 @@ def network_system_metrics(system: SystemConfig, network: Network,
         delay_breakdown=delay_breakdown,
         area_breakdown=area_breakdown,
         warnings=tuple(notes),
-    )
+    ), "network")
     return summary, reports
 
 

@@ -10,8 +10,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imcperf import ImcMacroConfig, ImcType, TechnologyParams, macro_metrics
+from imcperf import ImcMacroConfig, ImcType, TechnologyParams, cli, macro_metrics
 from imcperf.cli import (
     LAYER_FIELDS,
     NETWORK_FIELDS,
@@ -233,6 +235,21 @@ class TestConfigHandling:
         e1 = json.loads(scaled)["rows"][0]["macro_energy_per_mvm"]
         assert e1 == pytest.approx(4 * e0, rel=1e-12)
 
+    def test_back_to_back_technologies_price_their_own_macros(self, capsys, tmp_path):
+        # every macro energy scales with v_dd squared; a macro priced under the
+        # first technology must not answer for the second
+        energies = []
+        outputs = []
+        for v_dd in (0.8, 1.0, 0.8):
+            cfg = tmp_path / f"tech-{v_dd}.json"
+            cfg.write_text(json.dumps({"technology": {"v_dd": v_dd}}))
+            code, out, err = run(capsys, "peak", "--format", "json", "--config", str(cfg))
+            assert code == 0, err
+            outputs.append(out)
+            energies.append(json.loads(out)["rows"][0]["macro_energy_per_mvm"])
+        assert energies[1] == pytest.approx(energies[0] / 0.64, rel=1e-12)
+        assert outputs[2] == outputs[0] != outputs[1]
+
     def test_cache_override_applies(self, capsys, tmp_path):
         cfg = tmp_path / "cache.json"
         cfg.write_text(json.dumps({"cache": {"area": 0.0}}))
@@ -431,6 +448,58 @@ class TestParserReuse:
         assert [r["workload"] for r in parse_csv(first)] == ["first"]
         assert [r["workload"] for r in parse_csv(second)] == ["second"]
         assert again == first
+
+
+_SCALARS = (
+    st.text()
+    | st.sampled_from(("caf\u00e9", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f",
+                       "line\u2028sep\u2029", "\ud800 lone", "\U0001f600", ""))
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324))
+    | st.none()
+    | st.booleans()
+)
+
+
+@st.composite
+def _tables(draw):
+    """Columns, at least one as every command has, and rows that may lack some of
+    them, as the geomean rows do."""
+    fieldnames = tuple(draw(st.lists(st.text(max_size=8), unique=True, min_size=1,
+                                     max_size=6)))
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(fieldnames), _SCALARS,
+                                         max_size=len(fieldnames)), max_size=4))
+    return fieldnames, rows
+
+
+class TestRenderJson:
+    """The JSON renderer assembles the indented layout around rows the C encoder
+    writes; its text must be json.dumps's, byte for byte."""
+
+    @staticmethod
+    def expected(command, fieldnames, rows):
+        full = [{key: row.get(key) for key in fieldnames} for row in rows]
+        return json.dumps({"command": command, "rows": full}, indent=2) + "\n"
+
+    @settings(max_examples=300)
+    @given(command=st.sampled_from(tuple(cli._COMMANDS)) | st.text(max_size=6),
+           table=_tables())
+    def test_matches_indented_json_dumps(self, command, table):
+        fieldnames, rows = table
+        assert cli._render_json(command, fieldnames, rows) == self.expected(
+            command, fieldnames, rows)
+
+    @pytest.mark.parametrize("fieldnames, rows", [
+        (PEAK_FIELDS, []),
+        (NETWORK_FIELDS, [{"workload": "geomean", "tops": 1.5}]),
+        (("a", "b"), [{}, {"a": float("nan"), "b": -0.0}]),
+    ], ids=["zero-rows", "missing-keys", "special-floats"])
+    def test_edge_tables(self, fieldnames, rows):
+        assert cli._render_json("peak", fieldnames, rows) == self.expected(
+            "peak", fieldnames, rows)
 
 
 def test_python_dash_m_entry():

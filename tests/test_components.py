@@ -83,6 +83,13 @@ class TestAdcChain:
             with pytest.raises(ValueError, match="ADC resolution of 2000 bits"):
                 price(params, 2000)
 
+    def test_overflowing_constants_are_a_value_error(self):
+        # an infinite raw resolution, and an area exponent past the float range
+        with pytest.raises(ValueError, match="ADC resolution for adc_k=1.7e"):
+            adc_resolution(TechnologyParams(adc_k=1.7e308), 2, 64)
+        with pytest.raises(ValueError, match="ADC area exponent"):
+            adc_area(TechnologyParams(k6=1e300), 4)
+
     def test_float_powers_match_integer_powers(self, params):
         # 4.0**res and 2.0**res are exact wherever the integer power fits a float
         for res in range(1, 512):
@@ -245,6 +252,16 @@ class TestValidation:
             TechnologyParams(adc_fs=1.5)
         with pytest.raises(ValueError):
             TechnologyParams(adc_k=0.5)
+
+    @pytest.mark.parametrize("constants, derived", [
+        (dict(v_dd=1e200), "fa_energy"),  # v_dd**2 overflows
+        (dict(dff_energy_ratio=1e300, c_gate=1e10), "dff_energy"),
+        (dict(d_gate=1e308, fa_sum_delay_ratio=10.0), "fa_sum_delay"),
+        (dict(a_gate=1e308, dff_area_ratio=6.0, fa_area_ratio=0.0), "dff_area"),
+    ])
+    def test_rejects_overflowing_unit_costs(self, constants, derived):
+        with pytest.raises(ValueError, match=f"{derived} derived from the technology"):
+            TechnologyParams(**constants)
 
     def test_zero_gate_capacitance_is_allowed(self):
         # degenerate calibrations are legal inputs for what-if studies

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -20,6 +23,7 @@ from imcperf import (
     per_mvm_register_energy,
     resolve_layer_precisions,
 )
+from imcperf import macro
 
 REL = 1e-12
 
@@ -245,3 +249,84 @@ class TestDegenerateTechnology:
             else:
                 m = macro_metrics(params, cfg)
                 assert m.energy_per_mvm > 0 and m.clock_period > 0 and m.area > 0
+
+
+def test_underflowing_area_is_a_value_error():
+    # every area term is subnormal or zero, so the area in mm^2 rounds to zero
+    params = TechnologyParams(a_gate=5e-324, sram_cell_area=5e-324, k5=1000.0)
+    with pytest.raises(ValueError, match="area of the AIMC macro is zero"):
+        macro_metrics(params, aimc(32))
+
+
+def _fresh(fn, *args):
+    """fn(*args) with both pricing memos empty: nothing carried from earlier calls."""
+    macro._components_entry = macro._metrics_entry = None
+    return fn(*args)
+
+
+class TestPricingMemo:
+    """macro_metrics and _price_components keep the last (params, cfg) they priced;
+    whatever they priced before, every result must equal a fresh pricing."""
+
+    @staticmethod
+    def _interleaved_pool():
+        """(params, cfg, rows, cols, metrics, energies) whose prices differ in params
+        or in cfg alone, plus equal but distinct copies of each."""
+        base = aimc(32)
+        params_pool = [TechnologyParams(), TechnologyParams(), TechnologyParams(v_dd=0.8),
+                       TechnologyParams(k1=80e-15, d_gate=40e-12)]
+        cfgs = [base, aimc(32), replace(base, d_o=16), replace(base, b_w=4, b_cycle=1),
+                dimc(32, pipelined=True), dimc(32, b_i=4, b_o=16)]
+        assert params_pool[0] == params_pool[1] and params_pool[0] is not params_pool[1]
+        assert cfgs[0] == cfgs[1] and cfgs[0] is not cfgs[1]
+        pool = []
+        for params in params_pool:
+            for cfg in cfgs:
+                for rows, cols in ((cfg.d_i, cfg.d_o), (3, 5)):
+                    pool.append((params, cfg, rows, cols, _fresh(macro_metrics, params, cfg),
+                                 _fresh(per_cycle_energy, params, cfg, rows, cols)))
+        return pool
+
+    @staticmethod
+    def _stale(pool, seed, rounds):
+        """The pool entries whose pricing differs from the fresh one, in a shuffled order."""
+        order = list(pool)
+        random.Random(seed).shuffle(order)
+        failures = []
+        for _ in range(rounds):
+            for params, cfg, rows, cols, metrics, energies in order:
+                if (per_cycle_energy(params, cfg, rows, cols) != energies
+                        or macro_metrics(params, cfg) != metrics
+                        or per_cycle_energy(params, cfg, rows, cols) != energies):
+                    failures.append((seed, params, cfg, rows, cols))
+        return failures
+
+    def test_pricing_is_never_stale_across_interleaved_params_and_configs(self):
+        pool = self._interleaved_pool()
+        assert self._stale(pool, seed=3, rounds=4) == []
+
+    def test_pricing_is_never_stale_across_threads(self):
+        pool = self._interleaved_pool()
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda s=seed: failures.extend(
+                           self._stale(pool, seed=s, rounds=3)))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_repeat_calls_share_one_pricing(self, params):
+        cfg = aimc(32)
+        first = _fresh(macro_metrics, params, cfg)
+        assert macro_metrics(params, cfg) is first
+        assert macro_metrics(TechnologyParams(), cfg) is not first
+        assert macro_metrics(params, aimc(32)) is not first
+        assert macro_metrics(params, aimc(32)) == first

@@ -83,6 +83,11 @@ class TestEnumerate:
         assert max(m.c_u for m in mappings) == 32
 
 
+_LAYERS_FOR_SPACE = st.builds(
+    Layer, g=st.integers(1, 3), k=st.integers(1, 48), c=st.integers(1, 48),
+    ox=st.integers(1, 24), oy=st.integers(1, 4), fx=st.integers(1, 5), fy=st.integers(1, 5))
+
+
 class TestCandidateBudget:
     # 2,852,721 candidates on a 4096 x 4096 macro: minutes of search without the budget
     HUGE = Layer(k=5040, c=5040, ox=5040, fx=5040, name="huge")
@@ -200,6 +205,31 @@ class TestBestMapping:
                 counts = [r.mvm_invocations for r in best]
                 assert all(a >= b for a, b in zip(counts, counts[1:])), (
                     make.__name__, layer, counts)
+
+
+class TestMappingSpace:
+    """mapping_space lists the row tuples and column pairs that
+    enumerate_mappings combines; the two must never disagree."""
+
+    @settings(max_examples=80)
+    @given(layer=_LAYERS_FOR_SPACE, d_i=st.sampled_from((1, 2, 4, 8, 16, 32, 64)),
+           d_o=st.sampled_from((1, 2, 4, 8, 16, 32, 64)))
+    def test_rows_times_columns_is_the_candidate_count(self, layer, d_i, d_o):
+        macro = ImcMacroConfig(imc_type=ImcType.DIMC, d_i=d_i, d_o=d_o)
+        rows, cols = mapper.mapping_space(layer, macro)
+        mappings = enumerate_mappings(layer, macro)
+        assert len(rows) * len(cols) == len(mappings)
+        assert mappings == [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
+                            for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
+
+    def test_budget_error_is_the_same(self):
+        huge = TestCandidateBudget.HUGE
+        with pytest.raises(WorkloadError) as space:
+            mapper.mapping_space(huge, dimc(4096))
+        with pytest.raises(WorkloadError) as listed:
+            enumerate_mappings(huge, dimc(4096))
+        assert str(space.value) == str(listed.value)
+        assert "'huge' has 2852721 mapping candidates" in str(space.value)
 
 
 class TestMappingContext:

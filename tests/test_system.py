@@ -3,11 +3,15 @@ import random
 import sys
 import threading
 import warnings
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imcperf import (
+    OBJECTIVES,
     ImcMacroConfig,
     ImcType,
     Layer,
@@ -31,6 +35,7 @@ from imcperf import (
     per_mvm_register_energy,
     total_macs,
 )
+from imcperf import macro as macro_module
 from imcperf.system import ENERGY_BREAKDOWN_KEYS
 from _oracles import layer_metrics_oracle
 
@@ -353,6 +358,58 @@ class TestLayerPricing:
             evaluate_layer_mapping(system, CONV, result)
 
 
+class TestPricingAcrossLayers:
+    """Consecutive layers that resolve to the same precisions share one priced
+    macro; every layer must still price exactly as the component oracle does."""
+
+    # precisions A A B A: B differs in b_i and b_w, and a run of A follows it
+    A, B = dict(), dict(b_i=4, b_w=2)
+    NET = Network(name="aaba", layers=(
+        Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, name="a-conv", **A),
+        Layer(k=32, c=16, name="a-fc", **A),
+        Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, name="b-conv", **B),
+        Layer(g=8, ox=4, oy=4, fx=3, fy=3, name="a-dw", **A),
+    ), repeats=(1, 1, 1, 1))
+
+    @staticmethod
+    def _systems():
+        """Both types, two systems sharing one macro under different technologies, and
+        a macro of another size whose layers resolve to the same precisions."""
+        shared = ImcMacroConfig(imc_type=ImcType.AIMC, d_i=32, d_o=32, pipelined=True)
+        return [default_system_config(shared),
+                default_system_config(shared, TechnologyParams(v_dd=0.8, k1=80e-15)),
+                default_system_config(ImcMacroConfig(imc_type=ImcType.AIMC, d_i=16, d_o=16,
+                                                     adc_resolution_from_full_precision=True)),
+                system_for(ImcType.DIMC, 16)]
+
+    def test_every_layer_matches_the_component_oracle(self):
+        systems = self._systems()
+        for system in systems + systems[::-1]:
+            _, reports = network_system_metrics(system, self.NET, "edp")
+            for report in reports:
+                assert report.metrics == layer_metrics_oracle(system, report.layer,
+                                                              report.mapping)
+
+    def test_each_run_of_equal_precisions_prices_one_macro(self, monkeypatch):
+        # sram_array_area is called once per pricing of a macro's components
+        calls = []
+        original = macro_module.sram_array_area
+        monkeypatch.setattr(macro_module, "sram_array_area",
+                            lambda *args: calls.append(args) or original(*args))
+        network_system_metrics(system_for(ImcType.AIMC, 32), self.NET)
+        assert len(calls) == 3  # A, B, A
+
+    def test_b_cycle_warning_once_per_run_of_equal_precisions(self):
+        # b_i=7 is not a multiple of the AIMC default b_cycle of 2
+        odd = Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, b_i=7)
+        even = Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, b_i=4)
+        net = Network(name="n", layers=(odd, odd, even, odd), repeats=(1, 1, 1, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            network_system_metrics(system_for(ImcType.AIMC, 32), net)
+        assert sum("does not divide b_i" in str(w.message) for w in caught) == 2
+
+
 class TestNetwork:
     def net(self, repeats=(1, 1, 1, 1)):
         return Network(name="fixtures", layers=FIXTURES, repeats=repeats)
@@ -387,6 +444,72 @@ class TestNetwork:
         system = system_for(ImcType.DIMC, 32)
         summary, _ = network_system_metrics(system, net)
         assert len(summary.warnings) == 2
+
+
+def _technology_value(default):
+    """A constant's default, an extreme float, or a value near the default."""
+    return (st.just(default) | st.sampled_from((0.0, 5e-324, 1e-300, 1e300, 1.7e308))
+            | st.floats(0.0, 10.0 * default))
+
+
+_TECHNOLOGIES = st.fixed_dictionaries({}, optional={
+    f.name: _technology_value(f.default) for f in dataclass_fields(TechnologyParams)})
+_MACROS = st.fixed_dictionaries({
+    "imc_type": st.sampled_from(list(ImcType)),
+    "d_i": st.integers(1, 4096) | st.sampled_from((1, 32, 4096)),
+    "d_o": st.integers(1, 4096) | st.sampled_from((1, 32, 4096)),
+    "b_i": st.integers(1, 32), "b_w": st.integers(1, 32), "b_o": st.integers(1, 32),
+    "b_cycle": st.none() | st.integers(1, 32),
+    "m": st.integers(1, 4), "n_macros": st.integers(1, 8),
+    "input_toggle_rate": st.floats(0.0, 1.0), "weight_sparsity": st.floats(0.0, 1.0),
+    "pipelined": st.booleans(), "adc_resolution_from_full_precision": st.booleans(),
+})
+_MODEL_LAYERS = st.builds(
+    Layer, b=st.integers(1, 2), g=st.integers(1, 3), k=st.integers(1, 32),
+    c=st.integers(1, 32), ox=st.integers(1, 16), oy=st.integers(1, 16),
+    fx=st.integers(1, 3), fy=st.integers(1, 3), sx=st.integers(1, 2),
+    b_i=st.none() | st.integers(1, 32), b_w=st.none() | st.integers(1, 32),
+    b_o=st.none() | st.integers(1, 32))
+
+
+class TestModelProperty:
+    """Any technology, macro, layer and objective either prices to finite positive
+    metrics or fails with a ValueError (WorkloadError is one); never with an
+    arithmetic error, and with at most one warning per configuration built."""
+
+    @settings(max_examples=200)
+    @given(technology=_TECHNOLOGIES, options=_MACROS, layer=_MODEL_LAYERS,
+           objective=st.sampled_from(OBJECTIVES))
+    def test_metrics_are_finite_and_positive_or_a_value_error(self, technology, options,
+                                                                 layer, objective):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                system = default_system_config(ImcMacroConfig(**options),
+                                               TechnologyParams(**technology))
+                _, metrics = layer_system_metrics(system, layer, objective)
+            except ValueError:
+                return
+        assert len(caught) <= 2  # the macro's b_cycle, and the layer's
+        for name in ("energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area"):
+            value = getattr(metrics, name)
+            assert math.isfinite(value) and value > 0, (name, value)
+
+    def test_overflowing_layer_is_a_value_error(self):
+        system = default_system_config(make_macro(ImcType.DIMC, 32),
+                                       TechnologyParams(sram_cell_write_energy=1e308))
+        with pytest.raises(ValueError, match="energy of the layer is inf"):
+            layer_system_metrics(system, Layer(k=64, c=64, ox=8, oy=8))
+
+    def test_overflowing_network_is_a_value_error(self):
+        # each layer prices to about 3e304 J; ten thousand repeats overflow the sum
+        system = default_system_config(make_macro(ImcType.DIMC, 32),
+                                       TechnologyParams(sram_cell_write_energy=1e300))
+        layer = Layer(k=64, c=64, ox=8, oy=8)
+        assert math.isfinite(layer_system_metrics(system, layer)[1].energy)
+        net = Network(name="n", layers=(layer,), repeats=(10**4,))
+        with pytest.raises(ValueError, match="energy of the network is inf"):
+            network_system_metrics(system, net)
 
 
 class TestGeomean:

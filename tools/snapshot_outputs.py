@@ -9,7 +9,10 @@ SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``). The matrix is every command (sweep, peak, validate, layer,
 network) in CSV and JSON, with the objectives energy, latency and edp for the
 mapping commands, under nine configurations that switch on the options that
-change how a macro is priced. Each mapping command also runs with ``--jobs 2``
+change how a macro is priced. Under ``escaping/``, ``layer`` and ``network`` run
+in both formats on a workload whose network and layer names hold non-ASCII,
+quote, backslash and control characters, so the comparison covers how each
+format escapes text. Each mapping command also runs with ``--jobs 2``
 into its own ``*-jobs2`` output, so a tree that evaluated ``--jobs`` on a thread
 pool can be compared with one that evaluates serially. Only the command outputs
 are written; warnings on stderr are not part of the snapshot.
@@ -72,6 +75,28 @@ def commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
             out.append((f"{command}-{objective}", argv))
             out.append((f"{command}-{objective}-jobs2", [*argv, "--jobs", "2"]))
     return out
+
+
+# names that every output format must escape or quote; layers with different
+# precisions, so the names ride on more than one priced macro
+ESCAPING_NETWORK = {
+    "name": 'caf\u00e9 "net" \\ \u2028\t\u0001 \u03bb\u2013\U0001f600',
+    "layers": [
+        {"name": 'conv "3x3", \\path\\ \u00fcber', "k": 16, "c": 8, "ox": 8, "oy": 8,
+         "fx": 3, "fy": 3},
+        {"name": "tab\there\nnewline\r\u007f\u0000end", "k": 32, "c": 16, "b_i": 4},
+        {"name": "\u2029\ufeff\u00a0,;'", "g": 8, "ox": 4, "oy": 4, "fx": 3, "fy": 3,
+         "repeat": 2},
+    ],
+}
+
+
+def escaping_commands(workload: str) -> list[tuple[str, list[str]]]:
+    """(output name, argv without --format/--out) of the escaping runs."""
+    common = ["--type", "both", "--sizes", "16,32"]
+    return [("layer", ["layer", "--workload", workload, *common]),
+            ("network", ["network", "--workload", workload,
+                         "--workload", "mlperf-tiny-layers", *common])]
 
 
 # inputs of the error cases, written under frontend/inputs/
@@ -149,6 +174,17 @@ def snapshot_frontend(imcperf_main, out_dir: Path) -> None:
         print(f"frontend/{name}.txt: exit {code}", flush=True)
 
 
+def run_to_file(imcperf_main, argv: list[str], target: Path) -> int:
+    """Run one command into target; a failed command leaves its exit code there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = imcperf_main([*argv, "--out", str(target)])
+    if code != 0:
+        target.write_text(f"exit code {code}\n")
+    print(f"{target.parent.name}/{target.name}: exit {code}", flush=True)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
@@ -171,15 +207,17 @@ def main(argv: list[str] | None = None) -> int:
         config_path.write_text(json.dumps(doc, indent=2) + "\n")
         for name, command in commands(workloads):
             for fmt in FORMATS:
-                target = config_dir / f"{name}.{fmt}"
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    code = imcperf_main([*command, "--config", str(config_path),
-                                         "--format", fmt, "--out", str(target)])
-                if code != 0:
-                    failed += 1
-                    target.write_text(f"exit code {code}\n")
-                print(f"{config_name}/{target.name}: exit {code}", flush=True)
+                failed += run_to_file(
+                    imcperf_main, [*command, "--config", str(config_path), "--format", fmt],
+                    config_dir / f"{name}.{fmt}") != 0
+    escaping_dir = args.out_dir / "escaping"
+    escaping_dir.mkdir(exist_ok=True)
+    workload = escaping_dir / "workload.json"
+    workload.write_text(json.dumps(ESCAPING_NETWORK, indent=2) + "\n")
+    for name, command in escaping_commands(str(workload)):
+        for fmt in FORMATS:
+            failed += run_to_file(imcperf_main, [*command, "--format", fmt],
+                                  escaping_dir / f"{name}.{fmt}") != 0
     snapshot_frontend(imcperf_main, args.out_dir)
     return 1 if failed else 0
 
