@@ -173,9 +173,10 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         raise ConfigError(
             f"dram_energy_per_bit must be a finite non-negative number, got {dram!r}")
 
+    # OverflowError: an integer constant too large for a float
     try:
         params = TechnologyParams(**tech_spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid technology section: {exc}") from exc
 
     bundle = ConfigBundle(
@@ -191,7 +192,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
     # the cache bandwidth fit depends on --sizes, so SystemConfig checks it later
     try:
         replace(default_cache(macro), **(bundle.cache_spec or {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid cache section: {exc}") from exc
     return bundle
 

@@ -98,7 +98,7 @@ class TechnologyParams:
             raise ValueError(f"v_dd must be strictly positive, got {self.v_dd!r}")
         if not (0.0 < self.adc_fs <= 1.0):
             raise ValueError(f"adc_fs must lie in (0, 1], got {self.adc_fs!r}")
-        if self.adc_k < 1.0:
+        if not self.adc_k >= 1.0:  # NaN too
             raise ValueError(f"adc_k must be >= 1, got {self.adc_k!r}")
         for name in ("fa_energy", "dff_energy", "fa_sum_delay", "fa_carry_delay",
                      "fa_area", "dff_area"):

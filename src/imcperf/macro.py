@@ -70,6 +70,11 @@ class ImcType(enum.Enum):
 
 _DEFAULT_B_CYCLE = {ImcType.AIMC: 2, ImcType.DIMC: 1}
 
+# Largest d_i and d_o. The mapper tries every unroll factor up to the array
+# dimension, so an unbounded one lets a layer with a huge loop bound search for
+# hours before the candidate budget can refuse it. 16x the CLI's largest size.
+MAX_ARRAY_DIM = 1 << 16
+
 
 @dataclass(frozen=True)
 class ImcMacroConfig:
@@ -105,6 +110,10 @@ class ImcMacroConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("d_i", "d_o"):
+            if getattr(self, name) > MAX_ARRAY_DIM:
+                raise ValueError(
+                    f"{name} must be at most {MAX_ARRAY_DIM}, got {getattr(self, name)}")
         if self.b_cycle > self.b_i:
             raise ValueError(
                 f"b_cycle ({self.b_cycle}) cannot exceed b_i ({self.b_i})")

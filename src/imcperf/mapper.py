@@ -10,7 +10,7 @@ loop bounds are admitted as unroll factors, which keeps tile arithmetic exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, NamedTuple, TypeVar
 
 from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer, WorkloadError
@@ -52,13 +52,6 @@ class SpatialMapping:
     fy_u: int = 1
 
     def __post_init__(self) -> None:
-        k_u, ox_u, c_u, fx_u, fy_u = self.k_u, self.ox_u, self.c_u, self.fx_u, self.fy_u
-        # fast path for the search's plain ints; anything else, bool included,
-        # takes the loop below
-        if (type(k_u) is int and type(ox_u) is int and type(c_u) is int
-                and type(fx_u) is int and type(fy_u) is int
-                and k_u >= 1 and ox_u >= 1 and c_u >= 1 and fx_u >= 1 and fy_u >= 1):
-            return
         for name in ("k_u", "ox_u", "c_u", "fx_u", "fy_u"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
@@ -88,6 +81,24 @@ class MappingResult:
     traffic: dict[tuple[str, str], int] = field(repr=False)
     in_unroll_ratio: float = 1.0
     out_unroll_ratio: float = 1.0
+
+
+_T = TypeVar("_T")
+
+
+def _build(cls: type[_T], values: dict[str, Any]) -> _T:
+    """An instance of the frozen dataclass cls whose fields hold values.
+
+    values maps every field name, in field order, to a value the public
+    constructor would accept unchanged; the instance takes it as its __dict__.
+    The generated __init__ sets each field through object.__setattr__, which
+    is most of what building a search candidate's objects costs. Equality,
+    hashing, repr, frozenness, replace() and pickling read the fields, so
+    they are the same as for a constructor-built instance.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", values)
+    return obj
 
 
 def _divisors(n: int, limit: int) -> list[int]:
@@ -134,7 +145,9 @@ def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping
     than MAX_CANDIDATES of them.
     """
     row_candidates, col_candidates = mapping_space(layer, cfg)
-    return [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
+    # the factors are _divisors output, so ints >= 1 that __post_init__ accepts
+    return [_build(SpatialMapping,
+                   {"k_u": k_u, "ox_u": ox_u, "c_u": c_u, "fx_u": fx_u, "fy_u": fy_u})
             for k_u, ox_u in col_candidates for c_u, fx_u, fy_u in row_candidates]
 
 
@@ -235,13 +248,13 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
 
     loads = g * (k // k_u) * (c // c_u) * (fx // fx_u) * (fy // fy_u)
     mvms = loads * (ox // ox_u) * b_oy
-    return MappingResult(
-        mapping=mapping,
-        spatial_utilization=(rows * cols) / array_cells,
-        mvm_invocations=mvms,
-        total_cycles=mvms * cycles_per_mvm,
-        weight_tile_loads=loads,
-        traffic={
+    return _build(MappingResult, {
+        "mapping": mapping,
+        "spatial_utilization": (rows * cols) / array_cells,
+        "mvm_invocations": mvms,
+        "total_cycles": mvms * cycles_per_mvm,
+        "weight_tile_loads": loads,
+        "traffic": {
             ("W", "dram"): weight_dram_bits,
             ("W", "cache"): 0,
             ("W", "macro"): loads * rows * cols * b_w,
@@ -252,9 +265,9 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
             ("O", "cache"): output_cache_bits,
             ("O", "macro"): 0,
         },
-        in_unroll_ratio=rows / reduction,
-        out_unroll_ratio=cols / col_bound,
-    )
+        "in_unroll_ratio": rows / reduction,
+        "out_unroll_ratio": cols / col_bound,
+    })
 
 
 def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
@@ -272,8 +285,9 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
     best: tuple | None = None
     best_value = 0.0
     best_result: MappingResult | None = None
-    for mapping in enumerate_mappings(layer, system.macro):
-        result = evaluate_mapping(layer, system.macro, mapping)
+    cfg = system.macro
+    for mapping in enumerate_mappings(layer, cfg):
+        result = evaluate_mapping(layer, cfg, mapping)
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy

@@ -27,7 +27,7 @@ from .macro import (
     per_cycle_energy,  # noqa: F401
     resolve_layer_precisions,  # noqa: F401
 )
-from .mapper import MappingResult, best_mapping
+from .mapper import MappingResult, _build, best_mapping
 from .workload import Layer, LayerKind, Network, classify, total_macs
 
 __all__ = [
@@ -290,8 +290,9 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     dram_rate = system.dram_energy_per_bit
     clock = pricing.metrics.clock_period
 
-    rows = result.mapping.rows
-    cols = result.mapping.cols
+    mapping = result.mapping
+    rows = mapping.c_u * mapping.fx_u * mapping.fy_u
+    cols = mapping.k_u * mapping.ox_u
     if rows > cfg.d_i or cols > cfg.d_o:
         raise ValueError(f"a {rows} x {cols} mapping does not fit the "
                          f"{cfg.d_i} x {cfg.d_o} macro")
@@ -335,18 +336,19 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
 
     area = pricing.area
     ops = pricing.ops
-    return SystemMetrics(
-        tops=ops / latency,
-        tops_per_w=ops / energy,
-        tops_per_mm2=ops / latency / (area * 1e-6),
-        energy=energy,
-        latency=latency,
-        area=area,
-        energy_breakdown=energy_breakdown,
-        delay_breakdown={"compute": compute_time, "weight_load_stall": stall_time},
-        area_breakdown=dict(pricing.area_breakdown),
-        warnings=tuple(notes),
-    )
+    # SystemMetrics has no __post_init__, so its constructor checks nothing
+    return _build(SystemMetrics, {
+        "tops": ops / latency,
+        "tops_per_w": ops / energy,
+        "tops_per_mm2": ops / latency / (area * 1e-6),
+        "energy": energy,
+        "latency": latency,
+        "area": area,
+        "energy_breakdown": energy_breakdown,
+        "delay_breakdown": {"compute": compute_time, "weight_load_stall": stall_time},
+        "area_breakdown": dict(pricing.area_breakdown),
+        "warnings": tuple(notes),
+    })
 
 
 def layer_system_metrics(system: SystemConfig, layer: Layer,

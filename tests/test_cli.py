@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -507,3 +512,161 @@ def test_python_dash_m_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(PEAK_FIELDS[:3]))
+
+
+# Fuzzed config and workload documents: every value is plausible for its key,
+# except that one in twenty is replaced by anything JSON can hold.
+_FUZZ_NUMBERS = (st.integers() | st.floats()
+                 | st.sampled_from((0, -1, 2**62, 2**64, 10**400, 5e-324, 1.7e308)))
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | _FUZZ_NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_FUZZ_HUGE = st.sampled_from((4096, 2**20, 2**40, 2**61, 10**30, 10**400))
+_DEEP = 50_000
+# raw file contents: truncated, not UTF-8, nested past the parser's recursion
+# limit, an integer past its digit limit, and number literals json.dumps
+# would spell differently
+_FUZZ_RAW = st.sampled_from((
+    b"", b"{", b"\xff\xfe{}", b"[" * _DEEP + b"]" * _DEEP,
+    b'{"a": ' * _DEEP + b"1" + b"}" * _DEEP, b"9" * 5000,
+    b'{"macro": {"d_i": 1e999}}', b'{"layers": [{"k": NaN}]}'))
+
+
+def _mostly(plausible, wild=_FUZZ_JSON):
+    return st.integers(0, 19).flatmap(lambda n: wild if n == 19 else plausible)
+
+
+def _fuzz_document(table):
+    """A JSON object with any of table's keys, or, rarely, any JSON at all."""
+    return _mostly(st.fixed_dictionaries({}, optional=table),
+                   st.dictionaries(st.text(max_size=4) | st.sampled_from(sorted(table)),
+                                   _FUZZ_JSON, max_size=4) | _FUZZ_JSON)
+
+
+_FUZZ_CONFIG = _fuzz_document({
+    "technology": _fuzz_document({
+        f.name: _mostly(st.sampled_from((f.default, 0.5 * f.default, 2 * f.default)),
+                        st.sampled_from((0.0, 1e300)) | st.floats(0.0, 10.0) | _FUZZ_JSON)
+        for f in fields(TechnologyParams)}),
+    "macro": _fuzz_document({
+        "imc_type": _mostly(st.sampled_from(("aimc", "dimc"))),
+        "d_i": _mostly(st.integers(1, 64), _FUZZ_HUGE | _FUZZ_JSON),
+        "d_o": _mostly(st.integers(1, 64), _FUZZ_HUGE | _FUZZ_JSON),
+        **{name: _mostly(st.integers(1, 16), _FUZZ_HUGE | _FUZZ_JSON)
+           for name in ("b_i", "b_w", "b_o", "m", "n_macros")},
+        "b_cycle": _mostly(st.none() | st.integers(1, 8)),
+        "input_toggle_rate": _mostly(st.floats(0.0, 1.0)),
+        "weight_sparsity": _mostly(st.floats(0.0, 1.0)),
+        "pipelined": _mostly(st.booleans()),
+        "adc_resolution_from_full_precision": _mostly(st.booleans()),
+    }),
+    "cache": _fuzz_document({
+        "name": _mostly(st.text(max_size=4)),
+        "capacity_bits": _mostly(st.integers(1, 2**24), _FUZZ_HUGE | _FUZZ_JSON),
+        "read_energy": _mostly(st.floats(0.0, 1e-11)),
+        "write_energy": _mostly(st.floats(0.0, 1e-11)),
+        "area": _mostly(st.floats(0.0, 1e7)),
+        "bandwidth_bits_per_cycle": _mostly(st.integers(1, 2**16), _FUZZ_HUGE | _FUZZ_JSON),
+    }),
+    "dram_energy_per_bit": _mostly(st.floats(0.0, 1e-10)),
+})
+_FUZZ_LAYER = _fuzz_document({
+    **{name: _mostly(st.integers(1, 12), _FUZZ_HUGE | _FUZZ_JSON)
+       for name in ("b", "g", "k", "c", "ox", "oy", "fx", "fy", "sx", "sy", "repeat")},
+    **{name: _mostly(st.none() | st.integers(1, 16)) for name in ("b_i", "b_w", "b_o")},
+    "name": _mostly(st.text(max_size=4)),
+})
+_FUZZ_WORKLOAD = _fuzz_document({
+    "name": _mostly(st.text(max_size=4)),
+    "layers": _mostly(st.lists(_FUZZ_LAYER, min_size=1, max_size=3)),
+})
+# covers each --sizes/--type/--objective/--format path a command can take
+_FUZZ_FLAGS = st.sampled_from(([], ["--sizes", "8,16"], ["--type", "both"],
+                               ["--objective", "edp"], ["--format", "json"]))
+
+
+class _Expired(BaseException):
+    """Raised by SIGALRM; no handler in the CLI catches it."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail the test if the block is still running after seconds."""
+    def expire(signum, frame):
+        raise _Expired
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Expired:
+        raise AssertionError(f"still running after {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _run_in_process(command, config, workload, flags=()):
+    """main() on a config and a workload file, each a JSON document or raw bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, doc in (("config.json", config), ("net.json", workload)):
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as stream:
+                stream.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode(
+                    "utf-8", "surrogatepass"))
+            paths.append(path)
+        argv = [command, "--config", paths[0], *flags]
+        if cli._COMMANDS[command].takes_workload:
+            argv += ["--workload", paths[1]]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), _time_limit(20):
+            warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    """Whatever the config and workload files hold, a command ends within a time
+    bound with exit 0, 2 (config error) or 3 (evaluation error), never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(tuple(cli._COMMANDS)),
+           config=_mostly(_FUZZ_CONFIG, _FUZZ_RAW), workload=_mostly(_FUZZ_WORKLOAD, _FUZZ_RAW),
+           flags=_FUZZ_FLAGS)
+    def test_every_input_ends_cleanly(self, command, config, workload, flags):
+        code, out, err = _run_in_process(command, config, workload, flags)
+        assert "Traceback" not in err
+        if code == 0:
+            assert out and err == ""
+        else:
+            prefix = {2: "imcperf: config error: ", 3: "imcperf: evaluation error: "}
+            assert code in prefix, (code, err)
+            assert err.startswith(prefix[code]) and out == ""
+
+    @pytest.mark.parametrize("command", ["peak", "layer"])
+    def test_huge_array_dimension_is_a_config_error(self, command):
+        # unroll factors were tried up to d_o: 2**40 of them for this layer
+        code, _, err = _run_in_process(command, {"macro": {"d_o": 2**40}},
+                                       {"layers": [{"k": 2**40}]})
+        assert (code, err) == (
+            2, f"imcperf: config error: invalid macro section: d_o must be at most "
+               f"65536, got {2**40}\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("technology", "k1"), ("technology", "v_dd"), ("cache", "area"),
+        ("cache", "read_energy")])
+    def test_huge_integer_constant_is_a_config_error(self, section, key):
+        code, _, err = _run_in_process("peak", {section: {key: 10**400}}, {})
+        assert (code, err) == (
+            2, f"imcperf: config error: invalid {section} section: "
+               "int too large to convert to float\n")
+
+    def test_nan_adc_k_is_a_config_error(self):
+        code, _, err = _run_in_process("peak", b'{"technology": {"adc_k": NaN}}', {})
+        assert (code, err) == (
+            2, "imcperf: config error: invalid technology section: adc_k must be >= 1, "
+               "got nan\n")

@@ -253,6 +253,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TechnologyParams(adc_k=0.5)
 
+    def test_rejects_nan_adc_k(self):
+        with pytest.raises(ValueError, match="adc_k must be >= 1, got nan"):
+            TechnologyParams(adc_k=math.nan)
+
     @pytest.mark.parametrize("constants, derived", [
         (dict(v_dd=1e200), "fa_energy"),  # v_dd**2 overflows
         (dict(dff_energy_ratio=1e300, c_gate=1e10), "dff_energy"),

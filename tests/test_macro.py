@@ -62,6 +62,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ImcMacroConfig(imc_type="aimc", d_i=32, d_o=32)
 
+    def test_array_dimensions_are_bounded(self):
+        # the mapper tries every unroll factor up to the array dimension
+        limit = macro.MAX_ARRAY_DIM
+        assert dimc(limit).d_i == limit
+        for dims, name in (((limit + 1, 32), "d_i"), ((32, limit + 1), "d_o")):
+            with pytest.raises(ValueError) as info:
+                ImcMacroConfig(imc_type=ImcType.DIMC, d_i=dims[0], d_o=dims[1])
+            assert str(info.value) == f"{name} must be at most {limit}, got {limit + 1}"
+
     def test_dispatch_guards(self, params):
         with pytest.raises(ValueError):
             aimc_macro_metrics(params, dimc(32))

@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from imcperf import (
 from imcperf import mapper
 from _oracles import (
     exhaustive_best_mapping,
+    layer_metrics_oracle,
     mapping_result_oracle,
     random_oracle_cases,
     simulate_mapping,
@@ -193,6 +196,26 @@ class TestBestMapping:
         system = default_system_config(dimc(64))
         with pytest.raises(ValueError, match="objective"):
             best_mapping(PW, system, "throughput")
+
+    def test_utilization_breaks_an_objective_tie(self):
+        # (16, 1, 36, 1, 1) takes 16 compute + 8 weight-stall cycles and
+        # (16, 2, 36, 1, 1) takes 8 + 16: the same latency, bit for bit. The
+        # first in enumeration order fills half as much of the array, so only
+        # the utilization tie-break picks the second.
+        layer = Layer(k=16, c=36, ox=2)
+        system = default_system_config(dimc(64))
+        latency = {}
+        for mapping in enumerate_mappings(layer, system.macro):
+            result = evaluate_mapping(layer, system.macro, mapping)
+            latency[mapping.factors()] = evaluate_layer_mapping(system, layer, result).latency
+        fastest = [factors for factors, value in latency.items()
+                   if value == min(latency.values())]
+        assert fastest == [(16, 1, 36, 1, 1), (16, 2, 36, 1, 1)]
+        result, metrics = layer_system_metrics(system, layer, "latency")
+        assert result.mapping.factors() == (16, 2, 36, 1, 1)
+        assert result.spatial_utilization == 2 * evaluate_mapping(
+            layer, system.macro, SpatialMapping(16, 1, 36)).spatial_utilization
+        assert (result, metrics) == exhaustive_best_mapping(layer, system, "latency")
 
     @pytest.mark.parametrize("objective", ["energy", "latency"])
     def test_array_growth_never_adds_invocations(self, objective):
@@ -398,3 +421,64 @@ class TestSearchProperty:
                                   cache=replace(default_cache(macro), capacity_bits=capacity))
             _, metrics = layer_system_metrics(system, _BOTH_SPILL["layer"])
         assert [note.split(" ")[0] for note in metrics.warnings] == ["input", "output"]
+
+
+class TestBuiltObjects:
+    """The search builds its SpatialMapping, MappingResult and SystemMetrics
+    objects without the generated __init__. Each must be indistinguishable from
+    the one the public constructor builds from values derived independently."""
+
+    @staticmethod
+    def _systems():
+        rng = random.Random(8)
+        for _ in range(3):
+            layer = Layer(b=rng.randint(1, 2), g=rng.randint(1, 2), k=rng.randint(1, 12),
+                          c=rng.randint(1, 12), ox=rng.randint(1, 6), oy=rng.randint(1, 4),
+                          fx=rng.randint(1, 3), fy=rng.randint(1, 3), b_i=rng.choice((None, 4)))
+            for make in (aimc, dimc):
+                macro = make(16)
+                # a 64-bit cache spills both activations, so warnings are not empty
+                for capacity in (64, 256 * 1024 * 8):
+                    cache = replace(default_cache(macro), capacity_bits=capacity)
+                    yield layer, SystemConfig(macro=macro, params=TechnologyParams(), cache=cache)
+
+    @staticmethod
+    def _assert_indistinguishable(built, expected):
+        assert type(built) is type(expected)
+        assert built == expected and not built != expected
+        assert repr(built) == repr(expected)
+        assert list(vars(built)) == [f.name for f in fields(expected)]
+        assert vars(built) == vars(expected)
+        for f in fields(built):
+            with pytest.raises(FrozenInstanceError):
+                setattr(built, f.name, getattr(expected, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(built, f.name)
+        assert replace(built) == expected
+        assert copy.copy(built) == expected
+        assert copy.deepcopy(built) == expected
+        assert pickle.loads(pickle.dumps(built)) == expected
+
+    def test_every_candidate_matches_the_constructors(self):
+        checked = 0
+        for layer, system in self._systems():
+            macro = system.macro
+            rows, cols = mapper.mapping_space(layer, macro)
+            expected_mappings = [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
+                                 for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
+            mappings = enumerate_mappings(layer, macro)
+            assert len(mappings) == len(expected_mappings)
+            for mapping, expected_mapping in zip(mappings, expected_mappings):
+                self._assert_indistinguishable(mapping, expected_mapping)
+                assert hash(mapping) == hash(expected_mapping)
+                assert {mapping: True}[expected_mapping]
+
+                result = evaluate_mapping(layer, macro, mapping)
+                expected_result = mapping_result_oracle(layer, macro, expected_mapping)
+                self._assert_indistinguishable(result, expected_result)
+
+                metrics = evaluate_layer_mapping(system, layer, result)
+                self._assert_indistinguishable(
+                    metrics, layer_metrics_oracle(system, layer, expected_result))
+                checked += 1
+        assert checked > 100
