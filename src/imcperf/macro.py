@@ -75,6 +75,14 @@ _DEFAULT_B_CYCLE = {ImcType.AIMC: 2, ImcType.DIMC: 1}
 # hours before the candidate budget can refuse it. 16x the CLI's largest size.
 MAX_ARRAY_DIM = 1 << 16
 
+# Largest b_i, b_w, b_o, m and n_macros. No design point comes near it, and it
+# keeps every product the model forms from them far inside the float range, so
+# a huge value is named here rather than failing a conversion to float later.
+MAX_MACRO_INT = 1 << 32
+_INT_BOUNDS = (("d_i", MAX_ARRAY_DIM), ("d_o", MAX_ARRAY_DIM), ("b_i", MAX_MACRO_INT),
+               ("b_w", MAX_MACRO_INT), ("b_o", MAX_MACRO_INT), ("m", MAX_MACRO_INT),
+               ("n_macros", MAX_MACRO_INT))
+
 
 @dataclass(frozen=True)
 class ImcMacroConfig:
@@ -110,10 +118,9 @@ class ImcMacroConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("d_i", "d_o"):
-            if getattr(self, name) > MAX_ARRAY_DIM:
-                raise ValueError(
-                    f"{name} must be at most {MAX_ARRAY_DIM}, got {getattr(self, name)}")
+        for name, bound in _INT_BOUNDS:
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}, got {getattr(self, name)}")
         if self.b_cycle > self.b_i:
             raise ValueError(
                 f"b_cycle ({self.b_cycle}) cannot exceed b_i ({self.b_i})")

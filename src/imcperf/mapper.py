@@ -10,6 +10,7 @@ loop bounds are admitted as unroll factors, which keeps tile arithmetic exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, NamedTuple, TypeVar
 
 from .macro import ImcMacroConfig, layer_precisions
@@ -178,19 +179,16 @@ class _MappingContext(NamedTuple):
     c: int
     fx: int
     fy: int
-    d_i: int
-    d_o: int
     b_oy: int  # batch x output rows: temporal loops no unrolling touches
     g: int
     cycles_per_mvm: int
     b_i: int
     b_w: int
-    weight_dram_bits: int
-    input_dram_bits: int
-    output_cache_bits: int
     array_cells: int  # d_i * d_o
     reduction: int  # c * fx * fy
     col_bound: int  # min(d_o, k * ox)
+    # every traffic entry but the two that depend on the mapping, in key order
+    traffic: dict[tuple[str, str], int]
 
 
 # The last context built, as (layer, cfg, context). A search evaluates every
@@ -207,23 +205,67 @@ def _mapping_context(layer: Layer, cfg: ImcMacroConfig) -> _MappingContext:
     if entry is not None and entry[0] is layer and entry[1] is cfg:
         return entry[2]
     b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
+    traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
+    traffic[("W", "dram")] = layer.weight_elements * b_w
+    traffic[("I", "dram")] = layer.input_elements * b_i
+    traffic[("O", "cache")] = layer.output_elements * b_o
     context = _MappingContext(
         k=layer.k, ox=layer.ox, c=layer.c, fx=layer.fx, fy=layer.fy,
-        d_i=cfg.d_i, d_o=cfg.d_o,
         b_oy=layer.b * layer.oy,
         g=layer.g,
         cycles_per_mvm=-(-b_i // b_cycle),
         b_i=b_i,
         b_w=b_w,
-        weight_dram_bits=layer.weight_elements * b_w,
-        input_dram_bits=layer.input_elements * b_i,
-        output_cache_bits=layer.output_elements * b_o,
         array_cells=cfg.d_i * cfg.d_o,
         reduction=layer.c * layer.fx * layer.fy,
         col_bound=min(cfg.d_o, layer.k * layer.ox),
+        traffic=traffic,
     )
     _context_entry = (layer, cfg, context)
     return context
+
+
+# A mapping's counts factor into terms of its row tuple and terms of its column
+# pair. A search computes each tuple's and each pair's terms once and combines
+# them per candidate; evaluate_mapping combines the terms of one mapping, so
+# both price a mapping through the same equations.
+
+def _row_terms(context: _MappingContext, c_u: int, fx_u: int, fy_u: int
+               ) -> tuple[int, int, float]:
+    """rows, the C x FX x FY reduction tiles, rows/reduction."""
+    rows = c_u * fx_u * fy_u
+    return (rows, (context.c // c_u) * (context.fx // fx_u) * (context.fy // fy_u),
+            rows / context.reduction)
+
+
+def _col_terms(context: _MappingContext, k_u: int, ox_u: int
+               ) -> tuple[int, int, int, float]:
+    """cols, the G x K weight tiles, the OX x B x OY MVMs per tile, cols/col_bound."""
+    cols = k_u * ox_u
+    return (cols, context.g * (context.k // k_u), (context.ox // ox_u) * context.b_oy,
+            cols / context.col_bound)
+
+
+def _combine(context: _MappingContext, mapping: SpatialMapping,
+             row: tuple[int, int, float], col: tuple[int, int, int, float]) -> MappingResult:
+    """The result of mapping, from the terms of its row tuple and column pair."""
+    rows, reduction_tiles, in_ratio = row
+    cols, weight_tiles, mvms_per_load, out_ratio = col
+    loads = weight_tiles * reduction_tiles
+    mvms = loads * mvms_per_load
+    traffic = context.traffic.copy()
+    traffic[("W", "macro")] = loads * rows * cols * context.b_w
+    traffic[("I", "cache")] = mvms * rows * context.b_i
+    return _build(MappingResult, {
+        "mapping": mapping,
+        "spatial_utilization": (rows * cols) / context.array_cells,
+        "mvm_invocations": mvms,
+        "total_cycles": mvms * context.cycles_per_mvm,
+        "weight_tile_loads": loads,
+        "traffic": traffic,
+        "in_unroll_ratio": in_ratio,
+        "out_unroll_ratio": out_ratio,
+    })
 
 
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
@@ -236,38 +278,11 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     rows; the column multicast is free. Outputs stay in the accumulators until
     their reduction finishes and are then written to the cache once.
     """
-    (k, ox, c, fx, fy, d_i, d_o, b_oy, g, cycles_per_mvm, b_i, b_w, weight_dram_bits,
-     input_dram_bits, output_cache_bits, array_cells, reduction,
-     col_bound) = _mapping_context(layer, cfg)
-    k_u, ox_u, c_u, fx_u, fy_u = (mapping.k_u, mapping.ox_u, mapping.c_u,
-                                  mapping.fx_u, mapping.fy_u)
-    rows = c_u * fx_u * fy_u
-    cols = k_u * ox_u
-    if k % k_u | ox % ox_u | c % c_u | fx % fx_u | fy % fy_u or rows > d_i or cols > d_o:
-        _check_feasible(layer, cfg, mapping)  # raises, with the failing bound named
-
-    loads = g * (k // k_u) * (c // c_u) * (fx // fx_u) * (fy // fy_u)
-    mvms = loads * (ox // ox_u) * b_oy
-    return _build(MappingResult, {
-        "mapping": mapping,
-        "spatial_utilization": (rows * cols) / array_cells,
-        "mvm_invocations": mvms,
-        "total_cycles": mvms * cycles_per_mvm,
-        "weight_tile_loads": loads,
-        "traffic": {
-            ("W", "dram"): weight_dram_bits,
-            ("W", "cache"): 0,
-            ("W", "macro"): loads * rows * cols * b_w,
-            ("I", "dram"): input_dram_bits,
-            ("I", "cache"): mvms * rows * b_i,
-            ("I", "macro"): 0,
-            ("O", "dram"): 0,
-            ("O", "cache"): output_cache_bits,
-            ("O", "macro"): 0,
-        },
-        "in_unroll_ratio": rows / reduction,
-        "out_unroll_ratio": cols / col_bound,
-    })
+    _check_feasible(layer, cfg, mapping)
+    context = _mapping_context(layer, cfg)
+    return _combine(context, mapping,
+                    _row_terms(context, mapping.c_u, mapping.fx_u, mapping.fy_u),
+                    _col_terms(context, mapping.k_u, mapping.ox_u))
 
 
 def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
@@ -286,8 +301,18 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
     best_value = 0.0
     best_result: MappingResult | None = None
     cfg = system.macro
-    for mapping in enumerate_mappings(layer, cfg):
-        result = evaluate_mapping(layer, cfg, mapping)
+    mappings = enumerate_mappings(layer, cfg)
+    context = _mapping_context(layer, cfg)
+    # The list holds every column pair outer and every row tuple inner, so its
+    # first run of one column pair lists the row tuples and every run-th entry
+    # starts the next column pair.
+    first = mappings[0]
+    run = next((i for i, m in enumerate(mappings)
+                if m.k_u != first.k_u or m.ox_u != first.ox_u), len(mappings))
+    row_terms = [_row_terms(context, m.c_u, m.fx_u, m.fy_u) for m in mappings[:run]]
+    col_terms = [_col_terms(context, m.k_u, m.ox_u) for m in mappings[::run]]
+    for mapping, (col, row) in zip(mappings, product(col_terms, row_terms)):
+        result = _combine(context, mapping, row, col)
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy

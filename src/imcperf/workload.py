@@ -114,9 +114,17 @@ class Network:
             raise WorkloadError("network must contain at least one layer")
         if len(self.layers) != len(self.repeats):
             raise WorkloadError("layers and repeats must have equal length")
-        for i, r in enumerate(self.repeats):
+        for i, (layer, r) in enumerate(zip(self.layers, self.repeats)):
             if not isinstance(r, int) or r < 1:
                 raise WorkloadError(f"layer {i}: repeat must be an integer >= 1, got {r!r}")
+            try:
+                macs = total_macs(layer)  # rejects absurd loop bounds
+            except WorkloadError as exc:
+                raise WorkloadError(f"layer {i}: {exc}") from None
+            # the network's MACs, energy and latency scale by the repeat
+            if r * macs > _MAC_LIMIT:
+                raise WorkloadError(
+                    f"layer {i}: repeat {r} times {macs} MACs overflows the supported range")
 
 
 def classify(layer: Layer) -> LayerKind:
@@ -159,7 +167,6 @@ def _layer_from_dict(entry: dict, index: int) -> tuple[Layer, int]:
             raise WorkloadError(f"layer {index}: field {key} must not be a boolean")
     try:
         layer = Layer(**kwargs)
-        total_macs(layer)  # reject absurd loop bounds at load time
     except WorkloadError as exc:
         raise WorkloadError(f"layer {index}: {exc}") from None
     return layer, repeat

@@ -656,6 +656,23 @@ class TestFuzz:
             2, f"imcperf: config error: invalid macro section: d_o must be at most "
                f"65536, got {2**40}\n")
 
+    @pytest.mark.parametrize("command", ["peak", "validate"])
+    @pytest.mark.parametrize("key", ["b_i", "b_w", "b_o", "m", "n_macros"])
+    def test_huge_macro_integer_is_a_config_error(self, command, key):
+        # peak failed converting it to float, naming nothing; validate passed it
+        code, _, err = _run_in_process(command, {"macro": {key: 10**400}}, {})
+        assert (code, err) == (
+            2, f"imcperf: config error: invalid macro section: {key} must be at most "
+               f"4294967296, got {10**400}\n")
+
+    def test_huge_repeat_is_an_evaluation_error(self):
+        # repeat x MACs failed converting to float, naming nothing
+        code, out, err = _run_in_process("network", {},
+                                         {"layers": [{"k": 8}, {"k": 8, "repeat": 10**400}]})
+        assert (code, out) == (3, "")
+        assert err == (f"imcperf: evaluation error: layer 1: repeat {10**400} times 8 MACs "
+                       "overflows the supported range\n")
+
     @pytest.mark.parametrize("section, key", [
         ("technology", "k1"), ("technology", "v_dd"), ("cache", "area"),
         ("cache", "read_energy")])

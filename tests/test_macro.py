@@ -71,6 +71,16 @@ class TestConfigValidation:
                 ImcMacroConfig(imc_type=ImcType.DIMC, d_i=dims[0], d_o=dims[1])
             assert str(info.value) == f"{name} must be at most {limit}, got {limit + 1}"
 
+    @pytest.mark.parametrize("name", ["b_i", "b_w", "b_o", "m", "n_macros"])
+    def test_operand_widths_and_counts_are_bounded(self, name):
+        # an unbounded one failed later, converting to float, without its name
+        limit = macro.MAX_MACRO_INT
+        assert getattr(dimc(32, **{name: limit}), name) == limit
+        for value in (limit + 1, 10**400):
+            with pytest.raises(ValueError) as info:
+                dimc(32, **{name: value})
+            assert str(info.value) == f"{name} must be at most {limit}, got {value}"
+
     def test_dispatch_guards(self, params):
         with pytest.raises(ValueError):
             aimc_macro_metrics(params, dimc(32))

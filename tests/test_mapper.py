@@ -29,6 +29,7 @@ from imcperf import (
     total_macs,
 )
 from imcperf import mapper
+from imcperf import system as system_module
 from _oracles import (
     exhaustive_best_mapping,
     layer_metrics_oracle,
@@ -244,6 +245,22 @@ class TestMappingSpace:
         assert len(rows) * len(cols) == len(mappings)
         assert mappings == [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
                             for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
+
+    @settings(max_examples=80)
+    @given(layer=_LAYERS_FOR_SPACE, d_i=st.sampled_from((1, 3, 4, 12, 16, 64)),
+           d_o=st.sampled_from((1, 3, 4, 12, 16, 64)))
+    def test_list_is_column_pairs_outer_row_tuples_inner(self, layer, d_i, d_o):
+        # best_mapping reads the row tuples off the list's first run of one
+        # column pair, and the column pairs off every run-th entry
+        macro = ImcMacroConfig(imc_type=ImcType.DIMC, d_i=d_i, d_o=d_o)
+        rows, cols = mapper.mapping_space(layer, macro)
+        mappings = enumerate_mappings(layer, macro)
+        first = (mappings[0].k_u, mappings[0].ox_u)
+        run = [(m.k_u, m.ox_u) for m in mappings].count(first)
+        assert run == len(rows)
+        assert all((m.k_u, m.ox_u) == first for m in mappings[:run])
+        assert [(m.c_u, m.fx_u, m.fy_u) for m in mappings[:run]] == rows
+        assert [(m.k_u, m.ox_u) for m in mappings[::run]] == cols
 
     def test_budget_error_is_the_same(self):
         huge = TestCandidateBudget.HUGE
@@ -482,3 +499,62 @@ class TestBuiltObjects:
                     metrics, layer_metrics_oracle(system, layer, expected_result))
                 checked += 1
         assert checked > 100
+
+
+# primes and awkward composites, so divisors are few, many or uneven
+_AWKWARD = st.sampled_from((1, 2, 3, 5, 7, 11, 13, 17, 31, 6, 12, 30, 36, 60))
+_AWKWARD_LAYERS = st.builds(
+    Layer, b=st.integers(1, 2), g=st.sampled_from((1, 2, 3)), k=_AWKWARD, c=_AWKWARD,
+    ox=_AWKWARD, oy=st.sampled_from((1, 2, 3, 7)), fx=st.sampled_from((1, 2, 3, 5, 7)),
+    fy=st.sampled_from((1, 3, 5)), sx=st.integers(1, 2), sy=st.integers(1, 2),
+    b_i=st.none() | st.integers(1, 8), b_w=st.none() | st.integers(1, 8),
+    b_o=st.none() | st.integers(1, 16),
+)
+
+
+class TestSearchCandidates:
+    """best_mapping combines per-row-tuple and per-column-pair terms instead of
+    calling evaluate_mapping. Every result it hands to evaluate_layer_mapping must
+    be indistinguishable from the oracle's result for the same mapping, in
+    enumerate_mappings order."""
+
+    @staticmethod
+    def _priced(layer, system, objective):
+        seen = []
+        price = system_module.evaluate_layer_mapping
+
+        def record(system_, layer_, result):
+            seen.append(result)
+            return price(system_, layer_, result)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(system_module, "evaluate_layer_mapping", record)
+            best_mapping(layer, system, objective)
+        return seen
+
+    def _check(self, layer, system, objective="energy"):
+        macro = system.macro
+        rows, cols = mapper.mapping_space(layer, macro)
+        expected = [mapping_result_oracle(layer, macro, SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u))
+                    for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
+        priced = self._priced(layer, system, objective)
+        assert len(priced) == len(expected)
+        for result, expected_result in zip(priced, expected):
+            TestBuiltObjects._assert_indistinguishable(result, expected_result)
+        return len(priced)
+
+    def test_built_objects_systems(self):
+        checked = sum(self._check(layer, system) for layer, system in TestBuiltObjects._systems())
+        assert checked > 100
+
+    @pytest.mark.parametrize("imc_type", list(ImcType), ids=lambda t: t.value)
+    @settings(max_examples=25)
+    @given(layer=_AWKWARD_LAYERS, options=_MACRO_OPTIONS.map(
+               lambda options: {**options, "d_i": options["d_i"] - 1 or 1}),
+           objective=st.sampled_from(OBJECTIVES))
+    def test_awkward_layers(self, imc_type, layer, options, objective):
+        # d_i one below a power of two: 3, 7, 15, 31 or 63 rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+            macro = ImcMacroConfig(imc_type=imc_type, **options)
+            self._check(layer, default_system_config(macro), objective)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from imcperf import (
     Layer,
     LayerKind,
+    Network,
     WorkloadError,
     bundled_network,
     bundled_network_names,
@@ -145,6 +146,25 @@ class TestLoadNetwork:
         path = self.write(tmp_path, {"layers": [{"k": 1 << 31, "c": 1 << 31, "ox": 4}]})
         with pytest.raises(WorkloadError, match="overflows"):
             load_network(path)
+
+    def test_repeated_macs_are_bounded_at_load(self, tmp_path):
+        # a 10**300 repeat printed a 300-digit macs cell; 10**400 overflowed a float
+        half = {"k": 1 << 31, "c": 1 << 30}  # 2**61 MACs: two repeats reach the limit
+        assert load_network(self.write(tmp_path, {"layers": [
+            {**half, "repeat": 2}]})).repeats == (2,)
+        for entry, text in (({**half, "repeat": 3}, f"repeat 3 times {1 << 61} MACs"),
+                            ({"k": 8, "repeat": 10**300}, f"repeat {10**300} times 8 MACs")):
+            path = self.write(tmp_path, {"layers": [{"k": 2}, entry]})
+            with pytest.raises(WorkloadError) as info:
+                load_network(path)
+            assert str(info.value) == f"layer 1: {text} overflows the supported range"
+
+    def test_networks_built_in_code_are_bounded_too(self):
+        # a 10**400 repeat failed pricing the network, converting to float
+        with pytest.raises(WorkloadError, match=r"^layer 1: repeat 1(0){400} times 8 MACs "):
+            Network(name="n", layers=(FC, Layer(k=8)), repeats=(1, 10**400))
+        with pytest.raises(WorkloadError, match=f"^layer 0: layer MAC count {1 << 64} overflows"):
+            Network(name="n", layers=(Layer(k=1 << 32, c=1 << 32),), repeats=(1,))
 
     def test_layer_name_must_be_a_string(self, tmp_path):
         path = self.write(tmp_path, {"layers": [{"k": 2}, {"k": 2, "name": 5}]})

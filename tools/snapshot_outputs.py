@@ -110,6 +110,8 @@ FRONTEND_INPUTS: dict[str, str] = {
     "degenerate.json": json.dumps({"technology": {"d_gate": 0, "k3": 0, "k4": 0}}),
     "huge-layer.json": json.dumps({"layers": [
         {"name": "huge", "k": 5040, "c": 5040, "ox": 5040, "fx": 5040}]}),
+    "huge-m.json": json.dumps({"macro": {"m": 10**400}}),
+    "huge-repeat.json": json.dumps({"layers": [{"k": 8, "repeat": 10**400}]}),
 }
 
 
@@ -149,6 +151,9 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("unknown-workload", ["layer", "--workload", "no-such-net"]),
         ("search-budget", ["layer", "--workload", str(inputs / "huge-layer.json"),
                            "--type", "dimc", "--sizes", "4096"]),
+        ("huge-macro-integer-peak", ["peak", *config("huge-m.json")]),
+        ("huge-macro-integer-validate", ["validate", *config("huge-m.json")]),
+        ("huge-repeat", ["network", "--workload", str(inputs / "huge-repeat.json")]),
         ("degenerate-technology-aimc", ["peak", "--type", "aimc", *config("degenerate.json")]),
         ("degenerate-technology-dimc", ["peak", "--type", "dimc", *config("degenerate.json")]),
     ]
