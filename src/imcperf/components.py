@@ -84,6 +84,11 @@ class TechnologyParams:
     adc_k: float = 2.0              # ADC noise-margin constant
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, but True is no technology constant
+        if bool in map(type, vars(self).values()):
+            name, value = next((name, value) for name, value in vars(self).items()
+                               if type(value) is bool)
+            raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
         nonneg = (
             "c_gate", "d_gate", "a_gate", "k1", "k2", "k3", "k4", "k5", "k6", "k7",
             "fa_energy_ratio", "dff_energy_ratio", "fa_sum_delay_ratio",

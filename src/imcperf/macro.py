@@ -116,7 +116,8 @@ class ImcMacroConfig:
             object.__setattr__(self, "b_cycle", _DEFAULT_B_CYCLE[self.imc_type])
         for name in ("d_i", "d_o", "b_i", "b_w", "b_cycle", "b_o", "m", "n_macros"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass, but True is no bit width or count
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name, bound in _INT_BOUNDS:
             if getattr(self, name) > bound:
@@ -126,8 +127,14 @@ class ImcMacroConfig:
                 f"b_cycle ({self.b_cycle}) cannot exceed b_i ({self.b_i})")
         for name in ("input_toggle_rate", "weight_sparsity"):
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("pipelined", "adc_resolution_from_full_precision"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a boolean, got {value!r}")
         if self.b_i % self.b_cycle != 0:
             warnings.warn(
                 f"b_cycle ({self.b_cycle}) does not divide b_i ({self.b_i}); "
@@ -200,7 +207,8 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing
     """Price every component of one config once.
 
     Returns the energy by component of `cycles` cycles (one by default) as a
-    function of the active (rows, cols, cycles), and each component's
+    function of the active (rows, cols, cycles) and the input-register energy
+    the caller prices (none by default), and each component's
     (clock-path delay, area). A component the macro type lacks has zero unit
     energy, delay and area, so both types share one set of energy expressions
     and one key set. The timing dict is shared with later calls on the same
@@ -248,8 +256,11 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing
     combine_e, acc_e = combine.energy, acc.energy
 
     # cycles is every expression's last multiply: the floats equal multiplying
-    # each one-cycle entry by cycles afterwards, bit for bit
-    def cycle_energies(rows: int, cols: int, cycles: int = 1) -> dict[str, float]:
+    # each one-cycle entry by cycles afterwards, bit for bit. input_register is
+    # the register energy the caller prices per MVM; 0.0 + it equals adding it
+    # to a zero entry afterwards.
+    def cycle_energies(rows: int, cols: int, cycles: int = 1,
+                       input_register: float = 0.0) -> dict[str, float]:
         return {
             "cell_array": cell_e * cycles,
             "dac": rows * dac_e * cycles,
@@ -260,7 +271,7 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing
             "adder_tree": cols * b_cycle * tree_e * (rows / d_i) * cycles,
             "combine_tree": cols * combine_e * cycles,
             "accumulator": cols * acc_e * cycles,
-            "input_register": 0.0,
+            "input_register": 0.0 + input_register,
             "pipeline_register": cols * pipeline_bits * dff_e * cycles,
         }
 
@@ -325,8 +336,7 @@ def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics
     cycle_energies, timing = _price_components(params, cfg)
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
-    per_mvm = cycle_energies(cfg.d_i, cfg.d_o, cycles)
-    per_mvm["input_register"] += per_mvm_register_energy(params, cfg)
+    per_mvm = cycle_energies(cfg.d_i, cfg.d_o, cycles, per_mvm_register_energy(params, cfg))
     breakdown = {name: ComponentCost(energy=per_mvm[name] * n, delay=delay, area=area * n)
                  for name, (delay, area) in timing.items()}
 

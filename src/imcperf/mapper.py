@@ -10,8 +10,8 @@ loop bounds are admitted as unroll factors, which keeps tile arithmetic exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Any, NamedTuple, TypeVar
+from math import isqrt
+from typing import Iterable, Iterator, NamedTuple
 
 from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer, WorkloadError
@@ -84,27 +84,23 @@ class MappingResult:
     out_unroll_ratio: float = 1.0
 
 
-_T = TypeVar("_T")
-
-
-def _build(cls: type[_T], values: dict[str, Any]) -> _T:
-    """An instance of the frozen dataclass cls whose fields hold values.
-
-    values maps every field name, in field order, to a value the public
-    constructor would accept unchanged; the instance takes it as its __dict__.
-    The generated __init__ sets each field through object.__setattr__, which
-    is most of what building a search candidate's objects costs. Equality,
-    hashing, repr, frozenness, replace() and pickling read the fields, so
-    they are the same as for a constructor-built instance.
-    """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", values)
-    return obj
-
-
 def _divisors(n: int, limit: int) -> list[int]:
-    # factors beyond the array dimension can never fit, so don't enumerate them
-    return [d for d in range(1, min(n, limit) + 1) if n % d == 0]
+    """The divisors of n that are at most limit, ascending.
+
+    Factors beyond the array dimension can never fit, so they are not
+    enumerated. Trial division stops at min(isqrt(n), limit): each divisor d
+    found there pairs with n // d, and every divisor above isqrt(n) is such a
+    partner.
+    """
+    low: list[int] = []
+    high: list[int] = []
+    for d in range(1, min(isqrt(n), limit) + 1):
+        if n % d == 0:
+            low.append(d)
+            partner = n // d
+            if partner != d and partner <= limit:
+                high.append(partner)
+    return low + high[::-1]
 
 
 def mapping_space(layer: Layer, cfg: ImcMacroConfig
@@ -115,18 +111,22 @@ def mapping_space(layer: Layer, cfg: ImcMacroConfig
     len(rows) * len(cols) candidates; both lists are in lexicographic order.
     Raises WorkloadError when that product exceeds MAX_CANDIDATES.
     """
+    d_i, d_o = cfg.d_i, cfg.d_o
+    fx_divisors = _divisors(layer.fx, d_i)
+    fy_divisors = _divisors(layer.fy, d_i)
     row_candidates = [
         (c_u, fx_u, fy_u)
-        for c_u in _divisors(layer.c, cfg.d_i)
-        for fx_u in _divisors(layer.fx, cfg.d_i)
-        for fy_u in _divisors(layer.fy, cfg.d_i)
-        if c_u * fx_u * fy_u <= cfg.d_i
+        for c_u in _divisors(layer.c, d_i)
+        for fx_u in fx_divisors
+        for fy_u in fy_divisors
+        if c_u * fx_u * fy_u <= d_i
     ]
+    ox_divisors = _divisors(layer.ox, d_o)
     col_candidates = [
         (k_u, ox_u)
-        for k_u in _divisors(layer.k, cfg.d_o)
-        for ox_u in _divisors(layer.ox, cfg.d_o)
-        if k_u * ox_u <= cfg.d_o
+        for k_u in _divisors(layer.k, d_o)
+        for ox_u in ox_divisors
+        if k_u * ox_u <= d_o
     ]
     count = len(row_candidates) * len(col_candidates)
     if count > MAX_CANDIDATES:
@@ -146,10 +146,23 @@ def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping
     than MAX_CANDIDATES of them.
     """
     row_candidates, col_candidates = mapping_space(layer, cfg)
-    # the factors are _divisors output, so ints >= 1 that __post_init__ accepts
-    return [_build(SpatialMapping,
-                   {"k_u": k_u, "ox_u": ox_u, "c_u": c_u, "fx_u": fx_u, "fy_u": fy_u})
-            for k_u, ox_u in col_candidates for c_u, fx_u, fy_u in row_candidates]
+    # The factors are _divisors output, so ints >= 1 that __post_init__ accepts.
+    # Each mapping takes its field dict, in field order, as its __dict__: the
+    # generated __init__ would set each field through object.__setattr__, which
+    # is most of what building a mapping costs. Equality, hashing, repr,
+    # frozenness, replace() and pickling read the fields, so they are the same
+    # as for a constructor-built instance.
+    new = object.__new__
+    set_dict = object.__setattr__
+    mappings = []
+    append = mappings.append
+    for k_u, ox_u in col_candidates:
+        for c_u, fx_u, fy_u in row_candidates:
+            mapping = new(SpatialMapping)
+            set_dict(mapping, "__dict__",
+                     {"k_u": k_u, "ox_u": ox_u, "c_u": c_u, "fx_u": fx_u, "fy_u": fy_u})
+            append(mapping)
+    return mappings
 
 
 def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) -> None:
@@ -228,7 +241,7 @@ def _mapping_context(layer: Layer, cfg: ImcMacroConfig) -> _MappingContext:
 # A mapping's counts factor into terms of its row tuple and terms of its column
 # pair. A search computes each tuple's and each pair's terms once and combines
 # them per candidate; evaluate_mapping combines the terms of one mapping, so
-# both price a mapping through the same equations.
+# both price a mapping through the same equations in _results.
 
 def _row_terms(context: _MappingContext, c_u: int, fx_u: int, fy_u: int
                ) -> tuple[int, int, float]:
@@ -246,26 +259,43 @@ def _col_terms(context: _MappingContext, k_u: int, ox_u: int
             cols / context.col_bound)
 
 
-def _combine(context: _MappingContext, mapping: SpatialMapping,
-             row: tuple[int, int, float], col: tuple[int, int, int, float]) -> MappingResult:
-    """The result of mapping, from the terms of its row tuple and column pair."""
-    rows, reduction_tiles, in_ratio = row
-    cols, weight_tiles, mvms_per_load, out_ratio = col
-    loads = weight_tiles * reduction_tiles
-    mvms = loads * mvms_per_load
-    traffic = context.traffic.copy()
-    traffic[("W", "macro")] = loads * rows * cols * context.b_w
-    traffic[("I", "cache")] = mvms * rows * context.b_i
-    return _build(MappingResult, {
-        "mapping": mapping,
-        "spatial_utilization": (rows * cols) / context.array_cells,
-        "mvm_invocations": mvms,
-        "total_cycles": mvms * context.cycles_per_mvm,
-        "weight_tile_loads": loads,
-        "traffic": traffic,
-        "in_unroll_ratio": in_ratio,
-        "out_unroll_ratio": out_ratio,
-    })
+def _results(context: _MappingContext, mappings: Iterable[SpatialMapping],
+             row_terms: list[tuple[int, int, float]],
+             col_terms: list[tuple[int, int, int, float]]) -> Iterator[MappingResult]:
+    """The result of each mapping, from the terms of its row tuple and column pair.
+
+    mappings lists every column pair outer and every row tuple inner, in the
+    order of col_terms and row_terms. Each result is built like the mappings of
+    enumerate_mappings: its field dict becomes its __dict__.
+    """
+    base_traffic = context.traffic
+    b_w = context.b_w
+    b_i = context.b_i
+    array_cells = context.array_cells
+    cycles_per_mvm = context.cycles_per_mvm
+    new = object.__new__
+    set_dict = object.__setattr__
+    mapping_iter = iter(mappings)
+    for cols, weight_tiles, mvms_per_load, out_ratio in col_terms:
+        # row_terms comes first, so zip stops without taking the next mapping
+        for (rows, reduction_tiles, in_ratio), mapping in zip(row_terms, mapping_iter):
+            loads = weight_tiles * reduction_tiles
+            mvms = loads * mvms_per_load
+            traffic = base_traffic.copy()
+            traffic[("W", "macro")] = loads * rows * cols * b_w
+            traffic[("I", "cache")] = mvms * rows * b_i
+            result = new(MappingResult)
+            set_dict(result, "__dict__", {
+                "mapping": mapping,
+                "spatial_utilization": (rows * cols) / array_cells,
+                "mvm_invocations": mvms,
+                "total_cycles": mvms * cycles_per_mvm,
+                "weight_tile_loads": loads,
+                "traffic": traffic,
+                "in_unroll_ratio": in_ratio,
+                "out_unroll_ratio": out_ratio,
+            })
+            yield result
 
 
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
@@ -280,9 +310,9 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     """
     _check_feasible(layer, cfg, mapping)
     context = _mapping_context(layer, cfg)
-    return _combine(context, mapping,
-                    _row_terms(context, mapping.c_u, mapping.fx_u, mapping.fy_u),
-                    _col_terms(context, mapping.k_u, mapping.ox_u))
+    return next(_results(context, (mapping,),
+                         [_row_terms(context, mapping.c_u, mapping.fx_u, mapping.fy_u)],
+                         [_col_terms(context, mapping.k_u, mapping.ox_u)]))
 
 
 def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
@@ -311,8 +341,7 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
                 if m.k_u != first.k_u or m.ox_u != first.ox_u), len(mappings))
     row_terms = [_row_terms(context, m.c_u, m.fx_u, m.fy_u) for m in mappings[:run]]
     col_terms = [_col_terms(context, m.k_u, m.ox_u) for m in mappings[::run]]
-    for mapping, (col, row) in zip(mappings, product(col_terms, row_terms)):
-        result = _combine(context, mapping, row, col)
+    for result in _results(context, mappings, row_terms, col_terms):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy
@@ -323,7 +352,7 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
         # A key below best needs value <= best_value (a NaN on either side
         # compares false both ways), so the tuple is built only for contenders.
         if best is None or value <= best_value:
-            key = (value, -result.spatial_utilization, mapping.factors())
+            key = (value, -result.spatial_utilization, result.mapping.factors())
             if best is None or key < best:
                 best = key
                 best_value = value

@@ -19,7 +19,6 @@ from .components import TechnologyParams, register_cost
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
-    MacroMetrics,
     _price_components,
     layer_precisions,
     macro_metrics,
@@ -27,7 +26,7 @@ from .macro import (
     per_cycle_energy,  # noqa: F401
     resolve_layer_precisions,  # noqa: F401
 )
-from .mapper import MappingResult, _build, best_mapping
+from .mapper import MappingResult, best_mapping
 from .workload import Layer, LayerKind, Network, classify, total_macs
 
 __all__ = [
@@ -59,14 +58,17 @@ class MemoryLevel:
     bandwidth_bits_per_cycle: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.capacity_bits, int) or self.capacity_bits < 1:
-            raise ValueError(f"capacity_bits must be an integer >= 1, got {self.capacity_bits!r}")
-        if not isinstance(self.bandwidth_bits_per_cycle, int) or self.bandwidth_bits_per_cycle < 1:
+        # bool is an int subclass, but True is no size or energy
+        capacity, bandwidth = self.capacity_bits, self.bandwidth_bits_per_cycle
+        if type(capacity) is bool or not isinstance(capacity, int) or capacity < 1:
+            raise ValueError(f"capacity_bits must be an integer >= 1, got {capacity!r}")
+        if type(bandwidth) is bool or not isinstance(bandwidth, int) or bandwidth < 1:
             raise ValueError(
-                f"bandwidth_bits_per_cycle must be an integer >= 1, "
-                f"got {self.bandwidth_bits_per_cycle!r}")
+                f"bandwidth_bits_per_cycle must be an integer >= 1, got {bandwidth!r}")
         for name in ("read_energy", "write_energy", "area"):
             value = getattr(self, name)
+            if type(value) is bool:
+                raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
@@ -202,12 +204,22 @@ class _LayerPricing:
     """What pricing one layer on one system costs before any mapping is chosen."""
 
     cfg: ImcMacroConfig  # one macro, with the layer's precisions
-    metrics: MacroMetrics
     area_breakdown: dict[str, float]
     register_energy_per_bit: float
     cycle_energies: Callable[..., dict[str, float]]
     ops: float
     area: float  # macro plus cache
+    # the scalars every candidate reads, from the macro, the system and its cache
+    d_i: int
+    d_o: int
+    b_i: int
+    clock: float
+    cache_read_energy: float
+    cache_write_energy: float
+    capacity: int
+    bandwidth: int
+    dram_rate: float
+    cell_write_energy: float
     # The layer's own activation sizes and their spill warnings, None where the
     # size fits the cache; a result with other traffic gets its text formatted.
     input_bits: int
@@ -257,13 +269,22 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
     capacity = cache.capacity_bits
     pricing = _LayerPricing(
         cfg=cfg,
-        metrics=mm,
         area_breakdown=area_breakdown,
         # register energy is linear in the bits written
         register_energy_per_bit=register_cost(params, 1).energy,
         cycle_energies=_price_components(params, cfg)[0],
         ops=2.0 * total_macs(layer),
         area=mm.area + cache.area,
+        d_i=cfg.d_i,
+        d_o=cfg.d_o,
+        b_i=b_i,
+        clock=mm.clock_period,
+        cache_read_energy=cache.read_energy,
+        cache_write_energy=cache.write_energy,
+        capacity=capacity,
+        bandwidth=cache.bandwidth_bits_per_cycle,
+        dram_rate=system.dram_energy_per_bit,
+        cell_write_energy=params.sram_cell_write_energy,
         input_bits=input_bits,
         input_spill=_input_spill(input_bits, capacity) if input_bits > capacity else None,
         output_bits=output_bits,
@@ -283,61 +304,67 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     DRAM write-out (outputs), with a warning recorded. Weight loading stalls
     compute: written bits cross the cache-to-macro port at its bandwidth.
     """
-    pricing = _layer_pricing(system, layer)
-    cfg = pricing.cfg
-    cache = system.cache
-    capacity = cache.capacity_bits
-    dram_rate = system.dram_energy_per_bit
-    clock = pricing.metrics.clock_period
+    entry = _pricing_entry
+    if entry is not None and entry[0] is system and entry[1] is layer:
+        pricing = entry[2]
+    else:
+        pricing = _layer_pricing(system, layer)
 
     mapping = result.mapping
     rows = mapping.c_u * mapping.fx_u * mapping.fy_u
     cols = mapping.k_u * mapping.ox_u
-    if rows > cfg.d_i or cols > cfg.d_o:
+    if rows > pricing.d_i or cols > pricing.d_o:
         raise ValueError(f"a {rows} x {cols} mapping does not fit the "
-                         f"{cfg.d_i} x {cfg.d_o} macro")
+                         f"{pricing.d_i} x {pricing.d_o} macro")
     cycles = result.total_cycles
 
-    notes: list[str] = []
     traffic = result.traffic
     input_bits_from_dram = traffic[("I", "dram")]
     input_cache_reads = traffic[("I", "cache")]
     output_bits = traffic[("O", "cache")]
     weight_macro_bits = traffic[("W", "macro")]
+    capacity = pricing.capacity
+    dram_rate = pricing.dram_rate
 
     if input_bits_from_dram > capacity:
-        notes.append(pricing.input_spill if input_bits_from_dram == pricing.input_bits
-                     else _input_spill(input_bits_from_dram, capacity))
+        notes: tuple[str, ...] = (
+            pricing.input_spill if input_bits_from_dram == pricing.input_bits
+            else _input_spill(input_bits_from_dram, capacity),)
         dram_in = input_cache_reads * dram_rate
         cache_in = 0.0
     else:
+        notes = ()
         dram_in = input_bits_from_dram * dram_rate
-        cache_in = input_cache_reads * cache.read_energy
+        cache_in = input_cache_reads * pricing.cache_read_energy
 
-    cache_out = output_bits * cache.write_energy
+    cache_out = output_bits * pricing.cache_write_energy
     dram_out = 0.0
     if output_bits > capacity:
-        notes.append(pricing.output_spill if output_bits == pricing.output_bits
-                     else _output_spill(output_bits, capacity))
+        notes += (pricing.output_spill if output_bits == pricing.output_bits
+                  else _output_spill(output_bits, capacity),)
         dram_out = output_bits * dram_rate
 
-    energy_breakdown = pricing.cycle_energies(rows, cols, cycles)
-    energy_breakdown["input_register"] += (rows * cfg.b_i * pricing.register_energy_per_bit
-                                           * result.mvm_invocations)
+    energy_breakdown = pricing.cycle_energies(
+        rows, cols, cycles,
+        rows * pricing.b_i * pricing.register_energy_per_bit * result.mvm_invocations)
     energy_breakdown["cache"] = cache_in + cache_out
     energy_breakdown["dram"] = dram_in + dram_out
     energy_breakdown["weight_load"] = (traffic[("W", "dram")] * dram_rate
-                                       + weight_macro_bits * system.params.sram_cell_write_energy)
+                                       + weight_macro_bits * pricing.cell_write_energy)
     energy = sum(energy_breakdown.values())
 
+    clock = pricing.clock
     compute_time = cycles * clock
-    stall_time = weight_macro_bits / cache.bandwidth_bits_per_cycle * clock
+    stall_time = weight_macro_bits / pricing.bandwidth * clock
     latency = compute_time + stall_time
 
     area = pricing.area
     ops = pricing.ops
-    # SystemMetrics has no __post_init__, so its constructor checks nothing
-    return _build(SystemMetrics, {
+    # The field dict, in field order, becomes the instance's __dict__, as for
+    # the search's mappings and results; SystemMetrics has no __post_init__, so
+    # its constructor would check nothing.
+    metrics = object.__new__(SystemMetrics)
+    object.__setattr__(metrics, "__dict__", {
         "tops": ops / latency,
         "tops_per_w": ops / energy,
         "tops_per_mm2": ops / latency / (area * 1e-6),
@@ -347,8 +374,9 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
         "energy_breakdown": energy_breakdown,
         "delay_breakdown": {"compute": compute_time, "weight_load_stall": stall_time},
         "area_breakdown": dict(pricing.area_breakdown),
-        "warnings": tuple(notes),
+        "warnings": notes,
     })
+    return metrics
 
 
 def layer_system_metrics(system: SystemConfig, layer: Layer,

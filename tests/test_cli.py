@@ -263,6 +263,60 @@ class TestConfigHandling:
         assert row["system_area"] == row["macro_area"]
 
 
+class TestBooleanConfig:
+    """JSON true and false are no numbers, and 1 or "yes" is no flag: each is a
+    config error (exit 2) that names the field, under every command."""
+
+    CASES = (
+        ({"macro": {"b_i": True, "b_cycle": True}},
+         "invalid macro section: b_i must be an integer >= 1, got True"),
+        ({"macro": {"b_cycle": True}},
+         "invalid macro section: b_cycle must be an integer >= 1, got True"),
+        ({"macro": {"n_macros": True}},
+         "invalid macro section: n_macros must be an integer >= 1, got True"),
+        ({"macro": {"d_i": True}},
+         "invalid macro section: d_i must be an integer >= 1, got True"),
+        ({"macro": {"weight_sparsity": False}},
+         "invalid macro section: weight_sparsity must be a number, not a boolean, got False"),
+        ({"macro": {"pipelined": 1}},
+         "invalid macro section: pipelined must be a boolean, got 1"),
+        ({"macro": {"adc_resolution_from_full_precision": "yes"}},
+         "invalid macro section: adc_resolution_from_full_precision must be a boolean, "
+         "got 'yes'"),
+        ({"technology": {"v_dd": True}},
+         "invalid technology section: v_dd must be a number, not a boolean, got True"),
+        ({"technology": {"k1": False}},
+         "invalid technology section: k1 must be a number, not a boolean, got False"),
+        ({"cache": {"capacity_bits": True}},
+         "invalid cache section: capacity_bits must be an integer >= 1, got True"),
+        ({"cache": {"bandwidth_bits_per_cycle": True}},
+         "invalid cache section: bandwidth_bits_per_cycle must be an integer >= 1, got True"),
+        ({"cache": {"read_energy": False}},
+         "invalid cache section: read_energy must be a number, not a boolean, got False"),
+    )
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param(config, message, id=json.dumps(config)) for config, message in CASES])
+    @pytest.mark.parametrize("command", [
+        ("peak", "--type", "dimc", "--sizes", "32"), ("validate",)], ids=lambda c: c[0])
+    def test_rejected_with_the_field_named(self, capsys, tmp_path, command, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(capsys, *command, "--config", str(path)) \
+            == (2, "", f"imcperf: config error: {message}\n")
+
+    def test_real_booleans_still_set_the_flags(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"macro": {
+            "pipelined": True, "adc_resolution_from_full_precision": False}}))
+        code, out, err = run(capsys, "peak", "--config", str(path))
+        assert code == 0, err
+        _, plain, _ = run(capsys, "peak")
+        # a pipelined macro runs a shorter clock
+        assert float(parse_csv(out)[0]["clock_period"]) \
+            < float(parse_csv(plain)[0]["clock_period"])
+
+
 class TestOutputFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

@@ -253,6 +253,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             TechnologyParams(adc_k=0.5)
 
+    @pytest.mark.parametrize("name", ["v_dd", "k1", "adc_fs", "sram_cell_write_energy"])
+    def test_rejects_booleans(self, name):
+        with pytest.raises(ValueError) as info:
+            TechnologyParams(**{name: True})
+        assert str(info.value) == f"{name} must be a number, not a boolean, got True"
+
     def test_rejects_nan_adc_k(self):
         with pytest.raises(ValueError, match="adc_k must be >= 1, got nan"):
             TechnologyParams(adc_k=math.nan)

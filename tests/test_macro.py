@@ -81,6 +81,23 @@ class TestConfigValidation:
                 dimc(32, **{name: value})
             assert str(info.value) == f"{name} must be at most {limit}, got {value}"
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("b_i", True, "b_i must be an integer >= 1, got True"),
+        ("b_cycle", True, "b_cycle must be an integer >= 1, got True"),
+        ("n_macros", True, "n_macros must be an integer >= 1, got True"),
+        ("m", False, "m must be an integer >= 1, got False"),
+        ("input_toggle_rate", True,
+         "input_toggle_rate must be a number, not a boolean, got True"),
+        ("pipelined", 1, "pipelined must be a boolean, got 1"),
+        ("adc_resolution_from_full_precision", "yes",
+         "adc_resolution_from_full_precision must be a boolean, got 'yes'"),
+    ])
+    def test_booleans_and_flags_keep_their_kind(self, name, value, message):
+        # True passed for 1 and 1 for True; the config read neither as meant
+        with pytest.raises(ValueError) as info:
+            dimc(32, **{name: value})
+        assert str(info.value) == message
+
     def test_dispatch_guards(self, params):
         with pytest.raises(ValueError):
             aimc_macro_metrics(params, dimc(32))

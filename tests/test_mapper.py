@@ -87,6 +87,48 @@ class TestEnumerate:
         assert max(m.c_u for m in mappings) == 32
 
 
+class TestDivisors:
+    """_divisors trial-divides up to min(isqrt(n), limit) and pairs each divisor
+    with its cofactor; the list must be the one a scan up to min(n, limit) gives."""
+
+    @staticmethod
+    def brute_force(n, limit):
+        return [d for d in range(1, min(n, limit) + 1) if n % d == 0]
+
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 5000) | st.integers(1, 2**40)
+           | st.sampled_from((2**40, 720720, 2**32, 65536 * 65535, 65521 * 65537, 4096**2)),
+           limit=st.integers(1, 300) | st.sampled_from((4096, 65536)))
+    @example(n=2**40, limit=65536)
+    @example(n=36, limit=6)
+    def test_matches_the_brute_force_list(self, n, limit):
+        stops = []
+
+        def counting_range(start, stop):
+            stops.append(stop)
+            return range(start, stop)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mapper, "range", counting_range, raising=False)
+            divisors = mapper._divisors(n, limit)
+        assert divisors == self.brute_force(n, limit)
+        # one loop, and never longer than the scan it replaces
+        assert len(stops) == 1 and stops[0] - 1 <= min(n, limit)
+
+    def test_mapping_space_divides_each_loop_bound_once(self, monkeypatch):
+        calls = []
+        divisors = mapper._divisors
+
+        def counted(n, limit):
+            calls.append((n, limit))
+            return divisors(n, limit)
+
+        monkeypatch.setattr(mapper, "_divisors", counted)
+        rows, cols = mapper.mapping_space(CONV, dimc(64))
+        assert len(rows) * len(cols) > 100
+        assert sorted(calls) == sorted([(16, 64), (3, 64), (3, 64), (16, 64), (32, 64)])
+
+
 _LAYERS_FOR_SPACE = st.builds(
     Layer, g=st.integers(1, 3), k=st.integers(1, 48), c=st.integers(1, 48),
     ox=st.integers(1, 24), oy=st.integers(1, 4), fx=st.integers(1, 5), fy=st.integers(1, 5))
@@ -514,9 +556,11 @@ _AWKWARD_LAYERS = st.builds(
 
 class TestSearchCandidates:
     """best_mapping combines per-row-tuple and per-column-pair terms instead of
-    calling evaluate_mapping. Every result it hands to evaluate_layer_mapping must
+    calling evaluate_mapping, and evaluate_layer_mapping prices each result from
+    the scalars its layer pricing holds. Every result the search hands over must
     be indistinguishable from the oracle's result for the same mapping, in
-    enumerate_mappings order."""
+    enumerate_mappings order, and every metrics object it gets back must equal
+    the oracle's metrics for that result."""
 
     @staticmethod
     def _priced(layer, system, objective):
@@ -524,8 +568,9 @@ class TestSearchCandidates:
         price = system_module.evaluate_layer_mapping
 
         def record(system_, layer_, result):
-            seen.append(result)
-            return price(system_, layer_, result)
+            metrics = price(system_, layer_, result)
+            seen.append((result, metrics))
+            return metrics
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(system_module, "evaluate_layer_mapping", record)
@@ -539,8 +584,14 @@ class TestSearchCandidates:
                     for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
         priced = self._priced(layer, system, objective)
         assert len(priced) == len(expected)
-        for result, expected_result in zip(priced, expected):
+        for (result, metrics), expected_result in zip(priced, expected):
             TestBuiltObjects._assert_indistinguishable(result, expected_result)
+            expected_metrics = layer_metrics_oracle(system, layer, expected_result)
+            assert metrics == expected_metrics
+            # key order feeds the energy sum
+            assert list(metrics.energy_breakdown.items()) \
+                == list(expected_metrics.energy_breakdown.items())
+            assert metrics.warnings == expected_metrics.warnings
         return len(priced)
 
     def test_built_objects_systems(self):
@@ -558,3 +609,45 @@ class TestSearchCandidates:
             warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
             macro = ImcMacroConfig(imc_type=imc_type, **options)
             self._check(layer, default_system_config(macro), objective)
+
+    @pytest.mark.parametrize("imc_type", list(ImcType), ids=lambda t: t.value)
+    @settings(max_examples=25)
+    @example(layer=_BOTH_SPILL["layer"], options=_BOTH_SPILL["options"],
+             capacities=[_BOTH_SPILL["capacity"], 256 * 1024 * 8], objective="energy")
+    @given(layer=_AWKWARD_LAYERS, options=_MACRO_OPTIONS,
+           capacities=st.lists(_CAPACITIES, min_size=2, max_size=2),
+           objective=st.sampled_from(OBJECTIVES))
+    def test_one_layer_on_systems_in_turn(self, imc_type, layer, options, capacities,
+                                          objective):
+        # Back-to-back searches of one layer object on systems that share the
+        # macro but differ in every cache and DRAM scalar the pricing holds;
+        # the cache reads and writes cost different energies.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+            macro = ImcMacroConfig(imc_type=imc_type, **options)
+            cache = default_cache(macro)
+            for turn, capacity in enumerate(capacities):
+                system = SystemConfig(
+                    macro=macro, params=TechnologyParams(),
+                    cache=replace(cache, capacity_bits=capacity,
+                                  read_energy=(0.02e-12, 0.05e-12)[turn],
+                                  write_energy=(0.07e-12, 0.01e-12)[turn],
+                                  bandwidth_bits_per_cycle=cache.bandwidth_bits_per_cycle
+                                  + 64 * turn),
+                    dram_energy_per_bit=(3.7e-12, 2.1e-12)[turn])
+                self._check(layer, system, objective)
+
+    def test_spills_are_covered(self):
+        # the drawn capacities spill inputs, outputs, both and neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            macro = ImcMacroConfig(imc_type=ImcType.AIMC, **_BOTH_SPILL["options"])
+            notes = set()
+            for layer, capacity in ((_BOTH_SPILL["layer"], 64), (Layer(k=2, c=64), 64),
+                                    (Layer(k=64, c=2), 64), (FC, 256 * 1024 * 8)):
+                system = SystemConfig(macro=macro, params=TechnologyParams(),
+                                      cache=replace(default_cache(macro), capacity_bits=capacity))
+                priced = self._priced(layer, system, "energy")
+                notes.add(tuple(note.split(" ")[0] for note in priced[0][1].warnings))
+                self._check(layer, system)
+        assert notes == {("input", "output"), ("input",), ("output",), ()}

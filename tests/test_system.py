@@ -91,6 +91,20 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             MemoryLevel("m", 8, 0.0, 0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("index, message", [
+        (1, "capacity_bits must be an integer >= 1, got True"),
+        (2, "read_energy must be a number, not a boolean, got True"),
+        (3, "write_energy must be a number, not a boolean, got True"),
+        (4, "area must be a number, not a boolean, got True"),
+        (5, "bandwidth_bits_per_cycle must be an integer >= 1, got True"),
+    ])
+    def test_memory_level_rejects_booleans(self, index, message):
+        values = ["m", 8, 0.0, 0.0, 0.0, 1]
+        values[index] = True
+        with pytest.raises(ValueError) as info:
+            MemoryLevel(*values)
+        assert str(info.value) == message
+
 
 class TestPeak:
     def test_breakdown_sums_and_composition(self):

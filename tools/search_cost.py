@@ -1,6 +1,7 @@
 """Time every mapper search of the benchmark's ``dse-network`` request set.
 
     python3 tools/search_cost.py [--passes N] [--src SRC_DIR]
+    python3 tools/search_cost.py --against DIR [--rounds N] [--passes N]
 
 The requests come from ``imcbench/workloads.py`` (``dse_requests``): one
 ``network`` command per (network, macro type, size). Each request's layers are
@@ -10,13 +11,22 @@ calls are timed. The script prints the number of searches and candidates per
 pass and the minimum and median microseconds per candidate over N passes (a
 pass's search time divided by its candidates). SRC_DIR is the directory that
 holds the ``imcperf`` package (default: this repository's ``src``), so one copy
-of the script can time two trees. Stdlib only.
+of the script can time two trees.
+
+With ``--against DIR`` the script compares this tree with the checkout in DIR
+(its ``src`` directory holds the other ``imcperf``). Each of N rounds runs the
+script once per tree, each run in a fresh process, and swaps which tree goes
+first every round. A run's figure is its minimum over its passes. The script
+prints each tree's minimum, median and quartiles of those figures, the median
+over rounds of the ratio DIR / this tree (above 1 when this tree is faster)
+and the number of rounds this tree won. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,14 +64,64 @@ def _searches(run_dir: Path) -> list[tuple[object, object, str]]:
     return searches
 
 
+def _run_minimum(src: Path, passes: int) -> float:
+    """us_per_candidate_min of one fresh-process run on the package in src."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--passes", str(passes),
+         "--src", str(src)],
+        capture_output=True, text=True, check=True)
+    for line in proc.stdout.splitlines():
+        name, _, value = line.partition(" ")
+        if name == "us_per_candidate_min":
+            return float(value)
+    raise SystemExit(f"no us_per_candidate_min in the output for {src}:\n{proc.stdout}")
+
+
+def _summary(label: str, values: list[float]) -> str:
+    low, _, high = (statistics.quantiles(values, n=4, method="inclusive")
+                    if len(values) > 1 else values * 3)
+    return (f"{label:<8} min {min(values):.2f}  median {statistics.median(values):.2f}  "
+            f"q1 {low:.2f}  q3 {high:.2f}  (us per candidate)")
+
+
+def compare(against: Path, rounds: int, passes: int) -> int:
+    """Alternate fresh-process runs of this tree and the tree in against."""
+    other_src = (against / "src").resolve()
+    if not (other_src / "imcperf").is_dir():
+        raise SystemExit(f"{other_src} holds no imcperf package")
+    this_src = (ROOT / "src").resolve()
+    this: list[float] = []
+    other: list[float] = []
+    for index in range(rounds):
+        order = ((this_src, this), (other_src, other))
+        for src, values in (order if index % 2 else order[::-1]):
+            values.append(_run_minimum(src, passes))
+        print(f"round {index + 1:<3} against {other[-1]:.2f}  this {this[-1]:.2f}", flush=True)
+    ratios = [o / t for o, t in zip(other, this)]
+    wins = sum(t < o for t, o in zip(this, other))
+    print(_summary("against", other))
+    print(_summary("this", this))
+    print(f"median ratio against/this {statistics.median(ratios):.3f}")
+    print(f"this tree won {wins} of {rounds} rounds")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--passes", type=int, default=5, help="passes to time (default: 5)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the imcperf package (default: ./src)")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="checkout to compare with, in alternating fresh processes")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="runs per tree with --against (default: 10)")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    if args.against is not None:
+        return compare(args.against, args.rounds, args.passes)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT)]
 
     from imcperf.mapper import best_mapping, mapping_space

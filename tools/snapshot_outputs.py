@@ -112,6 +112,13 @@ FRONTEND_INPUTS: dict[str, str] = {
         {"name": "huge", "k": 5040, "c": 5040, "ox": 5040, "fx": 5040}]}),
     "huge-m.json": json.dumps({"macro": {"m": 10**400}}),
     "huge-repeat.json": json.dumps({"layers": [{"k": 8, "repeat": 10**400}]}),
+    "bool-macro-widths.json": json.dumps({"macro": {"b_i": True, "b_cycle": True}}),
+    "bool-macro-count.json": json.dumps({"macro": {"n_macros": True}}),
+    "int-macro-flag.json": json.dumps({"macro": {"pipelined": 1}}),
+    "string-macro-flag.json": json.dumps(
+        {"macro": {"adc_resolution_from_full_precision": "yes"}}),
+    "bool-technology.json": json.dumps({"technology": {"v_dd": True}}),
+    "bool-cache.json": json.dumps({"cache": {"capacity_bits": True}}),
 }
 
 
@@ -156,6 +163,14 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("huge-repeat", ["network", "--workload", str(inputs / "huge-repeat.json")]),
         ("degenerate-technology-aimc", ["peak", "--type", "aimc", *config("degenerate.json")]),
         ("degenerate-technology-dimc", ["peak", "--type", "dimc", *config("degenerate.json")]),
+        ("bool-macro-widths-peak", ["peak", "--type", "dimc", "--sizes", "32",
+                                    *config("bool-macro-widths.json")]),
+        ("bool-macro-widths-validate", ["validate", *config("bool-macro-widths.json")]),
+        ("bool-macro-count", ["validate", *config("bool-macro-count.json")]),
+        ("int-macro-flag", ["validate", *config("int-macro-flag.json")]),
+        ("string-macro-flag", ["peak", *config("string-macro-flag.json")]),
+        ("bool-technology", ["validate", *config("bool-technology.json")]),
+        ("bool-cache", ["validate", *config("bool-cache.json")]),
     ]
 
 
