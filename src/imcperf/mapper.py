@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer, WorkloadError
@@ -184,118 +184,71 @@ def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) 
             f"infeasible mapping: {mapping.cols} columns exceed d_o={cfg.d_o}")
 
 
-class _MappingContext(NamedTuple):
-    """What every mapping of one layer on one macro shares."""
+def _mapping_terms(layer: Layer, cfg: ImcMacroConfig
+                   ) -> tuple[Callable, Callable, Callable]:
+    """The row terms, column terms and results of the layer's mappings on cfg.
 
-    k: int
-    ox: int
-    c: int
-    fx: int
-    fy: int
-    b_oy: int  # batch x output rows: temporal loops no unrolling touches
-    g: int
-    cycles_per_mvm: int
-    b_i: int
-    b_w: int
-    array_cells: int  # d_i * d_o
-    reduction: int  # c * fx * fy
-    col_bound: int  # min(d_o, k * ox)
-    # every traffic entry but the two that depend on the mapping, in key order
-    traffic: dict[tuple[str, str], int]
-
-
-# The last context built, as (layer, cfg, context). A search evaluates every
-# candidate of one layer on one macro in turn. The entry holds both frozen
-# objects, so neither can be freed and its id reused while the entry lives;
-# equal but distinct objects rebuild. The tuple is read once and replaced
-# whole, so a reader never sees a context paired with the wrong key.
-_context_entry: tuple[Layer, ImcMacroConfig, _MappingContext] | None = None
-
-
-def _mapping_context(layer: Layer, cfg: ImcMacroConfig) -> _MappingContext:
-    global _context_entry
-    entry = _context_entry
-    if entry is not None and entry[0] is layer and entry[1] is cfg:
-        return entry[2]
-    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
-    traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
-    traffic[("W", "dram")] = layer.weight_elements * b_w
-    traffic[("I", "dram")] = layer.input_elements * b_i
-    traffic[("O", "cache")] = layer.output_elements * b_o
-    context = _MappingContext(
-        k=layer.k, ox=layer.ox, c=layer.c, fx=layer.fx, fy=layer.fy,
-        b_oy=layer.b * layer.oy,
-        g=layer.g,
-        cycles_per_mvm=-(-b_i // b_cycle),
-        b_i=b_i,
-        b_w=b_w,
-        array_cells=cfg.d_i * cfg.d_o,
-        reduction=layer.c * layer.fx * layer.fy,
-        col_bound=min(cfg.d_o, layer.k * layer.ox),
-        traffic=traffic,
-    )
-    _context_entry = (layer, cfg, context)
-    return context
-
-
-# A mapping's counts factor into terms of its row tuple and terms of its column
-# pair. A search computes each tuple's and each pair's terms once and combines
-# them per candidate; evaluate_mapping combines the terms of one mapping, so
-# both price a mapping through the same equations in _results.
-
-def _row_terms(context: _MappingContext, c_u: int, fx_u: int, fy_u: int
-               ) -> tuple[int, int, float]:
-    """rows, the C x FX x FY reduction tiles, rows/reduction."""
-    rows = c_u * fx_u * fy_u
-    return (rows, (context.c // c_u) * (context.fx // fx_u) * (context.fy // fy_u),
-            rows / context.reduction)
-
-
-def _col_terms(context: _MappingContext, k_u: int, ox_u: int
-               ) -> tuple[int, int, int, float]:
-    """cols, the G x K weight tiles, the OX x B x OY MVMs per tile, cols/col_bound."""
-    cols = k_u * ox_u
-    return (cols, context.g * (context.k // k_u), (context.ox // ox_u) * context.b_oy,
-            cols / context.col_bound)
-
-
-def _results(context: _MappingContext, mappings: Iterable[SpatialMapping],
-             row_terms: list[tuple[int, int, float]],
-             col_terms: list[tuple[int, int, int, float]]) -> Iterator[MappingResult]:
-    """The result of each mapping, from the terms of its row tuple and column pair.
-
-    mappings lists every column pair outer and every row tuple inner, in the
-    order of col_terms and row_terms. Each result is built like the mappings of
-    enumerate_mappings: its field dict becomes its __dict__.
+    A mapping's counts factor into terms of its row tuple and terms of its
+    column pair. A search computes each tuple's and each pair's terms once and
+    combines them per candidate; evaluate_mapping combines the terms of one
+    mapping, so both price a mapping through the same equations in results.
     """
-    base_traffic = context.traffic
-    b_w = context.b_w
-    b_i = context.b_i
-    array_cells = context.array_cells
-    cycles_per_mvm = context.cycles_per_mvm
-    new = object.__new__
-    set_dict = object.__setattr__
-    mapping_iter = iter(mappings)
-    for cols, weight_tiles, mvms_per_load, out_ratio in col_terms:
-        # row_terms comes first, so zip stops without taking the next mapping
-        for (rows, reduction_tiles, in_ratio), mapping in zip(row_terms, mapping_iter):
-            loads = weight_tiles * reduction_tiles
-            mvms = loads * mvms_per_load
-            traffic = base_traffic.copy()
-            traffic[("W", "macro")] = loads * rows * cols * b_w
-            traffic[("I", "cache")] = mvms * rows * b_i
-            result = new(MappingResult)
-            set_dict(result, "__dict__", {
-                "mapping": mapping,
-                "spatial_utilization": (rows * cols) / array_cells,
-                "mvm_invocations": mvms,
-                "total_cycles": mvms * cycles_per_mvm,
-                "weight_tile_loads": loads,
-                "traffic": traffic,
-                "in_unroll_ratio": in_ratio,
-                "out_unroll_ratio": out_ratio,
-            })
-            yield result
+    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
+    k, ox, c, fx, fy, g = layer.k, layer.ox, layer.c, layer.fx, layer.fy, layer.g
+    b_oy = layer.b * layer.oy  # batch x output rows: temporal loops no unrolling touches
+    reduction = c * fx * fy
+    col_bound = min(cfg.d_o, k * ox)
+    array_cells = cfg.d_i * cfg.d_o
+    cycles_per_mvm = -(-b_i // b_cycle)
+    # every traffic entry but the two that depend on the mapping, in key order
+    base_traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
+    base_traffic[("W", "dram")] = layer.weight_elements * b_w
+    base_traffic[("I", "dram")] = layer.input_elements * b_i
+    base_traffic[("O", "cache")] = layer.output_elements * b_o
+
+    def row_terms(c_u: int, fx_u: int, fy_u: int) -> tuple[int, int, float]:
+        """rows, the C x FX x FY reduction tiles, rows/reduction."""
+        rows = c_u * fx_u * fy_u
+        return rows, (c // c_u) * (fx // fx_u) * (fy // fy_u), rows / reduction
+
+    def col_terms(k_u: int, ox_u: int) -> tuple[int, int, int, float]:
+        """cols, the G x K weight tiles, the OX x B x OY MVMs per tile, cols/col_bound."""
+        cols = k_u * ox_u
+        return cols, g * (k // k_u), (ox // ox_u) * b_oy, cols / col_bound
+
+    def results(mappings: Iterable[SpatialMapping], row_terms: list[tuple[int, int, float]],
+                col_terms: list[tuple[int, int, int, float]]) -> Iterator[MappingResult]:
+        """The result of each mapping, from the terms of its row tuple and column pair.
+
+        mappings lists every column pair outer and every row tuple inner, in
+        the order of col_terms and row_terms. Each result is built like the
+        mappings of enumerate_mappings: its field dict becomes its __dict__.
+        """
+        new = object.__new__
+        set_dict = object.__setattr__
+        mapping_iter = iter(mappings)
+        for cols, weight_tiles, mvms_per_load, out_ratio in col_terms:
+            # row_terms comes first, so zip stops without taking the next mapping
+            for (rows, reduction_tiles, in_ratio), mapping in zip(row_terms, mapping_iter):
+                loads = weight_tiles * reduction_tiles
+                mvms = loads * mvms_per_load
+                traffic = base_traffic.copy()
+                traffic[("W", "macro")] = loads * rows * cols * b_w
+                traffic[("I", "cache")] = mvms * rows * b_i
+                result = new(MappingResult)
+                set_dict(result, "__dict__", {
+                    "mapping": mapping,
+                    "spatial_utilization": (rows * cols) / array_cells,
+                    "mvm_invocations": mvms,
+                    "total_cycles": mvms * cycles_per_mvm,
+                    "weight_tile_loads": loads,
+                    "traffic": traffic,
+                    "in_unroll_ratio": in_ratio,
+                    "out_unroll_ratio": out_ratio,
+                })
+                yield result
+
+    return row_terms, col_terms, results
 
 
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
@@ -309,10 +262,9 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     their reduction finishes and are then written to the cache once.
     """
     _check_feasible(layer, cfg, mapping)
-    context = _mapping_context(layer, cfg)
-    return next(_results(context, (mapping,),
-                         [_row_terms(context, mapping.c_u, mapping.fx_u, mapping.fy_u)],
-                         [_col_terms(context, mapping.k_u, mapping.ox_u)]))
+    row_terms, col_terms, results = _mapping_terms(layer, cfg)
+    return next(results((mapping,), [row_terms(mapping.c_u, mapping.fx_u, mapping.fy_u)],
+                        [col_terms(mapping.k_u, mapping.ox_u)]))
 
 
 def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
@@ -332,16 +284,15 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
     best_result: MappingResult | None = None
     cfg = system.macro
     mappings = enumerate_mappings(layer, cfg)
-    context = _mapping_context(layer, cfg)
+    row_terms, col_terms, results = _mapping_terms(layer, cfg)
     # The list holds every column pair outer and every row tuple inner, so its
     # first run of one column pair lists the row tuples and every run-th entry
     # starts the next column pair.
     first = mappings[0]
     run = next((i for i, m in enumerate(mappings)
                 if m.k_u != first.k_u or m.ox_u != first.ox_u), len(mappings))
-    row_terms = [_row_terms(context, m.c_u, m.fx_u, m.fy_u) for m in mappings[:run]]
-    col_terms = [_col_terms(context, m.k_u, m.ox_u) for m in mappings[::run]]
-    for result in _results(context, mappings, row_terms, col_terms):
+    for result in results(mappings, [row_terms(m.c_u, m.fx_u, m.fy_u) for m in mappings[:run]],
+                          [col_terms(m.k_u, m.ox_u) for m in mappings[::run]]):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy

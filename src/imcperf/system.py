@@ -58,6 +58,9 @@ class MemoryLevel:
     bandwidth_bits_per_cycle: int
 
     def __post_init__(self) -> None:
+        # a list name would leave the level, and every config holding it, unhashable
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         # bool is an int subclass, but True is no size or energy
         capacity, bandwidth = self.capacity_bits, self.bandwidth_bits_per_cycle
         if type(capacity) is bool or not isinstance(capacity, int) or capacity < 1:
@@ -104,6 +107,9 @@ class SystemConfig:
             raise ValueError(
                 f"cache bandwidth {self.cache.bandwidth_bits_per_cycle} bits/cycle does not "
                 f"fit the macro dimensions (needs >= d_i*b_cycle + d_o*b_o = {needed})")
+        if type(self.dram_energy_per_bit) is bool:
+            raise ValueError(f"dram_energy_per_bit must be a number, not a boolean, "
+                             f"got {self.dram_energy_per_bit!r}")
         if not math.isfinite(self.dram_energy_per_bit) or self.dram_energy_per_bit < 0:
             raise ValueError(
                 f"dram_energy_per_bit must be finite and non-negative, "
@@ -199,35 +205,6 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     ), "system at peak")
 
 
-@dataclass(frozen=True)
-class _LayerPricing:
-    """What pricing one layer on one system costs before any mapping is chosen."""
-
-    cfg: ImcMacroConfig  # one macro, with the layer's precisions
-    area_breakdown: dict[str, float]
-    register_energy_per_bit: float
-    cycle_energies: Callable[..., dict[str, float]]
-    ops: float
-    area: float  # macro plus cache
-    # the scalars every candidate reads, from the macro, the system and its cache
-    d_i: int
-    d_o: int
-    b_i: int
-    clock: float
-    cache_read_energy: float
-    cache_write_energy: float
-    capacity: int
-    bandwidth: int
-    dram_rate: float
-    cell_write_energy: float
-    # The layer's own activation sizes and their spill warnings, None where the
-    # size fits the cache; a result with other traffic gets its text formatted.
-    input_bits: int
-    input_spill: str | None
-    output_bits: int
-    output_spill: str | None
-
-
 def _input_spill(bits: int, capacity: int) -> str:
     return (f"input activations ({bits} bits) exceed the cache capacity "
             f"({capacity} bits); inputs stream from DRAM per access")
@@ -238,22 +215,25 @@ def _output_spill(bits: int, capacity: int) -> str:
             f"({capacity} bits); outputs spill to DRAM")
 
 
-# The last pricing built, as (system, layer, pricing). A mapper search prices
+# The last price built, as (system, layer, cfg, price). A mapper search prices
 # every candidate of one layer on one system in turn. The entry holds both
 # frozen objects, so neither can be freed and its id reused while the entry
 # lives; equal but distinct objects rebuild. The tuple is read once and
-# replaced whole, so a reader never sees a pricing paired with the wrong key.
-_pricing_entry: tuple[SystemConfig, Layer, _LayerPricing] | None = None
+# replaced whole, so a reader never sees a price paired with the wrong key.
+_price_entry: tuple[SystemConfig, Layer, ImcMacroConfig,
+                    Callable[[MappingResult], SystemMetrics]] | None = None
 
 
-def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
-    """The layer's candidate-invariant costs, built once per (system, layer)."""
-    global _pricing_entry
-    entry = _pricing_entry
-    if entry is not None and entry[0] is system and entry[1] is layer:
-        return entry[2]
+def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult], SystemMetrics]:
+    """The price of a mapping result of the layer on one macro of the system.
+
+    What does not depend on the mapping is computed here, once per (system,
+    layer); evaluate_layer_mapping calls the returned function per result.
+    """
+    global _price_entry
+    entry = _price_entry
     b_i, b_w, b_o, b_cycle = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
-    cfg = entry[2].cfg if entry is not None and entry[0] is system else None
+    cfg = entry[2] if entry is not None and entry[0] is system else None
     if cfg is None or (cfg.b_i, cfg.b_w, cfg.b_o, cfg.b_cycle) != (b_i, b_w, b_o, b_cycle):
         # One replace, so a b_cycle that does not divide b_i warns once per run
         # of layers at the same precisions. Keeping the last layer's macro
@@ -264,34 +244,93 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _LayerPricing:
     mm = macro_metrics(params, cfg)
     area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
     area_breakdown["cache"] = cache.area
-    input_bits = layer.input_elements * b_i
-    output_bits = layer.output_elements * b_o
+    cycle_energies = _price_components(params, cfg)[0]
+    # register energy is linear in the bits written
+    register_energy_per_bit = register_cost(params, 1).energy
+    ops = 2.0 * total_macs(layer)
+    area = mm.area + cache.area
+    d_i, d_o = cfg.d_i, cfg.d_o
+    clock = mm.clock_period
+    cache_read_energy, cache_write_energy = cache.read_energy, cache.write_energy
     capacity = cache.capacity_bits
-    pricing = _LayerPricing(
-        cfg=cfg,
-        area_breakdown=area_breakdown,
-        # register energy is linear in the bits written
-        register_energy_per_bit=register_cost(params, 1).energy,
-        cycle_energies=_price_components(params, cfg)[0],
-        ops=2.0 * total_macs(layer),
-        area=mm.area + cache.area,
-        d_i=cfg.d_i,
-        d_o=cfg.d_o,
-        b_i=b_i,
-        clock=mm.clock_period,
-        cache_read_energy=cache.read_energy,
-        cache_write_energy=cache.write_energy,
-        capacity=capacity,
-        bandwidth=cache.bandwidth_bits_per_cycle,
-        dram_rate=system.dram_energy_per_bit,
-        cell_write_energy=params.sram_cell_write_energy,
-        input_bits=input_bits,
-        input_spill=_input_spill(input_bits, capacity) if input_bits > capacity else None,
-        output_bits=output_bits,
-        output_spill=_output_spill(output_bits, capacity) if output_bits > capacity else None,
-    )
-    _pricing_entry = (system, layer, pricing)
-    return pricing
+    bandwidth = cache.bandwidth_bits_per_cycle
+    dram_rate = system.dram_energy_per_bit
+    cell_write_energy = params.sram_cell_write_energy
+    # The layer's own activation sizes and their spill warnings, None where the
+    # size fits the cache; a result with other traffic gets its text formatted.
+    layer_input_bits = layer.input_elements * b_i
+    input_spill = (_input_spill(layer_input_bits, capacity)
+                   if layer_input_bits > capacity else None)
+    layer_output_bits = layer.output_elements * b_o
+    output_spill = (_output_spill(layer_output_bits, capacity)
+                    if layer_output_bits > capacity else None)
+
+    def price(result: MappingResult) -> SystemMetrics:
+        mapping = result.mapping
+        rows = mapping.c_u * mapping.fx_u * mapping.fy_u
+        cols = mapping.k_u * mapping.ox_u
+        if rows > d_i or cols > d_o:
+            raise ValueError(f"a {rows} x {cols} mapping does not fit the "
+                             f"{d_i} x {d_o} macro")
+        cycles = result.total_cycles
+
+        traffic = result.traffic
+        input_bits_from_dram = traffic[("I", "dram")]
+        input_cache_reads = traffic[("I", "cache")]
+        output_bits = traffic[("O", "cache")]
+        weight_macro_bits = traffic[("W", "macro")]
+
+        if input_bits_from_dram > capacity:
+            notes: tuple[str, ...] = (
+                input_spill if input_bits_from_dram == layer_input_bits
+                else _input_spill(input_bits_from_dram, capacity),)
+            dram_in = input_cache_reads * dram_rate
+            cache_in = 0.0
+        else:
+            notes = ()
+            dram_in = input_bits_from_dram * dram_rate
+            cache_in = input_cache_reads * cache_read_energy
+
+        cache_out = output_bits * cache_write_energy
+        dram_out = 0.0
+        if output_bits > capacity:
+            notes += (output_spill if output_bits == layer_output_bits
+                      else _output_spill(output_bits, capacity),)
+            dram_out = output_bits * dram_rate
+
+        energy_breakdown = cycle_energies(
+            rows, cols, cycles,
+            rows * b_i * register_energy_per_bit * result.mvm_invocations)
+        energy_breakdown["cache"] = cache_in + cache_out
+        energy_breakdown["dram"] = dram_in + dram_out
+        energy_breakdown["weight_load"] = (traffic[("W", "dram")] * dram_rate
+                                           + weight_macro_bits * cell_write_energy)
+        energy = sum(energy_breakdown.values())
+
+        compute_time = cycles * clock
+        stall_time = weight_macro_bits / bandwidth * clock
+        latency = compute_time + stall_time
+
+        # The field dict, in field order, becomes the instance's __dict__, as for
+        # the search's mappings and results; SystemMetrics has no __post_init__,
+        # so its constructor would check nothing.
+        metrics = object.__new__(SystemMetrics)
+        object.__setattr__(metrics, "__dict__", {
+            "tops": ops / latency,
+            "tops_per_w": ops / energy,
+            "tops_per_mm2": ops / latency / (area * 1e-6),
+            "energy": energy,
+            "latency": latency,
+            "area": area,
+            "energy_breakdown": energy_breakdown,
+            "delay_breakdown": {"compute": compute_time, "weight_load_stall": stall_time},
+            "area_breakdown": dict(area_breakdown),
+            "warnings": notes,
+        })
+        return metrics
+
+    _price_entry = (system, layer, cfg, price)
+    return price
 
 
 def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
@@ -304,79 +343,10 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     DRAM write-out (outputs), with a warning recorded. Weight loading stalls
     compute: written bits cross the cache-to-macro port at its bandwidth.
     """
-    entry = _pricing_entry
+    entry = _price_entry
     if entry is not None and entry[0] is system and entry[1] is layer:
-        pricing = entry[2]
-    else:
-        pricing = _layer_pricing(system, layer)
-
-    mapping = result.mapping
-    rows = mapping.c_u * mapping.fx_u * mapping.fy_u
-    cols = mapping.k_u * mapping.ox_u
-    if rows > pricing.d_i or cols > pricing.d_o:
-        raise ValueError(f"a {rows} x {cols} mapping does not fit the "
-                         f"{pricing.d_i} x {pricing.d_o} macro")
-    cycles = result.total_cycles
-
-    traffic = result.traffic
-    input_bits_from_dram = traffic[("I", "dram")]
-    input_cache_reads = traffic[("I", "cache")]
-    output_bits = traffic[("O", "cache")]
-    weight_macro_bits = traffic[("W", "macro")]
-    capacity = pricing.capacity
-    dram_rate = pricing.dram_rate
-
-    if input_bits_from_dram > capacity:
-        notes: tuple[str, ...] = (
-            pricing.input_spill if input_bits_from_dram == pricing.input_bits
-            else _input_spill(input_bits_from_dram, capacity),)
-        dram_in = input_cache_reads * dram_rate
-        cache_in = 0.0
-    else:
-        notes = ()
-        dram_in = input_bits_from_dram * dram_rate
-        cache_in = input_cache_reads * pricing.cache_read_energy
-
-    cache_out = output_bits * pricing.cache_write_energy
-    dram_out = 0.0
-    if output_bits > capacity:
-        notes += (pricing.output_spill if output_bits == pricing.output_bits
-                  else _output_spill(output_bits, capacity),)
-        dram_out = output_bits * dram_rate
-
-    energy_breakdown = pricing.cycle_energies(
-        rows, cols, cycles,
-        rows * pricing.b_i * pricing.register_energy_per_bit * result.mvm_invocations)
-    energy_breakdown["cache"] = cache_in + cache_out
-    energy_breakdown["dram"] = dram_in + dram_out
-    energy_breakdown["weight_load"] = (traffic[("W", "dram")] * dram_rate
-                                       + weight_macro_bits * pricing.cell_write_energy)
-    energy = sum(energy_breakdown.values())
-
-    clock = pricing.clock
-    compute_time = cycles * clock
-    stall_time = weight_macro_bits / pricing.bandwidth * clock
-    latency = compute_time + stall_time
-
-    area = pricing.area
-    ops = pricing.ops
-    # The field dict, in field order, becomes the instance's __dict__, as for
-    # the search's mappings and results; SystemMetrics has no __post_init__, so
-    # its constructor would check nothing.
-    metrics = object.__new__(SystemMetrics)
-    object.__setattr__(metrics, "__dict__", {
-        "tops": ops / latency,
-        "tops_per_w": ops / energy,
-        "tops_per_mm2": ops / latency / (area * 1e-6),
-        "energy": energy,
-        "latency": latency,
-        "area": area,
-        "energy_breakdown": energy_breakdown,
-        "delay_breakdown": {"compute": compute_time, "weight_load_stall": stall_time},
-        "area_breakdown": dict(pricing.area_breakdown),
-        "warnings": notes,
-    })
-    return metrics
+        return entry[3](result)
+    return _layer_price(system, layer)(result)
 
 
 def layer_system_metrics(system: SystemConfig, layer: Layer,

@@ -262,6 +262,14 @@ class TestConfigHandling:
         row = parse_csv(out)[0]
         assert row["system_area"] == row["macro_area"]
 
+    @pytest.mark.parametrize("name", [[1, 2], 7], ids=["list", "number"])
+    def test_non_string_cache_name_is_a_config_error(self, capsys, tmp_path, name):
+        cfg = tmp_path / "cache.json"
+        cfg.write_text(json.dumps({"cache": {"name": name}}))
+        assert run(capsys, "peak", "--config", str(cfg)) == (
+            2, "", "imcperf: config error: invalid cache section: "
+                   f"name must be a string, got {name!r}\n")
+
 
 class TestBooleanConfig:
     """JSON true and false are no numbers, and 1 or "yes" is no flag: each is a

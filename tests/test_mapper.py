@@ -315,8 +315,8 @@ class TestMappingSpace:
 
 
 class TestMappingContext:
-    """evaluate_mapping keeps one (layer, macro) context; whatever it evaluated
-    before, every result must equal one derived from the loop bounds alone."""
+    """Whatever evaluate_mapping evaluated before, on this thread or another,
+    every result must equal one derived from the loop bounds alone."""
 
     @staticmethod
     def _interleaved_pool():
@@ -444,28 +444,51 @@ _MACRO_OPTIONS = st.fixed_dictionaries({
 })
 # bits: spills nearly every layer's inputs and outputs, some, none
 _CAPACITIES = st.sampled_from((64, 4096, 256 * 1024 * 8))
+_DEFAULT_DRAM = SystemConfig.dram_energy_per_bit  # the field default
+
+
+@st.composite
+def _technologies(draw):
+    """(params, dram_energy_per_bit), with constants zeroed that tie candidates.
+
+    Free cell writes tie every column split of one column count, free DRAM
+    prices weights and spilled activations at nothing, and free full adders
+    and flip-flops zero the digital trees, accumulators and registers.
+    """
+    params = TechnologyParams()
+    if draw(st.booleans()):
+        params = replace(params, sram_cell_write_energy=0.0)
+    if draw(st.booleans()):
+        params = replace(params, fa_energy_ratio=0.0, dff_energy_ratio=0.0)
+    return params, draw(st.sampled_from((_DEFAULT_DRAM, 0.0)))
+
+
 _BOTH_SPILL = dict(layer=Layer(k=8, c=8, ox=6, oy=6, fx=3, fy=3, b_i=7),
                    options=dict(d_i=16, d_o=16, b_cycle=3, pipelined=True,
                                 weight_sparsity=0.3, adc_resolution_from_full_precision=True),
-                   capacity=64)
+                   capacity=64, technology=(TechnologyParams(), _DEFAULT_DRAM))
 
 
 class TestSearchProperty:
     """best_mapping must pick what an exhaustive search with the same tie-break
-    picks, with equal metrics, on random layers, macros and caches."""
+    picks, with equal metrics, on random layers, macros, caches and
+    technologies, degenerate ones included."""
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     @pytest.mark.parametrize("imc_type", list(ImcType), ids=lambda t: t.value)
     @settings(max_examples=40)
     @example(**_BOTH_SPILL)
-    @given(layer=_LAYERS, options=_MACRO_OPTIONS, capacity=_CAPACITIES)
+    @given(layer=_LAYERS, options=_MACRO_OPTIONS, capacity=_CAPACITIES,
+           technology=_technologies())
     def test_search_matches_the_exhaustive_reference(self, imc_type, objective,
-                                                     layer, options, capacity):
+                                                     layer, options, capacity, technology):
+        params, dram_energy_per_bit = technology
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
             macro = ImcMacroConfig(imc_type=imc_type, **options)
             cache = replace(default_cache(macro), capacity_bits=capacity)
-            system = SystemConfig(macro=macro, params=TechnologyParams(), cache=cache)
+            system = SystemConfig(macro=macro, params=params, cache=cache,
+                                  dram_energy_per_bit=dram_energy_per_bit)
             expected = exhaustive_best_mapping(layer, system, objective)
             result, metrics = layer_system_metrics(system, layer, objective)
         assert result.mapping == expected[0].mapping

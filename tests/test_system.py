@@ -83,6 +83,19 @@ class TestConfiguration:
             SystemConfig(macro=macro, params=default_system_config(macro).params,
                          cache=default_cache(macro), dram_energy_per_bit=-1.0)
 
+    def test_boolean_dram_energy_rejected(self):
+        system = default_system_config(make_macro(ImcType.AIMC, 32))
+        with pytest.raises(ValueError) as info:
+            replace(system, dram_energy_per_bit=True)
+        assert str(info.value) == \
+            "dram_energy_per_bit must be a number, not a boolean, got True"
+
+    @pytest.mark.parametrize("name", [[1, 2], 7, None], ids=["list", "number", "none"])
+    def test_memory_level_rejects_a_non_string_name(self, name):
+        with pytest.raises(ValueError) as info:
+            MemoryLevel(name, 8, 0.0, 0.0, 0.0, 1)
+        assert str(info.value) == f"name must be a string, got {name!r}"
+
     def test_memory_level_validation(self):
         with pytest.raises(ValueError):
             MemoryLevel("m", 0, 0.0, 0.0, 0.0, 1)
