@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .components import TechnologyParams
+from .components import TechnologyParams, _check_amount
 from .macro import ImcMacroConfig, ImcType, MacroMetrics, macro_metrics
 from .mapper import OBJECTIVES
 from .system import (
@@ -39,6 +39,7 @@ from .system import (
 from .workload import (
     Network,
     WorkloadError,
+    _data_file,
     bundled_network,
     bundled_network_names,
     classify,
@@ -167,11 +168,12 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         _check_keys(cache_spec, _CACHE_FIELDS | {"name"}, "cache")
 
     dram = doc.get("dram_energy_per_bit", 3.7e-12)
-    # NaN fails the range check, and so does an int too large for a float
-    if (not isinstance(dram, (int, float)) or isinstance(dram, bool)
-            or not 0 <= dram <= sys.float_info.max):
-        raise ConfigError(
-            f"dram_energy_per_bit must be a finite non-negative number, got {dram!r}")
+    try:
+        _check_amount("dram_energy_per_bit", dram)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:  # an int too large for a float
+        raise ConfigError(f"dram_energy_per_bit: {exc}") from exc
 
     # OverflowError: an integer constant too large for a float
     try:
@@ -394,9 +396,7 @@ def _cmd_network(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
 
 
 def _cmd_validate(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
-    from importlib import resources
-
-    raw = resources.files("imcperf").joinpath("data", "reference-configs.json").read_text("utf-8")
+    raw = _data_file("reference-configs.json").read_text("utf-8")
     entries = json.loads(raw)["configs"]
     rows = []
     for entry in entries:
@@ -456,16 +456,16 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    target = Path(out_path)
     # all-or-nothing: stage next to the target, then atomically replace; open()
     # creates the staged file 0o666 less the umask, as a shell redirect would.
     # The staged name has a fixed length, so any legal target name can be staged.
-    staged = target.parent / f".imcperf-{os.urandom(8).hex()}.tmp"
+    # os.path, not pathlib: pathlib interns each path part, and every name is new.
+    staged = os.path.join(os.path.dirname(out_path), f".imcperf-{os.urandom(8).hex()}.tmp")
     stream = open(staged, "x", encoding="utf-8")
     try:
         with stream:
             stream.write(text)
-        os.replace(staged, target)
+        os.replace(staged, out_path)
     except BaseException:
         try:
             os.unlink(staged)

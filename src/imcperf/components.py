@@ -31,7 +31,7 @@ __all__ = [
 
 def ceil_log2(n: int) -> int:
     """Smallest integer e with 2**e >= n. Counts that are not powers of two round up."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValueError(f"ceil_log2 requires a positive integer, got {n!r}")
     return (n - 1).bit_length()
 
@@ -40,12 +40,38 @@ def _is_pow2(n: int) -> bool:
     return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
 
 
+# The one rule for a numeric field, used by every record, cost function and the
+# CLI: each check raises a ValueError that names the field.
 def _check_count(name: str, value: int, minimum: int = 1) -> None:
-    if not isinstance(value, int) or value < minimum:
+    # bool is an int subclass, but True is no count
+    if type(value) is bool or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_number(name: str, value: float) -> None:
+    if type(value) is bool:  # an int subclass, but True is no quantity
+        raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
+    try:
+        math.isfinite(value)
+    except TypeError:  # a string, None, a list
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # a number, too large for a float: left to the range check
+        pass
+
+
+def _check_amount(name: str, value: float) -> None:
+    # every ComponentCost runs this thrice, so a valid value returns before any diagnosis
+    try:  # an int too large for a float raises OverflowError
+        if type(value) is not bool and math.isfinite(value) and value >= 0:
+            return
+    except TypeError:
+        pass
+    _check_number(name, value)
+    raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def _check_fraction(name: str, value: float) -> None:
+    _check_number(name, value)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
@@ -84,21 +110,16 @@ class TechnologyParams:
     adc_k: float = 2.0              # ADC noise-margin constant
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but True is no technology constant
-        if bool in map(type, vars(self).values()):
-            name, value = next((name, value) for name, value in vars(self).items()
-                               if type(value) is bool)
-            raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
-        nonneg = (
+        # every field's type before any range: a boolean anywhere is named first
+        for name, value in vars(self).items():
+            _check_number(name, value)
+        for name in (
             "c_gate", "d_gate", "a_gate", "k1", "k2", "k3", "k4", "k5", "k6", "k7",
             "fa_energy_ratio", "dff_energy_ratio", "fa_sum_delay_ratio",
             "fa_carry_delay_ratio", "fa_area_ratio", "dff_area_ratio",
             "sram_cell_area", "sram_cell_write_energy",
-        )
-        for name in nonneg:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        ):
+            _check_amount(name, getattr(self, name))
         if not math.isfinite(self.v_dd) or self.v_dd <= 0:
             raise ValueError(f"v_dd must be strictly positive, got {self.v_dd!r}")
         if not (0.0 < self.adc_fs <= 1.0):
@@ -149,10 +170,9 @@ class ComponentCost:
     area: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("energy", "delay", "area"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        _check_amount("energy", self.energy)
+        _check_amount("delay", self.delay)
+        _check_amount("area", self.area)
 
 
 def cell_array_energy(params: TechnologyParams, b_w: int, d_i: int, d_o: int,

@@ -20,6 +20,8 @@ from typing import Callable
 from .components import (
     ComponentCost,
     TechnologyParams,
+    _check_count,
+    _check_fraction,
     accumulator_cost,
     adc_area,
     adc_delay,
@@ -115,22 +117,15 @@ class ImcMacroConfig:
         if self.b_cycle is None:
             object.__setattr__(self, "b_cycle", _DEFAULT_B_CYCLE[self.imc_type])
         for name in ("d_i", "d_o", "b_i", "b_w", "b_cycle", "b_o", "m", "n_macros"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no bit width or count
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(name, getattr(self, name))
         for name, bound in _INT_BOUNDS:
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound}, got {getattr(self, name)}")
         if self.b_cycle > self.b_i:
             raise ValueError(
                 f"b_cycle ({self.b_cycle}) cannot exceed b_i ({self.b_i})")
-        for name in ("input_toggle_rate", "weight_sparsity"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        _check_fraction("input_toggle_rate", self.input_toggle_rate)
+        _check_fraction("weight_sparsity", self.weight_sparsity)
         for name in ("pipelined", "adc_resolution_from_full_precision"):
             value = getattr(self, name)
             if not isinstance(value, bool):

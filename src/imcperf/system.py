@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .components import TechnologyParams, register_cost
+from .components import TechnologyParams, _check_amount, _check_count, register_cost
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
@@ -61,19 +61,11 @@ class MemoryLevel:
         # a list name would leave the level, and every config holding it, unhashable
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        # bool is an int subclass, but True is no size or energy
-        capacity, bandwidth = self.capacity_bits, self.bandwidth_bits_per_cycle
-        if type(capacity) is bool or not isinstance(capacity, int) or capacity < 1:
-            raise ValueError(f"capacity_bits must be an integer >= 1, got {capacity!r}")
-        if type(bandwidth) is bool or not isinstance(bandwidth, int) or bandwidth < 1:
-            raise ValueError(
-                f"bandwidth_bits_per_cycle must be an integer >= 1, got {bandwidth!r}")
-        for name in ("read_energy", "write_energy", "area"):
-            value = getattr(self, name)
-            if type(value) is bool:
-                raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        _check_count("capacity_bits", self.capacity_bits)
+        _check_count("bandwidth_bits_per_cycle", self.bandwidth_bits_per_cycle)
+        _check_amount("read_energy", self.read_energy)
+        _check_amount("write_energy", self.write_energy)
+        _check_amount("area", self.area)
 
 
 def default_cache(macro: ImcMacroConfig) -> MemoryLevel:
@@ -107,13 +99,7 @@ class SystemConfig:
             raise ValueError(
                 f"cache bandwidth {self.cache.bandwidth_bits_per_cycle} bits/cycle does not "
                 f"fit the macro dimensions (needs >= d_i*b_cycle + d_o*b_o = {needed})")
-        if type(self.dram_energy_per_bit) is bool:
-            raise ValueError(f"dram_energy_per_bit must be a number, not a boolean, "
-                             f"got {self.dram_energy_per_bit!r}")
-        if not math.isfinite(self.dram_energy_per_bit) or self.dram_energy_per_bit < 0:
-            raise ValueError(
-                f"dram_energy_per_bit must be finite and non-negative, "
-                f"got {self.dram_energy_per_bit!r}")
+        _check_amount("dram_energy_per_bit", self.dram_energy_per_bit)
 
 
 def default_system_config(macro: ImcMacroConfig,

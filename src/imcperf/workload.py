@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .components import _check_count
+
 __all__ = [
     "Layer",
     "Network",
@@ -64,16 +66,14 @@ class Layer:
 
     def __post_init__(self) -> None:
         problems = []
-        for f in ("b", "g", "k", "c", "ox", "oy", "fx", "fy", "sx", "sy"):
+        for f in ("b", "g", "k", "c", "ox", "oy", "fx", "fy", "sx", "sy", "b_i", "b_w", "b_o"):
             value = getattr(self, f)
-            # bool is an int subtype, reject it explicitly
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                problems.append(f"{f} must be an integer >= 1, got {value!r}")
-        for f in ("b_i", "b_w", "b_o"):
-            value = getattr(self, f)
-            if value is not None and (
-                    isinstance(value, bool) or not isinstance(value, int) or value < 1):
-                problems.append(f"{f} must be an integer >= 1 when given, got {value!r}")
+            if value is None and f in ("b_i", "b_w", "b_o"):
+                continue  # the macro's precision applies
+            try:
+                _check_count(f, value)
+            except ValueError as exc:
+                problems.append(str(exc))
         if not isinstance(self.name, str):
             problems.append(f"name must be a string, got {self.name!r}")
         if problems:
@@ -115,11 +115,10 @@ class Network:
         if len(self.layers) != len(self.repeats):
             raise WorkloadError("layers and repeats must have equal length")
         for i, (layer, r) in enumerate(zip(self.layers, self.repeats)):
-            if not isinstance(r, int) or r < 1:
-                raise WorkloadError(f"layer {i}: repeat must be an integer >= 1, got {r!r}")
             try:
+                _check_count("repeat", r)
                 macs = total_macs(layer)  # rejects absurd loop bounds
-            except WorkloadError as exc:
+            except ValueError as exc:
                 raise WorkloadError(f"layer {i}: {exc}") from None
             # the network's MACs, energy and latency scale by the repeat
             if r * macs > _MAC_LIMIT:
@@ -159,15 +158,10 @@ def _layer_from_dict(entry: dict, index: int) -> tuple[Layer, int]:
     if unknown:
         raise WorkloadError(f"layer {index}: unknown field(s) {', '.join(unknown)}")
     repeat = entry.get("repeat", 1)
-    if not isinstance(repeat, int) or isinstance(repeat, bool) or repeat < 1:
-        raise WorkloadError(f"layer {index}: repeat must be an integer >= 1, got {repeat!r}")
-    kwargs = {k: v for k, v in entry.items() if k != "repeat"}
-    for key, value in kwargs.items():
-        if isinstance(value, bool):
-            raise WorkloadError(f"layer {index}: field {key} must not be a boolean")
     try:
-        layer = Layer(**kwargs)
-    except WorkloadError as exc:
+        _check_count("repeat", repeat)
+        layer = Layer(**{k: v for k, v in entry.items() if k != "repeat"})
+    except ValueError as exc:
         raise WorkloadError(f"layer {index}: {exc}") from None
     return layer, repeat
 

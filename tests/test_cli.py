@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import stat
@@ -325,6 +326,44 @@ class TestBooleanConfig:
             < float(parse_csv(plain)[0]["clock_period"])
 
 
+class TestNumericConfig:
+    """A value that is no number, or a number out of range, in a numeric field is a
+    config error (exit 2) that names the field, under every command."""
+
+    CASES = (
+        ({"technology": {"v_dd": "1"}},
+         "invalid technology section: v_dd must be a number, got '1'"),
+        ({"technology": {"k1": None}},
+         "invalid technology section: k1 must be a number, got None"),
+        ({"macro": {"input_toggle_rate": "0.5"}},
+         "invalid macro section: input_toggle_rate must be a number, got '0.5'"),
+        ({"macro": {"weight_sparsity": None}},
+         "invalid macro section: weight_sparsity must be a number, got None"),
+        ({"cache": {"read_energy": None}},
+         "invalid cache section: read_energy must be a number, got None"),
+        ({"cache": {"area": "0"}},
+         "invalid cache section: area must be a number, got '0'"),
+        ({"dram_energy_per_bit": "1"}, "dram_energy_per_bit must be a number, got '1'"),
+        ({"dram_energy_per_bit": None}, "dram_energy_per_bit must be a number, got None"),
+        ({"dram_energy_per_bit": True},
+         "dram_energy_per_bit must be a number, not a boolean, got True"),
+        ({"dram_energy_per_bit": -1},
+         "dram_energy_per_bit must be finite and non-negative, got -1"),
+        ({"dram_energy_per_bit": 10**400},
+         "dram_energy_per_bit: int too large to convert to float"),
+    )
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param(config, message, id=json.dumps(config)[:40]) for config, message in CASES])
+    @pytest.mark.parametrize("command", [
+        ("peak", "--type", "dimc", "--sizes", "32"), ("validate",)], ids=lambda c: c[0])
+    def test_rejected_with_the_field_named(self, capsys, tmp_path, command, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(capsys, *command, "--config", str(path)) \
+            == (2, "", f"imcperf: config error: {message}\n")
+
+
 class TestOutputFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -362,6 +401,24 @@ class TestOutputFile:
         assert code == 1
         assert "cannot write output" in err
         assert not target.exists()
+
+    def test_staged_name_is_not_interned(self, capsys, tmp_path, monkeypatch):
+        # pathlib interns every path part it parses, and each staged name is new,
+        # so a long run would fill the interpreter's table with dead names
+        interned = []
+        intern = sys.intern
+        monkeypatch.setattr(sys, "intern", lambda text: interned.append(text) or intern(text))
+        written = run(capsys, "validate", "--out", str(tmp_path / "rows.csv"))
+        missing = tmp_path / "missing-dir"
+        failed = run(capsys, "validate", "--out", str(missing / "rows.csv"))
+        monkeypatch.undo()
+        assert [text for text in interned if text.startswith(".imcperf-")] == []
+        assert written == (0, "", "")
+        code, out, err = failed
+        assert (code, out) == (1, "")
+        assert re.fullmatch(
+            re.escape("imcperf: error: cannot write output: [Errno 2] No such file or "
+                      f"directory: '{missing}/.imcperf-") + r"[0-9a-f]{16}\.tmp'\n", err), err
 
     def test_out_directory_fails_cleanly(self, capsys, tmp_path):
         # the staged file is written, then cannot replace a directory

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from imcperf import (
     ComponentCost,
+    ImcMacroConfig,
+    ImcType,
+    SystemConfig,
     TechnologyParams,
     accumulator_cost,
     adc_area,
@@ -18,6 +22,7 @@ from imcperf import (
     ceil_log2,
     cell_array_energy,
     dac_energy,
+    default_cache,
     multiplier_cost,
     register_cost,
     sram_array_area,
@@ -291,6 +296,48 @@ class TestValidation:
             adc_energy(params, 0)
         with pytest.raises(ValueError):
             adc_delay(params, 3, 0)
+
+
+_MACRO = ImcMacroConfig(ImcType.AIMC, 32, 32)
+# (record, a constructor taking the field as a keyword, field) for every field
+# that holds a real number; an integer field gives the count text instead
+_REAL_FIELDS = (
+    [("TechnologyParams", TechnologyParams, f.name) for f in fields(TechnologyParams)]
+    + [("ImcMacroConfig", partial(ImcMacroConfig, ImcType.AIMC, 32, 32), name)
+       for name in ("input_toggle_rate", "weight_sparsity")]
+    + [("MemoryLevel", partial(replace, default_cache(_MACRO)), name)
+       for name in ("read_energy", "write_energy", "area")]
+    + [("SystemConfig", partial(SystemConfig, _MACRO, TechnologyParams(),
+                                default_cache(_MACRO)), "dram_energy_per_bit")]
+    + [("ComponentCost", ComponentCost, name) for name in ("energy", "delay", "area")]
+)
+
+
+class TestNumericFieldRule:
+    """Every record checks its numeric fields with the rule in components: a
+    boolean or a non-number is a ValueError that names the field."""
+
+    @pytest.mark.parametrize("value", ["1", None, [1]], ids=["string", "none", "list"])
+    @pytest.mark.parametrize("build, name", [
+        pytest.param(build, name, id=f"{record}.{name}") for record, build, name in _REAL_FIELDS])
+    def test_non_number_is_named(self, build, name, value):
+        with pytest.raises(ValueError) as info:
+            build(**{name: value})
+        assert str(info.value) == f"{name} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("name", ["energy", "delay", "area"])
+    def test_component_cost_rejects_a_boolean(self, name):
+        with pytest.raises(ValueError) as info:
+            ComponentCost(**{name: True})
+        assert str(info.value) == f"{name} must be a number, not a boolean, got True"
+
+    def test_counts_reject_a_boolean(self, params):
+        with pytest.raises(ValueError) as info:
+            register_cost(params, True)
+        assert str(info.value) == "n_bits must be an integer >= 0, got True"
+        with pytest.raises(ValueError) as info:
+            ceil_log2(True)
+        assert str(info.value) == "ceil_log2 requires a positive integer, got True"
 
 
 def test_determinism(params):

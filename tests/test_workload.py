@@ -84,6 +84,11 @@ class TestLayerValidation:
         assert layer.ix == 25
         assert layer.iy == 14
 
+    def test_network_rejects_a_boolean_repeat(self):
+        with pytest.raises(WorkloadError) as info:
+            Network("n", (FC, PW), (1, True))
+        assert str(info.value) == "layer 1: repeat must be an integer >= 1, got True"
+
     def test_rejects_a_name_that_is_not_a_string(self):
         with pytest.raises(WorkloadError, match="name must be a string, got 5"):
             Layer(k=4, name=5)

@@ -119,6 +119,10 @@ FRONTEND_INPUTS: dict[str, str] = {
         {"macro": {"adc_resolution_from_full_precision": "yes"}}),
     "bool-technology.json": json.dumps({"technology": {"v_dd": True}}),
     "bool-cache.json": json.dumps({"cache": {"capacity_bits": True}}),
+    "string-technology.json": json.dumps({"technology": {"v_dd": "1"}}),
+    "null-cache-energy.json": json.dumps({"cache": {"read_energy": None}}),
+    "string-toggle-rate.json": json.dumps({"macro": {"input_toggle_rate": "0.5"}}),
+    "string-dram.json": json.dumps({"dram_energy_per_bit": "1"}),
 }
 
 
@@ -171,6 +175,10 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("string-macro-flag", ["peak", *config("string-macro-flag.json")]),
         ("bool-technology", ["validate", *config("bool-technology.json")]),
         ("bool-cache", ["validate", *config("bool-cache.json")]),
+        ("string-technology", ["peak", *config("string-technology.json")]),
+        ("null-cache-energy", ["validate", *config("null-cache-energy.json")]),
+        ("string-toggle-rate", ["peak", *config("string-toggle-rate.json")]),
+        ("string-dram", ["sweep", *config("string-dram.json")]),
     ]
 
 
