@@ -36,10 +36,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def _is_pow2(n: int) -> bool:
-    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
-
-
 # The one rule for a numeric field, used by every record, cost function and the
 # CLI: each check raises a ValueError that names the field.
 def _check_count(name: str, value: int, minimum: int = 1) -> None:
@@ -261,7 +257,8 @@ def adder_tree_fa_count(fan_in: int, b_in: int) -> int:
     fan_in must be a power of two; callers wanting other fan-ins go through
     adder_tree_cost, which pads.
     """
-    if not _is_pow2(fan_in):
+    _check_count("fan_in", fan_in)
+    if fan_in & (fan_in - 1):
         raise ValueError(f"fan_in must be a power of two >= 1, got {fan_in!r}")
     _check_count("b_in", b_in)
     depth = fan_in.bit_length() - 1
@@ -297,9 +294,9 @@ def accumulator_cost(params: TechnologyParams, b_acc: int, b_adds_out: int) -> C
     Delay covers only the carry ripple through the b_acc - b_adds_out extra bits;
     the lower bits are on the adder-tree path already.
     """
-    if not isinstance(b_acc, int) or not isinstance(b_adds_out, int):
-        raise ValueError("b_acc and b_adds_out must be integers")
-    if b_adds_out < 0 or b_acc < b_adds_out:
+    _check_count("b_adds_out", b_adds_out, minimum=0)
+    _check_count("b_acc", b_acc, minimum=0)
+    if b_acc < b_adds_out:
         raise ValueError(f"need b_acc >= b_adds_out >= 0, got {b_acc!r} < {b_adds_out!r}")
     return ComponentCost(
         energy=(params.fa_energy + params.dff_energy) * b_acc,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer, WorkloadError
@@ -184,14 +184,16 @@ def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) 
             f"infeasible mapping: {mapping.cols} columns exceed d_o={cfg.d_o}")
 
 
-def _mapping_terms(layer: Layer, cfg: ImcMacroConfig
-                   ) -> tuple[Callable, Callable, Callable]:
-    """The row terms, column terms and results of the layer's mappings on cfg.
+def _results(layer: Layer, cfg: ImcMacroConfig, row_tuples: list[tuple[int, int, int]],
+             col_pairs: list[tuple[int, int]],
+             mappings: Iterable[SpatialMapping]) -> Iterator[MappingResult]:
+    """The result of each of the layer's mappings on cfg.
 
-    A mapping's counts factor into terms of its row tuple and terms of its
-    column pair. A search computes each tuple's and each pair's terms once and
-    combines them per candidate; evaluate_mapping combines the terms of one
-    mapping, so both price a mapping through the same equations in results.
+    mappings lists every column pair outer and every row tuple inner, in the
+    order of col_pairs and row_tuples. A mapping's counts factor into terms of
+    its row tuple and terms of its column pair, so each tuple's and each pair's
+    terms are computed once and combined per mapping. Each result is built like
+    the mappings of enumerate_mappings: its field dict becomes its __dict__.
     """
     b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
     k, ox, c, fx, fy, g = layer.k, layer.ox, layer.c, layer.fx, layer.fy, layer.g
@@ -205,50 +207,39 @@ def _mapping_terms(layer: Layer, cfg: ImcMacroConfig
     base_traffic[("W", "dram")] = layer.weight_elements * b_w
     base_traffic[("I", "dram")] = layer.input_elements * b_i
     base_traffic[("O", "cache")] = layer.output_elements * b_o
-
-    def row_terms(c_u: int, fx_u: int, fy_u: int) -> tuple[int, int, float]:
-        """rows, the C x FX x FY reduction tiles, rows/reduction."""
+    # rows, the C x FX x FY reduction tiles, rows/reduction
+    row_terms = []
+    for c_u, fx_u, fy_u in row_tuples:
         rows = c_u * fx_u * fy_u
-        return rows, (c // c_u) * (fx // fx_u) * (fy // fy_u), rows / reduction
+        row_terms.append((rows, (c // c_u) * (fx // fx_u) * (fy // fy_u), rows / reduction))
 
-    def col_terms(k_u: int, ox_u: int) -> tuple[int, int, int, float]:
-        """cols, the G x K weight tiles, the OX x B x OY MVMs per tile, cols/col_bound."""
+    new = object.__new__
+    set_dict = object.__setattr__
+    mapping_iter = iter(mappings)
+    for k_u, ox_u in col_pairs:
         cols = k_u * ox_u
-        return cols, g * (k // k_u), (ox // ox_u) * b_oy, cols / col_bound
-
-    def results(mappings: Iterable[SpatialMapping], row_terms: list[tuple[int, int, float]],
-                col_terms: list[tuple[int, int, int, float]]) -> Iterator[MappingResult]:
-        """The result of each mapping, from the terms of its row tuple and column pair.
-
-        mappings lists every column pair outer and every row tuple inner, in
-        the order of col_terms and row_terms. Each result is built like the
-        mappings of enumerate_mappings: its field dict becomes its __dict__.
-        """
-        new = object.__new__
-        set_dict = object.__setattr__
-        mapping_iter = iter(mappings)
-        for cols, weight_tiles, mvms_per_load, out_ratio in col_terms:
-            # row_terms comes first, so zip stops without taking the next mapping
-            for (rows, reduction_tiles, in_ratio), mapping in zip(row_terms, mapping_iter):
-                loads = weight_tiles * reduction_tiles
-                mvms = loads * mvms_per_load
-                traffic = base_traffic.copy()
-                traffic[("W", "macro")] = loads * rows * cols * b_w
-                traffic[("I", "cache")] = mvms * rows * b_i
-                result = new(MappingResult)
-                set_dict(result, "__dict__", {
-                    "mapping": mapping,
-                    "spatial_utilization": (rows * cols) / array_cells,
-                    "mvm_invocations": mvms,
-                    "total_cycles": mvms * cycles_per_mvm,
-                    "weight_tile_loads": loads,
-                    "traffic": traffic,
-                    "in_unroll_ratio": in_ratio,
-                    "out_unroll_ratio": out_ratio,
-                })
-                yield result
-
-    return row_terms, col_terms, results
+        weight_tiles = g * (k // k_u)  # G x K weight tiles
+        mvms_per_load = (ox // ox_u) * b_oy  # OX x B x OY MVMs per tile
+        out_ratio = cols / col_bound
+        # row_terms comes first, so zip stops without taking the next mapping
+        for (rows, reduction_tiles, in_ratio), mapping in zip(row_terms, mapping_iter):
+            loads = weight_tiles * reduction_tiles
+            mvms = loads * mvms_per_load
+            traffic = base_traffic.copy()
+            traffic[("W", "macro")] = loads * rows * cols * b_w
+            traffic[("I", "cache")] = mvms * rows * b_i
+            result = new(MappingResult)
+            set_dict(result, "__dict__", {
+                "mapping": mapping,
+                "spatial_utilization": (rows * cols) / array_cells,
+                "mvm_invocations": mvms,
+                "total_cycles": mvms * cycles_per_mvm,
+                "weight_tile_loads": loads,
+                "traffic": traffic,
+                "in_unroll_ratio": in_ratio,
+                "out_unroll_ratio": out_ratio,
+            })
+            yield result
 
 
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
@@ -262,9 +253,8 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     their reduction finishes and are then written to the cache once.
     """
     _check_feasible(layer, cfg, mapping)
-    row_terms, col_terms, results = _mapping_terms(layer, cfg)
-    return next(results((mapping,), [row_terms(mapping.c_u, mapping.fx_u, mapping.fy_u)],
-                        [col_terms(mapping.k_u, mapping.ox_u)]))
+    return next(_results(layer, cfg, [(mapping.c_u, mapping.fx_u, mapping.fy_u)],
+                         [(mapping.k_u, mapping.ox_u)], (mapping,)))
 
 
 def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
@@ -284,15 +274,7 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
     best_result: MappingResult | None = None
     cfg = system.macro
     mappings = enumerate_mappings(layer, cfg)
-    row_terms, col_terms, results = _mapping_terms(layer, cfg)
-    # The list holds every column pair outer and every row tuple inner, so its
-    # first run of one column pair lists the row tuples and every run-th entry
-    # starts the next column pair.
-    first = mappings[0]
-    run = next((i for i, m in enumerate(mappings)
-                if m.k_u != first.k_u or m.ox_u != first.ox_u), len(mappings))
-    for result in results(mappings, [row_terms(m.c_u, m.fx_u, m.fy_u) for m in mappings[:run]],
-                          [col_terms(m.k_u, m.ox_u) for m in mappings[::run]]):
+    for result in _results(layer, cfg, *mapping_space(layer, cfg), mappings):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy

@@ -140,6 +140,30 @@ class LayerReport:
     metrics: SystemMetrics
 
 
+def _system_metrics(ops: float, energy: float, latency: float, area: float,
+                    energy_breakdown: dict[str, float], delay_breakdown: dict[str, float],
+                    area_breakdown: dict[str, float],
+                    warnings: tuple[str, ...]) -> SystemMetrics:
+    """The metrics of ops operations that take energy and latency on area um^2."""
+    # The field dict, in field order, becomes the instance's __dict__, as for
+    # the search's mappings and results; SystemMetrics has no __post_init__,
+    # so its constructor would check nothing.
+    metrics = object.__new__(SystemMetrics)
+    object.__setattr__(metrics, "__dict__", {
+        "tops": ops / latency,
+        "tops_per_w": ops / energy,
+        "tops_per_mm2": ops / latency / (area * 1e-6),
+        "energy": energy,
+        "latency": latency,
+        "area": area,
+        "energy_breakdown": energy_breakdown,
+        "delay_breakdown": delay_breakdown,
+        "area_breakdown": area_breakdown,
+        "warnings": warnings,
+    })
+    return metrics
+
+
 def _in_range(metrics: SystemMetrics, scope: str) -> SystemMetrics:
     """metrics, if every headline value is a finite positive float; else a ValueError."""
     for name in ("energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area"):
@@ -178,17 +202,9 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     area_breakdown["cache"] = system.cache.area
 
     ops = 2.0 * macro.d_i * macro.d_o * macro.n_macros
-    return _in_range(SystemMetrics(
-        tops=mm.tops,
-        tops_per_w=ops / energy,
-        tops_per_mm2=mm.tops / (area * 1e-6),
-        energy=energy,
-        latency=latency,
-        area=area,
-        energy_breakdown=energy_breakdown,
-        delay_breakdown={"compute": latency, "weight_load_stall": 0.0},
-        area_breakdown=area_breakdown,
-    ), "system at peak")
+    return _in_range(_system_metrics(
+        ops, energy, latency, area, energy_breakdown,
+        {"compute": latency, "weight_load_stall": 0.0}, area_breakdown, ()), "system at peak")
 
 
 def _input_spill(bits: int, capacity: int) -> str:
@@ -297,23 +313,10 @@ def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult]
         stall_time = weight_macro_bits / bandwidth * clock
         latency = compute_time + stall_time
 
-        # The field dict, in field order, becomes the instance's __dict__, as for
-        # the search's mappings and results; SystemMetrics has no __post_init__,
-        # so its constructor would check nothing.
-        metrics = object.__new__(SystemMetrics)
-        object.__setattr__(metrics, "__dict__", {
-            "tops": ops / latency,
-            "tops_per_w": ops / energy,
-            "tops_per_mm2": ops / latency / (area * 1e-6),
-            "energy": energy,
-            "latency": latency,
-            "area": area,
-            "energy_breakdown": energy_breakdown,
-            "delay_breakdown": {"compute": compute_time, "weight_load_stall": stall_time},
-            "area_breakdown": dict(area_breakdown),
-            "warnings": notes,
-        })
-        return metrics
+        return _system_metrics(
+            ops, energy, latency, area, energy_breakdown,
+            {"compute": compute_time, "weight_load_stall": stall_time},
+            dict(area_breakdown), notes)
 
     _price_entry = (system, layer, cfg, price)
     return price
@@ -375,19 +378,9 @@ def network_system_metrics(system: SystemConfig, network: Network,
         area = metrics.area
         area_breakdown = metrics.area_breakdown
 
-    ops = 2.0 * macs
-    summary = _in_range(SystemMetrics(
-        tops=ops / latency,
-        tops_per_w=ops / energy,
-        tops_per_mm2=ops / latency / (area * 1e-6),
-        energy=energy,
-        latency=latency,
-        area=area,
-        energy_breakdown=energy_breakdown,
-        delay_breakdown=delay_breakdown,
-        area_breakdown=area_breakdown,
-        warnings=tuple(notes),
-    ), "network")
+    summary = _in_range(_system_metrics(
+        2.0 * macs, energy, latency, area, energy_breakdown, delay_breakdown,
+        area_breakdown, tuple(notes)), "network")
     return summary, reports
 
 

@@ -338,6 +338,12 @@ class TestNumericFieldRule:
         with pytest.raises(ValueError) as info:
             ceil_log2(True)
         assert str(info.value) == "ceil_log2 requires a positive integer, got True"
+        with pytest.raises(ValueError) as info:
+            accumulator_cost(params, True, False)
+        assert str(info.value) == "b_adds_out must be an integer >= 0, got False"
+        with pytest.raises(ValueError) as info:
+            adder_tree_fa_count(True, 8)
+        assert str(info.value) == "fan_in must be an integer >= 1, got True"
 
 
 def test_determinism(params):

@@ -120,8 +120,13 @@ class TestConfiguration:
 
 
 class TestPeak:
-    def test_breakdown_sums_and_composition(self):
-        system = system_for(ImcType.AIMC, 32)
+    @pytest.mark.parametrize("pipelined", [False, True], ids=["plain", "pipelined"])
+    @pytest.mark.parametrize("n_macros", [1, 8])
+    @pytest.mark.parametrize("d", [8, 32, 1024, 4096])
+    @pytest.mark.parametrize("kind", list(ImcType), ids=lambda kind: kind.name)
+    def test_breakdown_sums_and_composition(self, kind, d, n_macros, pipelined):
+        system = default_system_config(ImcMacroConfig(
+            imc_type=kind, d_i=d, d_o=d, n_macros=n_macros, pipelined=pipelined))
         peak = peak_system_metrics(system)
         assert peak.energy == sum(peak.energy_breakdown.values())
         assert peak.energy_breakdown["weight_load"] == 0.0
@@ -129,7 +134,9 @@ class TestPeak:
         mm = macro_metrics(system.params, system.macro)
         assert peak.latency == mm.clock_period * mm.cycles_per_mvm
         assert peak.area == mm.area + system.cache.area
+        # peak derives its throughput from ops / latency, which must equal the macro's
         assert peak.tops == mm.tops
+        assert peak.tops_per_mm2 == mm.tops / (peak.area * 1e-6)
         # streaming both operand sets per MVM is what peak pays the memories for
         macro_e = sum(peak.energy_breakdown[k] for k in mm.breakdown)
         assert peak.energy > macro_e

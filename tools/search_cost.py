@@ -19,7 +19,10 @@ script once per tree, each run in a fresh process, and swaps which tree goes
 first every round. A run's figure is its minimum over its passes. The script
 prints each tree's minimum, median and quartiles of those figures, the median
 over rounds of the ratio DIR / this tree (above 1 when this tree is faster)
-and the number of rounds this tree won. Stdlib only.
+and the number of rounds this tree won. It also says whether the rounds meet
+the bar for claiming that this tree is faster: it won at least nine tenths of
+the rounds (a tie counts for neither), and its median is below DIR's by more
+than the distance between DIR's quartiles. Stdlib only.
 """
 
 from __future__ import annotations
@@ -77,9 +80,14 @@ def _run_minimum(src: Path, passes: int) -> float:
     raise SystemExit(f"no us_per_candidate_min in the output for {src}:\n{proc.stdout}")
 
 
-def _summary(label: str, values: list[float]) -> str:
+def _quartiles(values: list[float]) -> tuple[float, float]:
     low, _, high = (statistics.quantiles(values, n=4, method="inclusive")
                     if len(values) > 1 else values * 3)
+    return low, high
+
+
+def _summary(label: str, values: list[float]) -> str:
+    low, high = _quartiles(values)
     return (f"{label:<8} min {min(values):.2f}  median {statistics.median(values):.2f}  "
             f"q1 {low:.2f}  q3 {high:.2f}  (us per candidate)")
 
@@ -103,6 +111,11 @@ def compare(against: Path, rounds: int, passes: int) -> int:
     print(_summary("this", this))
     print(f"median ratio against/this {statistics.median(ratios):.3f}")
     print(f"this tree won {wins} of {rounds} rounds")
+    low, high = _quartiles(other)
+    gap = statistics.median(other) - statistics.median(this)
+    met = wins * 10 >= rounds * 9 and gap > high - low
+    print(f"claim bar {'met' if met else 'not met'}: won {wins} of {rounds} rounds "
+          f"(needs 9/10), median gap {gap:.2f} against q3 - q1 {high - low:.2f}")
     return 0
 
 
