@@ -165,7 +165,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
     _check_keys(tech_spec, _TECH_FIELDS, "technology")
     _check_keys(macro_spec, _MACRO_FIELDS, "macro")
     if cache_spec is not None:
-        _check_keys(cache_spec, _CACHE_FIELDS | {"name"}, "cache")
+        _check_keys(cache_spec, _CACHE_FIELDS, "cache")
 
     dram = doc.get("dram_energy_per_bit", 3.7e-12)
     try:
@@ -208,9 +208,6 @@ def build_macro(bundle: ConfigBundle, imc_type: str | None = None,
     spec.setdefault("d_o", 32)
     if imc_type is not None:
         spec["imc_type"] = imc_type
-        # per-type default unless the config pinned it explicitly
-        if "b_cycle" not in bundle.macro_spec:
-            spec.pop("b_cycle", None)
     if size is not None:
         spec["d_i"] = size
         spec["d_o"] = size

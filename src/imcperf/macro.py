@@ -41,8 +41,6 @@ __all__ = [
     "ImcMacroConfig",
     "MacroMetrics",
     "BREAKDOWN_COMPONENTS",
-    "aimc_macro_metrics",
-    "dimc_macro_metrics",
     "macro_metrics",
     "per_cycle_energy",
     "per_mvm_register_energy",
@@ -185,43 +183,57 @@ def resolve_layer_precisions(cfg: ImcMacroConfig, b_i: int, b_w: int,
     return replace(cfg, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
 
 
-_Pricing = tuple[Callable[..., dict[str, float]], dict[str, tuple[float, float]]]
-
-# The last pricing and the last metrics built, each as (params, cfg, value).
-# Callers price one macro several times in a row: a peak row and its system
-# metrics, a layer's pricing and its macro metrics, the layers of a network
-# that share their precisions. Each entry holds both frozen objects, so neither
-# can be freed and its id reused while the entry lives; equal but distinct
-# objects price afresh. A tuple is read once and replaced whole, so a reader
-# never sees a value paired with the wrong key.
-_components_entry: tuple[TechnologyParams, ImcMacroConfig, _Pricing] | None = None
-_metrics_entry: tuple[TechnologyParams, ImcMacroConfig, MacroMetrics] | None = None
+def _check_range(cfg: ImcMacroConfig, quantities: tuple[tuple[str, float], ...]) -> None:
+    """A ValueError for the first quantity that is not a finite positive float."""
+    for quantity, value in quantities:
+        if value == 0.0:
+            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is zero: "
+                             "its technology constants are degenerate")
+        if not value < math.inf:  # inf, or NaN
+            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is {value!r}: "
+                             "its technology constants are out of range")
 
 
-def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing:
-    """Price every component of one config once.
+_CycleEnergies = Callable[..., dict[str, float]]
+
+# The last pricing built, as (params, cfg, cycle_energies, metrics). Callers
+# price one macro several times in a row: a peak row and its system metrics,
+# a layer's macro metrics and its gated energies, the layers of a network that
+# share their precisions. The entry holds both frozen objects, so neither can
+# be freed and its id reused while the entry lives; equal but distinct objects
+# price afresh. The tuple is read once and replaced whole, so a reader never
+# sees a pricing paired with the wrong key.
+_pricing_entry: tuple[TechnologyParams, ImcMacroConfig, _CycleEnergies,
+                      MacroMetrics] | None = None
+
+
+def _pricing(params: TechnologyParams,
+             cfg: ImcMacroConfig) -> tuple[_CycleEnergies, MacroMetrics]:
+    """Price every component of one config once, and the peak metrics from them.
 
     Returns the energy by component of `cycles` cycles (one by default) as a
-    function of the active (rows, cols, cycles) and the input-register energy
-    the caller prices (none by default), and each component's
-    (clock-path delay, area). A component the macro type lacks has zero unit
-    energy, delay and area, so both types share one set of energy expressions
-    and one key set. The timing dict is shared with later calls on the same
-    objects: read it, never change it.
+    function of the active (rows, cols, cycles) and the MVMs that write the
+    input register (none by default), and the macro's peak metrics. A component
+    the macro type lacks has zero unit energy, delay and area, so both types
+    share one set of energy expressions and one key set. Pipelining places one
+    register boundary after the front end (the ADCs of an analog macro, the
+    multipliers of a digital one), so the clock is the longer of the front end
+    and everything after it.
     """
-    global _components_entry
-    entry = _components_entry
+    global _pricing_entry
+    entry = _pricing_entry
     if entry is not None and entry[0] is params and entry[1] is cfg:
-        return entry[2]
+        return entry[2], entry[3]
     alpha = cfg.activity
-    d_i, d_o, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_w, cfg.b_cycle
+    d_i, d_o, b_i, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_i, cfg.b_w, cfg.b_cycle
     timing = dict.fromkeys(BREAKDOWN_COMPONENTS, (0.0, 0.0))
     timing["cell_array"] = (0.0, sram_array_area(params, d_i * d_o * b_w * cfg.m))
-    timing["input_register"] = (0.0, register_cost(params, d_i * cfg.b_i).area)
+    timing["input_register"] = (0.0, register_cost(params, d_i * b_i).area)
+    register_e = params.dff_energy
     cell_e = dac_e = adc_e = mult_e = tree_e = dff_e = 0.0
 
     if cfg.imc_type is ImcType.AIMC:
-        res_bits = cfg.b_i if cfg.adc_resolution_from_full_precision else b_cycle
+        res_bits = b_i if cfg.adc_resolution_from_full_precision else b_cycle
         res = adc_resolution(params, res_bits, d_i)
         b_adds_out = res + ceil_log2(b_w)
         combine = adder_tree_cost(params, b_w, res, alpha)
@@ -243,19 +255,19 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing
         pipeline_bits = b_w * d_i
 
     timing["combine_tree"] = (combine.delay, d_o * combine.area)
-    acc = accumulator_cost(params, b_adds_out + (cfg.b_i - b_cycle), b_adds_out)
+    acc = accumulator_cost(params, b_adds_out + (b_i - b_cycle), b_adds_out)
     timing["accumulator"] = (acc.delay, d_o * acc.area)
     if cfg.pipelined:
         timing["pipeline_register"] = (0.0, register_cost(params, d_o * pipeline_bits).area)
-        dff_e = params.dff_energy
+        dff_e = register_e
     combine_e, acc_e = combine.energy, acc.energy
 
-    # cycles is every expression's last multiply: the floats equal multiplying
-    # each one-cycle entry by cycles afterwards, bit for bit. input_register is
-    # the register energy the caller prices per MVM; 0.0 + it equals adding it
-    # to a zero entry afterwards.
+    # cycles is every clocked expression's last multiply: the floats equal
+    # multiplying each one-cycle entry by cycles afterwards, bit for bit. The
+    # input register is written once per MVM, whatever the cycle count; 0.0 +
+    # keeps it a float when the technology constants are integers.
     def cycle_energies(rows: int, cols: int, cycles: int = 1,
-                       input_register: float = 0.0) -> dict[str, float]:
+                       mvms: int = 0) -> dict[str, float]:
         return {
             "cell_array": cell_e * cycles,
             "dac": rows * dac_e * cycles,
@@ -266,72 +278,13 @@ def _price_components(params: TechnologyParams, cfg: ImcMacroConfig) -> _Pricing
             "adder_tree": cols * b_cycle * tree_e * (rows / d_i) * cycles,
             "combine_tree": cols * combine_e * cycles,
             "accumulator": cols * acc_e * cycles,
-            "input_register": 0.0 + input_register,
+            "input_register": 0.0 + rows * b_i * register_e * mvms,
             "pipeline_register": cols * pipeline_bits * dff_e * cycles,
         }
 
-    _components_entry = (params, cfg, (cycle_energies, timing))
-    return cycle_energies, timing
-
-
-def per_cycle_energy(params: TechnologyParams, cfg: ImcMacroConfig,
-                     rows_used: int | None = None,
-                     cols_used: int | None = None) -> dict[str, float]:
-    """Per-cycle energy of one macro, by component, with row/column gating.
-
-    rows_used/cols_used default to the full array. Gated components draw
-    energy in proportion to active rows or columns; the analog cell array is
-    not gated (every bitline spans the physical column and switches whenever
-    the array computes), which is what makes oversized analog arrays costly
-    for small workloads.
-    """
-    rows = cfg.d_i if rows_used is None else rows_used
-    cols = cfg.d_o if cols_used is None else cols_used
-    if not 0 <= rows <= cfg.d_i:
-        raise ValueError(f"rows_used must lie in [0, d_i], got {rows!r}")
-    if not 0 <= cols <= cfg.d_o:
-        raise ValueError(f"cols_used must lie in [0, d_o], got {cols!r}")
-    cycle_energies, _ = _price_components(params, cfg)
-    return cycle_energies(rows, cols)
-
-
-def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
-                            rows_used: int | None = None) -> float:
-    """Input-register write energy of one macro, paid once per MVM."""
-    rows = cfg.d_i if rows_used is None else rows_used
-    if not 0 <= rows <= cfg.d_i:
-        raise ValueError(f"rows_used must lie in [0, d_i], got {rows!r}")
-    return register_cost(params, rows * cfg.b_i).energy
-
-
-def _check_range(cfg: ImcMacroConfig, quantities: tuple[tuple[str, float], ...]) -> None:
-    """A ValueError for the first quantity that is not a finite positive float."""
-    for quantity, value in quantities:
-        if value == 0.0:
-            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is zero: "
-                             "its technology constants are degenerate")
-        if not value < math.inf:  # inf, or NaN
-            raise ValueError(f"{quantity} of the {cfg.imc_type.name} macro is {value!r}: "
-                             "its technology constants are out of range")
-
-
-def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
-    """Peak metrics of either macro type, composed from its priced components.
-
-    Pipelining places one register boundary after the front end (the ADCs of
-    an analog macro, the multipliers of a digital one), so the clock is the
-    longer of the front end and everything after it. Calls on the same params
-    and cfg objects in a row return the same metrics object, whose breakdown
-    must not be changed.
-    """
-    global _metrics_entry
-    entry = _metrics_entry
-    if entry is not None and entry[0] is params and entry[1] is cfg:
-        return entry[2]
-    cycle_energies, timing = _price_components(params, cfg)
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
-    per_mvm = cycle_energies(cfg.d_i, cfg.d_o, cycles, per_mvm_register_energy(params, cfg))
+    per_mvm = cycle_energies(d_i, d_o, cycles, 1)
     breakdown = {name: ComponentCost(energy=per_mvm[name] * n, delay=delay, area=area * n)
                  for name, (delay, area) in timing.items()}
 
@@ -344,7 +297,7 @@ def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics
     area_mm2 = area * 1e-6
     _check_range(cfg, (("energy per MVM", energy_per_mvm), ("clock period", clock),
                        ("area", area_mm2)))
-    ops = 2.0 * cfg.d_i * cfg.d_o * n
+    ops = 2.0 * d_i * d_o * n
     tops = ops / (clock * cycles)
     tops_per_w = ops / energy_per_mvm
     tops_per_mm2 = tops / area_mm2
@@ -360,19 +313,47 @@ def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics
         tops_per_mm2=tops_per_mm2,
         breakdown=breakdown,
     )
-    _metrics_entry = (params, cfg, metrics)
-    return metrics
+    _pricing_entry = (params, cfg, cycle_energies, metrics)
+    return cycle_energies, metrics
 
 
-def aimc_macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
-    """Peak metrics of an analog macro: DAC, cell array, ADCs, shift-add trees."""
-    if cfg.imc_type is not ImcType.AIMC:
-        raise ValueError(f"expected an AIMC config, got {cfg.imc_type!r}")
-    return macro_metrics(params, cfg)
+def _active(name: str, count: int | None, size: int, dim: str) -> int:
+    """count, or the full size when it is None, checked to lie in [0, size]."""
+    if count is None:
+        return size
+    _check_count(name, count, minimum=0)
+    if count > size:
+        raise ValueError(f"{name} must lie in [0, {dim}], got {count!r}")
+    return count
 
 
-def dimc_macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
-    """Peak metrics of a digital macro: NAND multipliers, adder trees, accumulators."""
-    if cfg.imc_type is not ImcType.DIMC:
-        raise ValueError(f"expected a DIMC config, got {cfg.imc_type!r}")
-    return macro_metrics(params, cfg)
+def per_cycle_energy(params: TechnologyParams, cfg: ImcMacroConfig,
+                     rows_used: int | None = None,
+                     cols_used: int | None = None) -> dict[str, float]:
+    """Per-cycle energy of one macro, by component, with row/column gating.
+
+    rows_used/cols_used default to the full array. Gated components draw
+    energy in proportion to active rows or columns; the analog cell array is
+    not gated (every bitline spans the physical column and switches whenever
+    the array computes), which is what makes oversized analog arrays costly
+    for small workloads. The input register, written once per MVM, reads zero.
+    """
+    rows = _active("rows_used", rows_used, cfg.d_i, "d_i")
+    cols = _active("cols_used", cols_used, cfg.d_o, "d_o")
+    return _pricing(params, cfg)[0](rows, cols)
+
+
+def per_mvm_register_energy(params: TechnologyParams, cfg: ImcMacroConfig,
+                            rows_used: int | None = None) -> float:
+    """Input-register write energy of one macro, paid once per MVM."""
+    rows = _active("rows_used", rows_used, cfg.d_i, "d_i")
+    return register_cost(params, rows * cfg.b_i).energy
+
+
+def macro_metrics(params: TechnologyParams, cfg: ImcMacroConfig) -> MacroMetrics:
+    """Peak metrics of either macro type, composed from its priced components.
+
+    Calls on the same params and cfg objects in a row return the same metrics
+    object, whose breakdown must not be changed.
+    """
+    return _pricing(params, cfg)[1]

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .components import TechnologyParams, _check_amount, _check_count, register_cost
+from .components import TechnologyParams, _check_amount, _check_count
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
-    _price_components,
+    _pricing,
     layer_precisions,
     macro_metrics,
     # Unused here; imcbench's tracer wraps both under this module's name.
@@ -239,16 +239,14 @@ def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult]
     if cfg is None or (cfg.b_i, cfg.b_w, cfg.b_o, cfg.b_cycle) != (b_i, b_w, b_o, b_cycle):
         # One replace, so a b_cycle that does not divide b_i warns once per run
         # of layers at the same precisions. Keeping the last layer's macro
-        # otherwise lets macro_metrics and _price_components reuse its prices.
+        # otherwise lets _pricing reuse its prices.
         cfg = replace(system.macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
     params = system.params
     cache = system.cache
     mm = macro_metrics(params, cfg)
     area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
     area_breakdown["cache"] = cache.area
-    cycle_energies = _price_components(params, cfg)[0]
-    # register energy is linear in the bits written
-    register_energy_per_bit = register_cost(params, 1).energy
+    cycle_energies = _pricing(params, cfg)[0]  # a memo hit: macro_metrics priced cfg
     ops = 2.0 * total_macs(layer)
     area = mm.area + cache.area
     d_i, d_o = cfg.d_i, cfg.d_o
@@ -300,9 +298,7 @@ def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult]
                       else _output_spill(output_bits, capacity),)
             dram_out = output_bits * dram_rate
 
-        energy_breakdown = cycle_energies(
-            rows, cols, cycles,
-            rows * b_i * register_energy_per_bit * result.mvm_invocations)
+        energy_breakdown = cycle_energies(rows, cols, cycles, result.mvm_invocations)
         energy_breakdown["cache"] = cache_in + cache_out
         energy_breakdown["dram"] = dram_in + dram_out
         energy_breakdown["weight_load"] = (traffic[("W", "dram")] * dram_rate

@@ -16,8 +16,6 @@ from imcperf import (
     accumulator_cost,
     adc_delay,
     adder_tree_cost,
-    aimc_macro_metrics,
-    dimc_macro_metrics,
     macro_metrics,
     per_cycle_energy,
     per_mvm_register_energy,
@@ -98,12 +96,6 @@ class TestConfigValidation:
             dimc(32, **{name: value})
         assert str(info.value) == message
 
-    def test_dispatch_guards(self, params):
-        with pytest.raises(ValueError):
-            aimc_macro_metrics(params, dimc(32))
-        with pytest.raises(ValueError):
-            dimc_macro_metrics(params, aimc(32))
-
     def test_precision_override_clamps_serial_width(self):
         cfg = resolve_layer_precisions(aimc(32), b_i=1, b_w=8, b_o=8)
         assert cfg.b_i == 1 and cfg.b_cycle == 1
@@ -114,12 +106,12 @@ class TestConfigValidation:
 class TestClockPeriod:
     def test_digital_clock_in_gate_delays(self, params):
         # d_gate mult + (4.8*5 + 2*13) d_gate tree + 2*(20-13) d_gate accumulate
-        m = dimc_macro_metrics(params, dimc(32))
+        m = macro_metrics(params, dimc(32))
         assert m.clock_period == pytest.approx(65 * params.d_gate, rel=REL)
 
     def test_analog_clock_composition(self, params):
         cfg = ImcMacroConfig(imc_type=ImcType.AIMC, d_i=16, d_o=12, m=32, b_cycle=2)
-        m = aimc_macro_metrics(params, cfg)
+        m = macro_metrics(params, cfg)
         assert m.cycles_per_mvm == 4
         expected = (adc_delay(params, 4, 16)
                     + adder_tree_cost(params, 8, 4, 1.0).delay
@@ -151,17 +143,17 @@ class TestClockPeriod:
             assert m.clock_period == max(first, total - first)
 
     def test_analog_clock_grows_with_rows(self, params):
-        clocks = [aimc_macro_metrics(params, aimc(d)).clock_period for d in SIZES]
+        clocks = [macro_metrics(params, aimc(d)).clock_period for d in SIZES]
         assert all(a < b for a, b in zip(clocks, clocks[1:]))
 
     def test_digital_clock_grows_slowly(self, params):
-        small = dimc_macro_metrics(params, dimc(32)).clock_period
-        large = dimc_macro_metrics(params, dimc(1024)).clock_period
+        small = macro_metrics(params, dimc(32)).clock_period
+        large = macro_metrics(params, dimc(1024)).clock_period
         assert small < large < 2 * small
 
     def test_full_precision_conversion_costs_energy_and_time(self, params):
-        base = aimc_macro_metrics(params, aimc(128))
-        full = aimc_macro_metrics(
+        base = macro_metrics(params, aimc(128))
+        full = macro_metrics(
             params, aimc(128, adc_resolution_from_full_precision=True))
         assert full.energy_per_mvm > base.energy_per_mvm
         assert full.clock_period > base.clock_period
@@ -179,12 +171,22 @@ class TestBreakdown:
             sum(c.area for c in m.breakdown.values()), rel=1e-9)
 
     def test_type_specific_components_are_zero(self, params):
-        a = aimc_macro_metrics(params, aimc(32)).breakdown
-        d = dimc_macro_metrics(params, dimc(32)).breakdown
+        a = macro_metrics(params, aimc(32)).breakdown
+        d = macro_metrics(params, dimc(32)).breakdown
         assert a["multiplier"].energy == 0.0 and a["adder_tree"].energy == 0.0
         assert d["dac"].energy == 0.0 and d["adc"].energy == 0.0
         assert a["dac"].energy > 0.0 and a["adc"].energy > 0.0
         assert d["multiplier"].energy > 0.0 and d["adder_tree"].energy > 0.0
+
+    @pytest.mark.parametrize("n_macros", [1, 3])
+    @pytest.mark.parametrize("make", [aimc, dimc])
+    def test_input_register_is_the_register_energy_per_mvm(self, params, make, n_macros):
+        # one write of d_i*b_i bits per MVM and macro, whatever the cycle count
+        for cfg in (make(64, n_macros=n_macros), make(32, b_i=6, b_cycle=3, n_macros=n_macros)):
+            m = macro_metrics(params, cfg)
+            assert m.breakdown["input_register"].energy == (
+                per_mvm_register_energy(params, cfg) * n_macros)
+            assert per_cycle_energy(params, cfg)["input_register"] == 0.0
 
     def test_digital_single_bit_slices_need_no_combine_tree(self, params):
         for cfg in (dimc(64), dimc(256, pipelined=True, n_macros=4)):
@@ -195,7 +197,7 @@ class TestBreakdown:
     def test_idle_data_still_converts(self, params):
         # all-zero activity silences switching but not the converters
         cfg = aimc(64, input_toggle_rate=0.0, weight_sparsity=1.0)
-        m = aimc_macro_metrics(params, cfg)
+        m = macro_metrics(params, cfg)
         assert m.breakdown["cell_array"].energy == 0.0
         assert m.breakdown["adc"].energy > 0.0
         assert m.energy_per_mvm > 0.0
@@ -216,7 +218,7 @@ class TestScaling:
     def test_digital_energy_per_mac_is_flat(self, params):
         per_mac = []
         for d in SIZES:
-            m = dimc_macro_metrics(params, dimc(d))
+            m = macro_metrics(params, dimc(d))
             per_mac.append(m.energy_per_mvm / (d * d))
         assert max(per_mac) / min(per_mac) < 1.3
 
@@ -255,10 +257,29 @@ class TestGating:
         assert quarter["adder_tree"] == pytest.approx(0.25 * full["adder_tree"], rel=REL)
 
     def test_rejects_usage_beyond_array(self, params):
-        with pytest.raises(ValueError):
-            per_cycle_energy(params, aimc(32), 33, 32)
-        with pytest.raises(ValueError):
-            per_mvm_register_energy(params, aimc(32), -1)
+        cfg = aimc(32)
+        for call, message in (
+                (lambda: per_cycle_energy(params, cfg, 33, 32),
+                 "rows_used must lie in [0, d_i], got 33"),
+                (lambda: per_cycle_energy(params, cfg, 0, 33),
+                 "cols_used must lie in [0, d_o], got 33"),
+                (lambda: per_mvm_register_energy(params, cfg, 33),
+                 "rows_used must lie in [0, d_i], got 33")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("count", [2.5, True, "a", -1])
+    def test_usage_must_be_a_count(self, params, count):
+        # 2.5 rows and True rows were priced; "a" failed on a comparison and a
+        # fractional register row named n_bits, a field the caller never passed
+        cfg = aimc(32)
+        for name, call in (("rows_used", lambda: per_cycle_energy(params, cfg, count, 3)),
+                           ("cols_used", lambda: per_cycle_energy(params, cfg, 3, count)),
+                           ("rows_used", lambda: per_mvm_register_energy(params, cfg, count))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name} must be an integer >= 0, got {count!r}"
 
     def test_register_energy_scales_with_rows(self, params):
         cfg = aimc(64, b_i=8)
@@ -282,6 +303,9 @@ class TestDegenerateTechnology:
             if kind in failing:
                 with pytest.raises(ValueError, match=f"{quantity} of the {kind.name} macro"):
                     macro_metrics(params, cfg)
+                # the gated energies come from the same pricing, so they fail alike
+                with pytest.raises(ValueError, match=f"{quantity} of the {kind.name} macro"):
+                    per_cycle_energy(params, cfg)
             else:
                 m = macro_metrics(params, cfg)
                 assert m.energy_per_mvm > 0 and m.clock_period > 0 and m.area > 0
@@ -295,14 +319,15 @@ def test_underflowing_area_is_a_value_error():
 
 
 def _fresh(fn, *args):
-    """fn(*args) with both pricing memos empty: nothing carried from earlier calls."""
-    macro._components_entry = macro._metrics_entry = None
+    """fn(*args) with the pricing memo empty: nothing carried from earlier calls."""
+    macro._pricing_entry = None
     return fn(*args)
 
 
 class TestPricingMemo:
-    """macro_metrics and _price_components keep the last (params, cfg) they priced;
-    whatever they priced before, every result must equal a fresh pricing."""
+    """_pricing keeps the last (params, cfg) it priced, for both macro_metrics and
+    per_cycle_energy; whatever it priced before, every result must equal a fresh
+    pricing."""
 
     @staticmethod
     def _interleaved_pool():

@@ -33,6 +33,7 @@ from imcperf import (
     peak_system_metrics,
     per_cycle_energy,
     per_mvm_register_energy,
+    resolve_layer_precisions,
     total_macs,
 )
 from imcperf import macro as macro_module
@@ -166,6 +167,30 @@ class TestLayerEvaluation:
                         * result.mvm_invocations)
             assert metrics.energy_breakdown["weight_load"] == 0.0
             assert metrics.energy == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(ImcType), ids=lambda kind: kind.name)
+    def test_input_register_is_the_register_energy_per_mvm(self, kind):
+        # one write of the active rows' input bits per MVM, bit for bit
+        system = system_for(kind, 64)
+        for layer in (*FIXTURES, replace(PW, b_i=4), replace(CONV, b_i=6)):
+            result = best_mapping(layer, system, "energy")
+            metrics = evaluate_layer_mapping(system, layer, result)
+            cfg = resolve_layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
+            assert metrics.energy_breakdown["input_register"] == (
+                per_mvm_register_energy(system.params, cfg, result.mapping.rows)
+                * result.mvm_invocations)
+
+    def test_input_register_is_a_float_for_integer_constants(self):
+        # an int entry would print as 61440 in the JSON output, not 61440.0
+        params = TechnologyParams(v_dd=1, c_gate=1, dff_energy_ratio=3)
+        assert type(params.dff_energy) is int
+        for kind in ImcType:
+            macro = make_macro(kind, 32)
+            system = SystemConfig(macro=macro, params=params, cache=default_cache(macro))
+            _, metrics = layer_system_metrics(system, PW)
+            assert type(metrics.energy_breakdown["input_register"]) is float
+            peak = peak_system_metrics(system)
+            assert type(peak.energy_breakdown["input_register"]) is float
 
     def test_energy_breakdown_sums_exactly(self):
         system = system_for(ImcType.AIMC, 128)

@@ -12,10 +12,8 @@ mapping commands, under nine configurations that switch on the options that
 change how a macro is priced. Under ``escaping/``, ``layer`` and ``network`` run
 in both formats on a workload whose network and layer names hold non-ASCII,
 quote, backslash and control characters, so the comparison covers how each
-format escapes text. Each mapping command also runs with ``--jobs 2``
-into its own ``*-jobs2`` output, so a tree that evaluated ``--jobs`` on a thread
-pool can be compared with one that evaluates serially. Only the command outputs
-are written; warnings on stderr are not part of the snapshot.
+format escapes text. Only the command outputs are written; warnings on stderr
+are not part of the snapshot.
 
 The front end is snapshotted too: under ``frontend/``, one file per case holds
 the exit code, stdout and stderr of ``--help`` (top level and every command) and
@@ -73,7 +71,6 @@ def commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
             argv = [command, *selection, "--type", "both", "--sizes", MAPPING_SIZES,
                     "--objective", objective]
             out.append((f"{command}-{objective}", argv))
-            out.append((f"{command}-{objective}-jobs2", [*argv, "--jobs", "2"]))
     return out
 
 
