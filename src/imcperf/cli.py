@@ -185,7 +185,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         params=params,
         macro_spec=dict(macro_spec),
         cache_spec=dict(cache_spec) if cache_spec is not None else None,
-        dram_energy_per_bit=float(dram),
+        dram_energy_per_bit=dram,
     )
     try:
         macro = build_macro(bundle)

@@ -66,6 +66,18 @@ def _check_amount(name: str, value: float) -> None:
     raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
+def _store_floats(record: object, *names: str) -> None:
+    # after a record's checks: each real-valued field holds a float, so integer
+    # constants give every output column the same type as float ones do
+    for name in names:
+        value = getattr(record, name)
+        try:
+            object.__setattr__(record, name, float(value))
+        except OverflowError:  # an int too large for a float
+            raise ValueError(f"{name} is too large for a float, got an integer of "
+                             f"{len(str(value))} digits") from None
+
+
 def _check_fraction(name: str, value: float) -> None:
     _check_number(name, value)
     if not (0.0 <= value <= 1.0):
@@ -130,6 +142,7 @@ class TechnologyParams:
                 value = math.inf
             if not math.isfinite(value):
                 raise ValueError(f"{name} derived from the technology constants is not finite")
+        _store_floats(self, *vars(self))
 
     # Derived unit costs. E_FA = 6*C_gate*V_dd^2 and friends hold exactly.
     @property

@@ -264,8 +264,7 @@ def _pricing(params: TechnologyParams,
 
     # cycles is every clocked expression's last multiply: the floats equal
     # multiplying each one-cycle entry by cycles afterwards, bit for bit. The
-    # input register is written once per MVM, whatever the cycle count; 0.0 +
-    # keeps it a float when the technology constants are integers.
+    # input register is written once per MVM, whatever the cycle count.
     def cycle_energies(rows: int, cols: int, cycles: int = 1,
                        mvms: int = 0) -> dict[str, float]:
         return {
@@ -278,7 +277,7 @@ def _pricing(params: TechnologyParams,
             "adder_tree": cols * b_cycle * tree_e * (rows / d_i) * cycles,
             "combine_tree": cols * combine_e * cycles,
             "accumulator": cols * acc_e * cycles,
-            "input_register": 0.0 + rows * b_i * register_e * mvms,
+            "input_register": rows * b_i * register_e * mvms,
             "pipeline_register": cols * pipeline_bits * dff_e * cycles,
         }
 

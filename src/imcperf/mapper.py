@@ -184,16 +184,12 @@ def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) 
             f"infeasible mapping: {mapping.cols} columns exceed d_o={cfg.d_o}")
 
 
-def _results(layer: Layer, cfg: ImcMacroConfig, row_tuples: list[tuple[int, int, int]],
-             col_pairs: list[tuple[int, int]],
+def _results(layer: Layer, cfg: ImcMacroConfig,
              mappings: Iterable[SpatialMapping]) -> Iterator[MappingResult]:
-    """The result of each of the layer's mappings on cfg.
+    """The result of each of the layer's mappings on cfg, in the order given.
 
-    mappings lists every column pair outer and every row tuple inner, in the
-    order of col_pairs and row_tuples. A mapping's counts factor into terms of
-    its row tuple and terms of its column pair, so each tuple's and each pair's
-    terms are computed once and combined per mapping. Each result is built like
-    the mappings of enumerate_mappings: its field dict becomes its __dict__.
+    Each result is built like the mappings of enumerate_mappings: its field
+    dict becomes its __dict__.
     """
     b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
     k, ox, c, fx, fy, g = layer.k, layer.ox, layer.c, layer.fx, layer.fy, layer.g
@@ -207,39 +203,31 @@ def _results(layer: Layer, cfg: ImcMacroConfig, row_tuples: list[tuple[int, int,
     base_traffic[("W", "dram")] = layer.weight_elements * b_w
     base_traffic[("I", "dram")] = layer.input_elements * b_i
     base_traffic[("O", "cache")] = layer.output_elements * b_o
-    # rows, the C x FX x FY reduction tiles, rows/reduction
-    row_terms = []
-    for c_u, fx_u, fy_u in row_tuples:
-        rows = c_u * fx_u * fy_u
-        row_terms.append((rows, (c // c_u) * (fx // fx_u) * (fy // fy_u), rows / reduction))
 
     new = object.__new__
     set_dict = object.__setattr__
-    mapping_iter = iter(mappings)
-    for k_u, ox_u in col_pairs:
+    for mapping in mappings:
+        k_u, ox_u, c_u, fx_u, fy_u = mapping.factors()
+        rows = c_u * fx_u * fy_u
         cols = k_u * ox_u
-        weight_tiles = g * (k // k_u)  # G x K weight tiles
-        mvms_per_load = (ox // ox_u) * b_oy  # OX x B x OY MVMs per tile
-        out_ratio = cols / col_bound
-        # row_terms comes first, so zip stops without taking the next mapping
-        for (rows, reduction_tiles, in_ratio), mapping in zip(row_terms, mapping_iter):
-            loads = weight_tiles * reduction_tiles
-            mvms = loads * mvms_per_load
-            traffic = base_traffic.copy()
-            traffic[("W", "macro")] = loads * rows * cols * b_w
-            traffic[("I", "cache")] = mvms * rows * b_i
-            result = new(MappingResult)
-            set_dict(result, "__dict__", {
-                "mapping": mapping,
-                "spatial_utilization": (rows * cols) / array_cells,
-                "mvm_invocations": mvms,
-                "total_cycles": mvms * cycles_per_mvm,
-                "weight_tile_loads": loads,
-                "traffic": traffic,
-                "in_unroll_ratio": in_ratio,
-                "out_unroll_ratio": out_ratio,
-            })
-            yield result
+        # G x K weight tiles times the C x FX x FY reduction tiles
+        loads = g * (k // k_u) * ((c // c_u) * (fx // fx_u) * (fy // fy_u))
+        mvms = loads * ((ox // ox_u) * b_oy)  # OX x B x OY MVMs per tile
+        traffic = base_traffic.copy()
+        traffic[("W", "macro")] = loads * rows * cols * b_w
+        traffic[("I", "cache")] = mvms * rows * b_i
+        result = new(MappingResult)
+        set_dict(result, "__dict__", {
+            "mapping": mapping,
+            "spatial_utilization": (rows * cols) / array_cells,
+            "mvm_invocations": mvms,
+            "total_cycles": mvms * cycles_per_mvm,
+            "weight_tile_loads": loads,
+            "traffic": traffic,
+            "in_unroll_ratio": rows / reduction,
+            "out_unroll_ratio": cols / col_bound,
+        })
+        yield result
 
 
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
@@ -253,8 +241,7 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     their reduction finishes and are then written to the cache once.
     """
     _check_feasible(layer, cfg, mapping)
-    return next(_results(layer, cfg, [(mapping.c_u, mapping.fx_u, mapping.fy_u)],
-                         [(mapping.k_u, mapping.ox_u)], (mapping,)))
+    return next(_results(layer, cfg, (mapping,)))
 
 
 def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
@@ -273,8 +260,7 @@ def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
     best_value = 0.0
     best_result: MappingResult | None = None
     cfg = system.macro
-    mappings = enumerate_mappings(layer, cfg)
-    for result in _results(layer, cfg, *mapping_space(layer, cfg), mappings):
+    for result in _results(layer, cfg, enumerate_mappings(layer, cfg)):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .components import TechnologyParams, _check_amount, _check_count
+from .components import TechnologyParams, _check_amount, _check_count, _store_floats
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
@@ -66,6 +66,7 @@ class MemoryLevel:
         _check_amount("read_energy", self.read_energy)
         _check_amount("write_energy", self.write_energy)
         _check_amount("area", self.area)
+        _store_floats(self, "read_energy", "write_energy", "area")
 
 
 def default_cache(macro: ImcMacroConfig) -> MemoryLevel:
@@ -100,6 +101,7 @@ class SystemConfig:
                 f"cache bandwidth {self.cache.bandwidth_bits_per_cycle} bits/cycle does not "
                 f"fit the macro dimensions (needs >= d_i*b_cycle + d_o*b_o = {needed})")
         _check_amount("dram_energy_per_bit", self.dram_energy_per_bit)
+        _store_floats(self, "dram_energy_per_bit")
 
 
 def default_system_config(macro: ImcMacroConfig,

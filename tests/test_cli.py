@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -801,8 +802,75 @@ class TestFuzz:
             2, f"imcperf: config error: invalid {section} section: "
                "int too large to convert to float\n")
 
+    def test_huge_adc_k_is_a_config_error(self):
+        # adc_k passes its range check; it failed converting to float, naming nothing
+        code, _, err = _run_in_process("peak", {"technology": {"adc_k": 10**400}}, {})
+        assert (code, err) == (
+            2, "imcperf: config error: invalid technology section: adc_k is too large "
+               "for a float, got an integer of 401 digits\n")
+
     def test_nan_adc_k_is_a_config_error(self):
         code, _, err = _run_in_process("peak", b'{"technology": {"adc_k": NaN}}', {})
         assert (code, err) == (
             2, "imcperf: config error: invalid technology section: adc_k must be >= 1, "
                "got nan\n")
+
+
+# every real-valued constant a config can set, each as its default float or as an
+# integer that keeps the design point valid
+_INTEGER_OR_FLOAT = {
+    "technology": {f.name: st.sampled_from((f.default, 1 if f.name == "adc_fs" else 2))
+                   for f in fields(TechnologyParams)},
+    "macro": {"input_toggle_rate": st.sampled_from((0.5, 1)),
+              "weight_sparsity": st.sampled_from((0.0, 0))},
+    "cache": {"read_energy": st.sampled_from((0.0, 0)),
+              "write_energy": st.sampled_from((0.0, 0)),
+              "area": st.sampled_from((1.0, 1))},
+}
+_TYPE_WORKLOAD = {"name": "mix", "layers": [
+    {"k": 16, "c": 8, "ox": 8, "oy": 8, "fx": 3, "fy": 3},
+    {"g": 8, "ox": 4, "oy": 4, "fx": 3, "fy": 3},
+    {"k": 32, "c": 16, "b_i": 4},
+]}
+_TYPE_FLAGS = ("--format", "json", "--type", "both", "--sizes", "32")
+
+
+@st.composite
+def _integer_or_float_config(draw):
+    doc = {section: {name: draw(value) for name, value in table.items()}
+           for section, table in _INTEGER_OR_FLOAT.items()}
+    doc["dram_energy_per_bit"] = draw(st.sampled_from((3.7e-12, 4)))
+    return doc
+
+
+def _column_types(command, config):
+    code, out, err = _run_in_process(command, config, _TYPE_WORKLOAD, _TYPE_FLAGS)
+    assert code == 0, err
+    return [{key: type(value) for key, value in row.items()}
+            for row in json.loads(out)["rows"]]
+
+
+@functools.cache
+def _default_column_types(command):
+    return _column_types(command, {})
+
+
+class TestColumnTypes:
+    """Every JSON column has one type: a constant given as an integer stores as a
+    float, so no output column turns into an integer."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(command=st.sampled_from(tuple(cli._COMMANDS)), config=_integer_or_float_config())
+    def test_types_match_the_default_config(self, command, config):
+        assert _column_types(command, config) == _default_column_types(command)
+
+    @pytest.mark.parametrize("command", ["peak", "layer", "network"])
+    @pytest.mark.parametrize("config", [
+        {"technology": {"v_dd": 1, "c_gate": 1, "dff_energy_ratio": 3, "fa_energy_ratio": 2},
+         "macro": {"pipelined": True}},
+        {"cache": {"read_energy": 0, "write_energy": 0}},
+    ], ids=["technology", "cache"])
+    def test_integer_constants_give_float_energies(self, command, config):
+        # these gave integer energy_accumulator, energy_pipeline_register and
+        # energy_cache columns
+        assert _column_types(command, config) == _default_column_types(command)

@@ -292,8 +292,8 @@ class TestMappingSpace:
     @given(layer=_LAYERS_FOR_SPACE, d_i=st.sampled_from((1, 3, 4, 12, 16, 64)),
            d_o=st.sampled_from((1, 3, 4, 12, 16, 64)))
     def test_list_is_column_pairs_outer_row_tuples_inner(self, layer, d_i, d_o):
-        # best_mapping reads the row tuples off the list's first run of one
-        # column pair, and the column pairs off every run-th entry
+        # the list's first run of one column pair holds the row tuples, and
+        # every run-th entry holds the next column pair
         macro = ImcMacroConfig(imc_type=ImcType.DIMC, d_i=d_i, d_o=d_o)
         rows, cols = mapper.mapping_space(layer, macro)
         mappings = enumerate_mappings(layer, macro)
@@ -312,6 +312,20 @@ class TestMappingSpace:
             enumerate_mappings(huge, dimc(4096))
         assert str(space.value) == str(listed.value)
         assert "'huge' has 2852721 mapping candidates" in str(space.value)
+
+    def test_search_computes_the_space_once(self, monkeypatch):
+        calls = []
+        space = mapper.mapping_space
+
+        def counted(layer, macro):
+            calls.append(layer)
+            return space(layer, macro)
+
+        monkeypatch.setattr(mapper, "mapping_space", counted)
+        for layer in FIXTURES:
+            for objective in OBJECTIVES:
+                best_mapping(layer, default_system_config(dimc(64)), objective)
+        assert calls == [layer for layer in FIXTURES for _ in OBJECTIVES]
 
 
 class TestMappingContext:
@@ -578,7 +592,7 @@ _AWKWARD_LAYERS = st.builds(
 
 
 class TestSearchCandidates:
-    """best_mapping combines per-row-tuple and per-column-pair terms instead of
+    """best_mapping prices each candidate from its own unroll factors instead of
     calling evaluate_mapping, and evaluate_layer_mapping prices each result from
     the scalars its layer pricing holds. Every result the search hands over must
     be indistinguishable from the oracle's result for the same mapping, in

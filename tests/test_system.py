@@ -181,9 +181,10 @@ class TestLayerEvaluation:
                 * result.mvm_invocations)
 
     def test_input_register_is_a_float_for_integer_constants(self):
-        # an int entry would print as 61440 in the JSON output, not 61440.0
+        # an int entry would print as 61440 in the JSON output, not 61440.0;
+        # the record stores integer constants as floats
         params = TechnologyParams(v_dd=1, c_gate=1, dff_energy_ratio=3)
-        assert type(params.dff_energy) is int
+        assert type(params.dff_energy) is float
         for kind in ImcType:
             macro = make_macro(kind, 32)
             system = SystemConfig(macro=macro, params=params, cache=default_cache(macro))
@@ -191,6 +192,17 @@ class TestLayerEvaluation:
             assert type(metrics.energy_breakdown["input_register"]) is float
             peak = peak_system_metrics(system)
             assert type(peak.energy_breakdown["input_register"]) is float
+
+    def test_real_valued_fields_are_stored_as_floats(self):
+        params = TechnologyParams(**{f.name: 1 for f in dataclass_fields(TechnologyParams)})
+        assert all(type(value) is float for value in vars(params).values())
+        macro = make_macro(ImcType.DIMC, 32)
+        cache = replace(default_cache(macro), read_energy=0, write_energy=0, area=1)
+        assert [type(cache.read_energy), type(cache.write_energy), type(cache.area)] \
+            == [float] * 3
+        assert type(cache.capacity_bits) is int
+        system = SystemConfig(macro=macro, params=params, cache=cache, dram_energy_per_bit=4)
+        assert type(system.dram_energy_per_bit) is float
 
     def test_energy_breakdown_sums_exactly(self):
         system = system_for(ImcType.AIMC, 128)

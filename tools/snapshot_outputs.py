@@ -9,11 +9,13 @@ SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``). The matrix is every command (sweep, peak, validate, layer,
 network) in CSV and JSON, with the objectives energy, latency and edp for the
 mapping commands, under nine configurations that switch on the options that
-change how a macro is priced. Under ``escaping/``, ``layer`` and ``network`` run
-in both formats on a workload whose network and layer names hold non-ASCII,
-quote, backslash and control characters, so the comparison covers how each
-format escapes text. Only the command outputs are written; warnings on stderr
-are not part of the snapshot.
+change how a macro is priced. Two more configurations give technology or cache
+constants as integers; under each, peak, layer and network run in JSON, whose
+output shows whether a column prints as an integer or a float. Under
+``escaping/``, ``layer`` and ``network`` run in both formats on a workload whose
+network and layer names hold non-ASCII, quote, backslash and control
+characters, so the comparison covers how each format escapes text. Only the
+command outputs are written; warnings on stderr are not part of the snapshot.
 
 The front end is snapshotted too: under ``frontend/``, one file per case holds
 the exit code, stdout and stderr of ``--help`` (top level and every command) and
@@ -53,6 +55,14 @@ CONFIGS: dict[str, dict] = {
     "small-cache": {"cache": {"capacity_bits": 4096}},
     "combined": _COMBINED,
 }
+# configurations whose constants are integers, each run in JSON only: every
+# real-valued column must still print as a float
+INTEGER_CONFIGS: dict[str, dict] = {
+    "int-technology": {"technology": {"v_dd": 1, "c_gate": 1, "dff_energy_ratio": 3,
+                                      "fa_energy_ratio": 2},
+                       "macro": {"pipelined": True}},
+    "int-cache": {"cache": {"read_energy": 0, "write_energy": 0}},
+}
 FORMATS = ("csv", "json")
 OBJECTIVES = ("energy", "latency", "edp")
 SWEEP_SIZES = "8,16,32,64,128,256,512,1024,2048,4096"
@@ -72,6 +82,15 @@ def commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
                     "--objective", objective]
             out.append((f"{command}-{objective}", argv))
     return out
+
+
+def integer_commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
+    """(output name, argv without --config/--format/--out) of one integer configuration."""
+    selection = [arg for workload in workloads for arg in ("--workload", workload)]
+    points = ["--type", "both", "--sizes", MAPPING_SIZES]
+    return [("peak", ["peak", *points]),
+            ("layer", ["layer", *selection, *points]),
+            ("network", ["network", *selection, *points])]
 
 
 # names that every output format must escape or quote; layers with different
@@ -120,6 +139,7 @@ FRONTEND_INPUTS: dict[str, str] = {
     "null-cache-energy.json": json.dumps({"cache": {"read_energy": None}}),
     "string-toggle-rate.json": json.dumps({"macro": {"input_toggle_rate": "0.5"}}),
     "string-dram.json": json.dumps({"dram_energy_per_bit": "1"}),
+    "huge-adc-k.json": json.dumps({"technology": {"adc_k": 10**400}}),
 }
 
 
@@ -176,6 +196,7 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("null-cache-energy", ["validate", *config("null-cache-energy.json")]),
         ("string-toggle-rate", ["peak", *config("string-toggle-rate.json")]),
         ("string-dram", ["sweep", *config("string-dram.json")]),
+        ("huge-adc-k", ["peak", *config("huge-adc-k.json")]),
     ]
 
 
@@ -225,13 +246,16 @@ def main(argv: list[str] | None = None) -> int:
     workloads = ["mlperf-tiny-layers"] + [str(p) for p in sorted(NETWORK_DIR.glob("*.json"))]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failed = 0
-    for config_name, doc in CONFIGS.items():
+    matrix = [(name, doc, commands(workloads), FORMATS) for name, doc in CONFIGS.items()]
+    matrix += [(name, doc, integer_commands(workloads), ("json",))
+               for name, doc in INTEGER_CONFIGS.items()]
+    for config_name, doc, config_commands, formats in matrix:
         config_dir = args.out_dir / config_name
         config_dir.mkdir(exist_ok=True)
         config_path = config_dir / "config.json"
         config_path.write_text(json.dumps(doc, indent=2) + "\n")
-        for name, command in commands(workloads):
-            for fmt in FORMATS:
+        for name, command in config_commands:
+            for fmt in formats:
                 failed += run_to_file(
                     imcperf_main, [*command, "--config", str(config_path), "--format", fmt],
                     config_dir / f"{name}.{fmt}") != 0
