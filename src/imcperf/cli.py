@@ -172,13 +172,10 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         _check_amount("dram_energy_per_bit", dram)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except OverflowError as exc:  # an int too large for a float
-        raise ConfigError(f"dram_energy_per_bit: {exc}") from exc
 
-    # OverflowError: an integer constant too large for a float
     try:
         params = TechnologyParams(**tech_spec)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid technology section: {exc}") from exc
 
     bundle = ConfigBundle(
@@ -194,7 +191,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
     # the cache bandwidth fit depends on --sizes, so SystemConfig checks it later
     try:
         replace(default_cache(macro), **(bundle.cache_spec or {}))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid cache section: {exc}") from exc
     return bundle
 

@@ -51,31 +51,33 @@ def _check_number(name: str, value: float) -> None:
         math.isfinite(value)
     except TypeError:  # a string, None, a list
         raise ValueError(f"{name} must be a number, got {value!r}") from None
-    except OverflowError:  # a number, too large for a float: left to the range check
-        pass
+    except OverflowError:  # a number the model cannot hold as a float
+        if not isinstance(value, int):  # a Fraction, say
+            raise ValueError(f"{name} is too large for a float") from None
+        # not len(str()): str() refuses integers past sys.get_int_max_str_digits(). The
+        # floor of log10 is off by at most one, and two powers of ten settle it.
+        power = int(math.log10(abs(value)))
+        digits = power + (10**power <= abs(value)) + (10**(power + 1) <= abs(value))
+        raise ValueError(f"{name} is too large for a float, got an integer of "
+                         f"{digits} digits") from None
 
 
 def _check_amount(name: str, value: float) -> None:
     # every ComponentCost runs this thrice, so a valid value returns before any diagnosis
-    try:  # an int too large for a float raises OverflowError
+    try:
         if type(value) is not bool and math.isfinite(value) and value >= 0:
             return
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     _check_number(name, value)
     raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _store_floats(record: object, *names: str) -> None:
-    # after a record's checks: each real-valued field holds a float, so integer
-    # constants give every output column the same type as float ones do
+    # after a record's checks, so each conversion fits: integer constants give
+    # every output column the same type as float ones do
     for name in names:
-        value = getattr(record, name)
-        try:
-            object.__setattr__(record, name, float(value))
-        except OverflowError:  # an int too large for a float
-            raise ValueError(f"{name} is too large for a float, got an integer of "
-                             f"{len(str(value))} digits") from None
+        object.__setattr__(record, name, float(getattr(record, name)))
 
 
 def _check_fraction(name: str, value: float) -> None:

@@ -284,18 +284,17 @@ def _pricing(params: TechnologyParams,
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
     per_mvm = cycle_energies(d_i, d_o, cycles, 1)
-    breakdown = {name: ComponentCost(energy=per_mvm[name] * n, delay=delay, area=area * n)
-                 for name, (delay, area) in timing.items()}
-
-    total = sum(c.delay for c in breakdown.values())
+    # summed before any ComponentCost exists, so an overflow is named for its macro
+    costs = {name: (per_mvm[name] * n, delay, area * n)
+             for name, (delay, area) in timing.items()}
+    energy_per_mvm, total, area = (sum(column) for column in zip(*costs.values()))
     # Each type has exactly one front end; the other type's entry reads zero.
     front = timing["adc"][0] + timing["multiplier"][0]
     clock = max(front, total - front) if cfg.pipelined else total
-    energy_per_mvm = sum(c.energy for c in breakdown.values())
-    area = sum(c.area for c in breakdown.values())
     area_mm2 = area * 1e-6
     _check_range(cfg, (("energy per MVM", energy_per_mvm), ("clock period", clock),
                        ("area", area_mm2)))
+    breakdown = {name: ComponentCost(*cost) for name, cost in costs.items()}
     ops = 2.0 * d_i * d_o * n
     tops = ops / (clock * cycles)
     tops_per_w = ops / energy_per_mvm

@@ -351,7 +351,7 @@ class TestNumericConfig:
         ({"dram_energy_per_bit": -1},
          "dram_energy_per_bit must be finite and non-negative, got -1"),
         ({"dram_energy_per_bit": 10**400},
-         "dram_energy_per_bit: int too large to convert to float"),
+         "dram_energy_per_bit is too large for a float, got an integer of 401 digits"),
     )
 
     @pytest.mark.parametrize("config, message", [
@@ -795,12 +795,16 @@ class TestFuzz:
 
     @pytest.mark.parametrize("section, key", [
         ("technology", "k1"), ("technology", "v_dd"), ("cache", "area"),
-        ("cache", "read_energy")])
+        ("cache", "read_energy"), ("technology", "adc_fs"), ("macro", "input_toggle_rate"),
+        (None, "dram_energy_per_bit")])
     def test_huge_integer_constant_is_a_config_error(self, section, key):
-        code, _, err = _run_in_process("peak", {section: {key: 10**400}}, {})
+        # named in every section; the top-level DRAM constant has no section prefix
+        config = {key: 10**400} if section is None else {section: {key: 10**400}}
+        where = "" if section is None else f"invalid {section} section: "
+        code, _, err = _run_in_process("peak", config, {})
         assert (code, err) == (
-            2, f"imcperf: config error: invalid {section} section: "
-               "int too large to convert to float\n")
+            2, f"imcperf: config error: {where}{key} is too large for a float, "
+               "got an integer of 401 digits\n")
 
     def test_huge_adc_k_is_a_config_error(self):
         # adc_k passes its range check; it failed converting to float, naming nothing

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -315,7 +316,8 @@ _REAL_FIELDS = (
 
 class TestNumericFieldRule:
     """Every record checks its numeric fields with the rule in components: a
-    boolean or a non-number is a ValueError that names the field."""
+    boolean, a non-number or a number past the float range is a ValueError that
+    names the field."""
 
     @pytest.mark.parametrize("value", ["1", None, [1]], ids=["string", "none", "list"])
     @pytest.mark.parametrize("build, name", [
@@ -324,6 +326,32 @@ class TestNumericFieldRule:
         with pytest.raises(ValueError) as info:
             build(**{name: value})
         assert str(info.value) == f"{name} must be a number, got {value!r}"
+
+    # 10**5000 is past the digits str() converts, so the count cannot come from str()
+    @pytest.mark.parametrize("value, digits", [(10**400, 401), (-10**400, 401), (10**5000, 5001)],
+                             ids=["401-digits", "negative", "5001-digits"])
+    @pytest.mark.parametrize("build, name", [
+        pytest.param(build, name, id=f"{record}.{name}") for record, build, name in _REAL_FIELDS])
+    def test_integer_past_the_float_range_is_named(self, build, name, value, digits):
+        # never an OverflowError, which pytest.raises(ValueError) lets through
+        with pytest.raises(ValueError) as info:
+            build(**{name: value})
+        assert str(info.value) == \
+            f"{name} is too large for a float, got an integer of {digits} digits"
+
+    def test_fraction_past_the_float_range_is_named(self):
+        with pytest.raises(ValueError) as info:
+            TechnologyParams(k1=Fraction(10**400, 3))
+        assert str(info.value) == "k1 is too large for a float"
+
+    @pytest.mark.parametrize("cost", [partial(cell_array_energy, b_w=8, d_i=32, d_o=32),
+                                      partial(adder_tree_cost, fan_in=32, b_in=8)],
+                             ids=["cell_array_energy", "adder_tree_cost"])
+    def test_activity_past_the_float_range_is_named(self, params, cost):
+        with pytest.raises(ValueError) as info:
+            cost(params, activity=10**400)
+        assert str(info.value) == \
+            "activity is too large for a float, got an integer of 401 digits"
 
     @pytest.mark.parametrize("name", ["energy", "delay", "area"])
     def test_component_cost_rejects_a_boolean(self, name):

@@ -310,6 +310,29 @@ class TestDegenerateTechnology:
                 m = macro_metrics(params, cfg)
                 assert m.energy_per_mvm > 0 and m.clock_period > 0 and m.area > 0
 
+    # a constant at 1e308 overflows one quantity of the macro types that use it;
+    # the macro is named, not the ComponentCost field that would hold the inf
+    @pytest.mark.parametrize("constant, failing, quantity", [
+        ("k1", (ImcType.AIMC,), "energy per MVM"),
+        ("k2", (ImcType.AIMC,), "energy per MVM"),
+        ("k7", (ImcType.AIMC,), "energy per MVM"),
+        ("k3", (ImcType.AIMC,), "clock period"),
+        ("k4", (ImcType.AIMC,), "clock period"),
+        ("sram_cell_area", (ImcType.AIMC, ImcType.DIMC), "area"),
+    ])
+    def test_overflowing_quantity_names_the_macro(self, constant, failing, quantity):
+        params = TechnologyParams(**{constant: 1e308})
+        for kind in ImcType:
+            cfg = ImcMacroConfig(imc_type=kind, d_i=32, d_o=32)
+            if kind in failing:
+                with pytest.raises(ValueError) as info:
+                    macro_metrics(params, cfg)
+                assert str(info.value) == (f"{quantity} of the {kind.name} macro is inf: "
+                                           "its technology constants are out of range")
+            else:
+                m = macro_metrics(params, cfg)
+                assert math.isfinite(m.energy_per_mvm * m.clock_period * m.area)
+
 
 def test_underflowing_area_is_a_value_error():
     # every area term is subnormal or zero, so the area in mm^2 rounds to zero

@@ -19,10 +19,12 @@ command outputs are written; warnings on stderr are not part of the snapshot.
 
 The front end is snapshotted too: under ``frontend/``, one file per case holds
 the exit code, stdout and stderr of ``--help`` (top level and every command) and
-of a fixed set of usage, configuration and evaluation errors. Help text is
-formatted for an 80-column terminal, and the output directory's path is
-replaced by ``<OUT>`` so that snapshots written to two directories compare
-equal. Stdlib only.
+of a fixed set of usage, configuration and evaluation errors. Among them,
+``peak`` runs under a technology, cache, macro or DRAM constant given as an
+integer too large for a float (``huge-*``), and under ``k1 = 1e308``, which
+overflows the analog macro's energy. Help text is formatted for an 80-column
+terminal, and the output directory's path is replaced by ``<OUT>`` so that
+snapshots written to two directories compare equal. Stdlib only.
 """
 
 from __future__ import annotations
@@ -139,8 +141,19 @@ FRONTEND_INPUTS: dict[str, str] = {
     "null-cache-energy.json": json.dumps({"cache": {"read_energy": None}}),
     "string-toggle-rate.json": json.dumps({"macro": {"input_toggle_rate": "0.5"}}),
     "string-dram.json": json.dumps({"dram_energy_per_bit": "1"}),
-    "huge-adc-k.json": json.dumps({"technology": {"adc_k": 10**400}}),
+    "overflowing-k1.json": json.dumps({"technology": {"k1": 1e308}}),
 }
+# fields given an integer too large for a float, one config file each
+HUGE_FIELDS: dict[str, dict] = {
+    "huge-adc-k": {"technology": {"adc_k": 10**400}},
+    "huge-k1": {"technology": {"k1": 10**400}},
+    "huge-v-dd": {"technology": {"v_dd": 10**400}},
+    "huge-adc-fs": {"technology": {"adc_fs": 10**400}},
+    "huge-cache-read-energy": {"cache": {"read_energy": 10**400}},
+    "huge-dram": {"dram_energy_per_bit": 10**400},
+    "huge-toggle-rate": {"macro": {"input_toggle_rate": 10**400}},
+}
+FRONTEND_INPUTS.update({f"{name}.json": json.dumps(doc) for name, doc in HUGE_FIELDS.items()})
 
 
 def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -196,8 +209,8 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("null-cache-energy", ["validate", *config("null-cache-energy.json")]),
         ("string-toggle-rate", ["peak", *config("string-toggle-rate.json")]),
         ("string-dram", ["sweep", *config("string-dram.json")]),
-        ("huge-adc-k", ["peak", *config("huge-adc-k.json")]),
-    ]
+        ("overflowing-k1", ["peak", *config("overflowing-k1.json")]),
+    ] + [(name, ["peak", *config(f"{name}.json")]) for name in HUGE_FIELDS]
 
 
 def snapshot_frontend(imcperf_main, out_dir: Path) -> None:
