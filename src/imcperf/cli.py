@@ -65,20 +65,25 @@ PEAK_FIELDS = (
 _METRICS = ("energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area")
 _METRIC_FIELDS = (_METRICS + tuple(f"energy_{key}" for key in ENERGY_BREAKDOWN_KEYS)
                   + ("warnings",))
+# the columns a layer row reads off its chosen SpatialMapping and MappingResult,
+# and each traffic column with its MappingResult.traffic key
+_MAPPING_FIELDS = ("k_u", "ox_u", "c_u", "fx_u", "fy_u", "rows", "cols")
+_RESULT_FIELDS = ("spatial_utilization", "in_unroll_ratio", "out_unroll_ratio",
+                  "mvm_invocations", "total_cycles", "weight_tile_loads")
+_TRAFFIC_FIELDS = {"w_dram_bits": ("W", "dram"), "w_macro_bits": ("W", "macro"),
+                   "i_dram_bits": ("I", "dram"), "i_cache_bits": ("I", "cache"),
+                   "o_cache_bits": ("O", "cache")}
 LAYER_FIELDS = (
     "workload", "layer_index", "layer", "kind", "imc_type", "d_i", "d_o", "macs",
-    "k_u", "ox_u", "c_u", "fx_u", "fy_u", "rows", "cols",
-    "spatial_utilization", "in_unroll_ratio", "out_unroll_ratio",
-    "mvm_invocations", "total_cycles", "weight_tile_loads",
-    "w_dram_bits", "w_macro_bits", "i_dram_bits", "i_cache_bits", "o_cache_bits",
-) + _METRIC_FIELDS
+    *_MAPPING_FIELDS, *_RESULT_FIELDS, *_TRAFFIC_FIELDS, *_METRIC_FIELDS,
+)
 NETWORK_FIELDS = (
     "workload", "imc_type", "d_i", "d_o", "n_layers", "macs",
 ) + _METRIC_FIELDS
-VALIDATE_FIELDS = (
-    "ref_index", "imc_type", "b_i", "b_w", "b_cycle", "d_i", "d_o", "m", "n_macros",
-    "energy_per_mac", "clock_period", "area",
-)
+# the ImcMacroConfig fields a reference configuration sets besides its type
+_REFERENCE_FIELDS = ("b_i", "b_w", "b_cycle", "d_i", "d_o", "m", "n_macros")
+VALIDATE_FIELDS = ("ref_index", "imc_type", *_REFERENCE_FIELDS,
+                   "energy_per_mac", "clock_period", "area")
 # what a command returns: its columns and its rows
 _Rows = tuple[tuple[str, ...], list[dict[str, Any]]]
 
@@ -103,13 +108,16 @@ class ConfigBundle:
 
     params: TechnologyParams
     macro_spec: dict[str, Any]
-    cache_spec: dict[str, Any] | None
+    cache_spec: dict[str, Any]
     dram_energy_per_bit: float
 
 
-_TECH_FIELDS = {f.name for f in fields(TechnologyParams)}
-_MACRO_FIELDS = {f.name for f in fields(ImcMacroConfig)}
-_CACHE_FIELDS = {f.name for f in fields(MemoryLevel)}
+# each config section and the fields it may set
+_SECTIONS = {
+    "technology": {f.name for f in fields(TechnologyParams)},
+    "macro": {f.name for f in fields(ImcMacroConfig)},
+    "cache": {f.name for f in fields(MemoryLevel)},
+}
 
 
 def _check_keys(section: dict[str, Any], allowed: set[str], where: str) -> None:
@@ -133,7 +141,8 @@ def load_config(path_arg: str | None) -> ConfigBundle:
     """Parse the JSON configuration file, or return embedded defaults.
 
     Explicit --config paths must exist; the optional config.json under
-    $IMCPERF_CONFIG_DIR is used when present. Unknown keys are rejected.
+    $IMCPERF_CONFIG_DIR is used when present. Unknown keys are rejected, a
+    section must be a JSON object, and an absent one reads as {}.
     """
     path = _resolve_config_path(path_arg)
     doc: dict[str, Any] = {}
@@ -152,20 +161,14 @@ def load_config(path_arg: str | None) -> ConfigBundle:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config root in {path} must be a JSON object")
-    _check_keys(doc, {"technology", "macro", "cache", "dram_energy_per_bit"}, "config")
+    _check_keys(doc, {*_SECTIONS, "dram_energy_per_bit"}, "config")
 
-    tech_spec = doc.get("technology", {})
-    macro_spec = doc.get("macro", {})
-    cache_spec = doc.get("cache")
-    for name, section in (("technology", tech_spec), ("macro", macro_spec)):
+    specs = {name: doc.get(name, {}) for name in _SECTIONS}
+    for name, section in specs.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config section '{name}' must be a JSON object")
-    if cache_spec is not None and not isinstance(cache_spec, dict):
-        raise ConfigError("config section 'cache' must be a JSON object")
-    _check_keys(tech_spec, _TECH_FIELDS, "technology")
-    _check_keys(macro_spec, _MACRO_FIELDS, "macro")
-    if cache_spec is not None:
-        _check_keys(cache_spec, _CACHE_FIELDS, "cache")
+    for name, section in specs.items():
+        _check_keys(section, _SECTIONS[name], name)
 
     dram = doc.get("dram_energy_per_bit", 3.7e-12)
     try:
@@ -174,14 +177,14 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         raise ConfigError(str(exc)) from exc
 
     try:
-        params = TechnologyParams(**tech_spec)
+        params = TechnologyParams(**specs["technology"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid technology section: {exc}") from exc
 
     bundle = ConfigBundle(
         params=params,
-        macro_spec=dict(macro_spec),
-        cache_spec=dict(cache_spec) if cache_spec is not None else None,
+        macro_spec=dict(specs["macro"]),
+        cache_spec=dict(specs["cache"]),
         dram_energy_per_bit=dram,
     )
     try:
@@ -190,7 +193,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         raise ConfigError(f"invalid macro section: {exc}") from exc
     # the cache bandwidth fit depends on --sizes, so SystemConfig checks it later
     try:
-        replace(default_cache(macro), **(bundle.cache_spec or {}))
+        replace(default_cache(macro), **bundle.cache_spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid cache section: {exc}") from exc
     return bundle
@@ -213,7 +216,7 @@ def build_macro(bundle: ConfigBundle, imc_type: str | None = None,
 
 
 def make_system(bundle: ConfigBundle, macro: ImcMacroConfig) -> SystemConfig:
-    cache = replace(default_cache(macro), **(bundle.cache_spec or {}))
+    cache = replace(default_cache(macro), **bundle.cache_spec)
     return SystemConfig(macro=macro, params=bundle.params, cache=cache,
                         dram_energy_per_bit=bundle.dram_energy_per_bit)
 
@@ -233,8 +236,6 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
             raise UsageError(
                 f"--sizes entries must be powers of two in [8, 4096], got {value}")
         sizes.append(value)
-    if not sizes:
-        raise UsageError("--sizes must name at least one size")
     return tuple(sizes)
 
 
@@ -316,7 +317,6 @@ def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
     rows = []
     for index, layer in enumerate(network.layers):
         result, metrics = layer_system_metrics(system, layer, objective)
-        mapping = result.mapping
         rows.append({
             "workload": network.name,
             "layer_index": index,
@@ -325,20 +325,9 @@ def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
             "imc_type": macro.imc_type.value,
             "d_i": macro.d_i, "d_o": macro.d_o,
             "macs": total_macs(layer),
-            "k_u": mapping.k_u, "ox_u": mapping.ox_u,
-            "c_u": mapping.c_u, "fx_u": mapping.fx_u, "fy_u": mapping.fy_u,
-            "rows": mapping.rows, "cols": mapping.cols,
-            "spatial_utilization": result.spatial_utilization,
-            "in_unroll_ratio": result.in_unroll_ratio,
-            "out_unroll_ratio": result.out_unroll_ratio,
-            "mvm_invocations": result.mvm_invocations,
-            "total_cycles": result.total_cycles,
-            "weight_tile_loads": result.weight_tile_loads,
-            "w_dram_bits": result.traffic[("W", "dram")],
-            "w_macro_bits": result.traffic[("W", "macro")],
-            "i_dram_bits": result.traffic[("I", "dram")],
-            "i_cache_bits": result.traffic[("I", "cache")],
-            "o_cache_bits": result.traffic[("O", "cache")],
+            **{name: getattr(result.mapping, name) for name in _MAPPING_FIELDS},
+            **{name: getattr(result, name) for name in _RESULT_FIELDS},
+            **{name: result.traffic[key] for name, key in _TRAFFIC_FIELDS.items()},
             **_metric_cells(metrics),
         })
     return rows
@@ -394,19 +383,13 @@ def _cmd_validate(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     entries = json.loads(raw)["configs"]
     rows = []
     for entry in entries:
-        macro = ImcMacroConfig(
-            imc_type=ImcType(entry["imc_type"]),
-            d_i=entry["d_i"], d_o=entry["d_o"],
-            b_i=entry["b_i"], b_w=entry["b_w"], b_cycle=entry["b_cycle"],
-            m=entry["m"], n_macros=entry["n_macros"],
-        )
+        macro = ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
+                               **{name: entry[name] for name in _REFERENCE_FIELDS})
         mm = macro_metrics(bundle.params, macro)
         rows.append({
             "ref_index": entry["index"],
             "imc_type": macro.imc_type.value,
-            "b_i": macro.b_i, "b_w": macro.b_w, "b_cycle": macro.b_cycle,
-            "d_i": macro.d_i, "d_o": macro.d_o,
-            "m": macro.m, "n_macros": macro.n_macros,
+            **{name: getattr(macro, name) for name in _REFERENCE_FIELDS},
             "energy_per_mac": mm.energy_per_mvm / (macro.d_i * macro.d_o * macro.n_macros),
             "clock_period": mm.clock_period,
             "area": mm.area,

@@ -194,6 +194,17 @@ def _check_range(cfg: ImcMacroConfig, quantities: tuple[tuple[str, float], ...])
                              "its technology constants are out of range")
 
 
+def _component(cfg: ImcMacroConfig, component: str,
+               cost: Callable[..., ComponentCost], *args: object) -> ComponentCost:
+    """cost(*args), with its ValueError re-raised to name the component and the macro:
+    TechnologyParams keeps each unit cost finite, but a cost multiplies one by a count."""
+    try:
+        return cost(*args)
+    except ValueError as exc:
+        raise ValueError(f"{component} of the {cfg.imc_type.name} macro: {exc}: "
+                         "its technology constants are out of range") from None
+
+
 _CycleEnergies = Callable[..., dict[str, float]]
 
 # The last pricing built, as (params, cfg, cycle_energies, metrics). Callers
@@ -228,7 +239,8 @@ def _pricing(params: TechnologyParams,
     d_i, d_o, b_i, b_w, b_cycle = cfg.d_i, cfg.d_o, cfg.b_i, cfg.b_w, cfg.b_cycle
     timing = dict.fromkeys(BREAKDOWN_COMPONENTS, (0.0, 0.0))
     timing["cell_array"] = (0.0, sram_array_area(params, d_i * d_o * b_w * cfg.m))
-    timing["input_register"] = (0.0, register_cost(params, d_i * b_i).area)
+    timing["input_register"] = (
+        0.0, _component(cfg, "input register", register_cost, params, d_i * b_i).area)
     register_e = params.dff_energy
     cell_e = dac_e = adc_e = mult_e = tree_e = dff_e = 0.0
 
@@ -236,7 +248,7 @@ def _pricing(params: TechnologyParams,
         res_bits = b_i if cfg.adc_resolution_from_full_precision else b_cycle
         res = adc_resolution(params, res_bits, d_i)
         b_adds_out = res + ceil_log2(b_w)
-        combine = adder_tree_cost(params, b_w, res, alpha)
+        combine = _component(cfg, "combine tree", adder_tree_cost, params, b_w, res, alpha)
         cell_e = cell_array_energy(params, b_w, d_i, d_o, alpha)
         dac_e = dac_energy(params, b_cycle)
         adc_e = adc_energy(params, res)
@@ -245,20 +257,23 @@ def _pricing(params: TechnologyParams,
     else:
         tree_out = b_w + ceil_log2(d_i)
         b_adds_out = tree_out + ceil_log2(b_cycle)
-        mult = multiplier_cost(params)
-        tree = adder_tree_cost(params, d_i, b_w, alpha)
+        mult = _component(cfg, "multiplier", multiplier_cost, params)
+        tree = _component(cfg, "adder tree", adder_tree_cost, params, d_i, b_w, alpha)
         # With b_cycle=1 the combine tree has fan-in 1 and costs nothing.
-        combine = adder_tree_cost(params, b_cycle, tree_out, alpha)
+        combine = _component(cfg, "combine tree", adder_tree_cost,
+                             params, b_cycle, tree_out, alpha)
         mult_e, tree_e = mult.energy, tree.energy
         timing["multiplier"] = (mult.delay, d_i * d_o * b_w * b_cycle * mult.area)
         timing["adder_tree"] = (tree.delay, d_o * b_cycle * tree.area)
         pipeline_bits = b_w * d_i
 
     timing["combine_tree"] = (combine.delay, d_o * combine.area)
-    acc = accumulator_cost(params, b_adds_out + (b_i - b_cycle), b_adds_out)
+    acc = _component(cfg, "accumulator", accumulator_cost,
+                     params, b_adds_out + (b_i - b_cycle), b_adds_out)
     timing["accumulator"] = (acc.delay, d_o * acc.area)
     if cfg.pipelined:
-        timing["pipeline_register"] = (0.0, register_cost(params, d_o * pipeline_bits).area)
+        timing["pipeline_register"] = (0.0, _component(
+            cfg, "pipeline register", register_cost, params, d_o * pipeline_bits).area)
         dff_e = register_e
     combine_e, acc_e = combine.energy, acc.energy
 

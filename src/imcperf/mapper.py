@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Iterator
 
+from .components import _check_count
 from .macro import ImcMacroConfig, layer_precisions
 from .workload import Layer, WorkloadError
 
@@ -54,9 +55,7 @@ class SpatialMapping:
 
     def __post_init__(self) -> None:
         for name in ("k_u", "ox_u", "c_u", "fx_u", "fy_u"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(name, getattr(self, name))
 
     @property
     def rows(self) -> int:

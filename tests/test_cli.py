@@ -174,6 +174,20 @@ class TestWorkloadCommands:
         assert (fc["mvm_invocations"], fc["total_cycles"]) == ("80", "640")
         assert fc["energy"] == "2.46339e-06"
 
+    @pytest.mark.parametrize("argv, fieldnames", [
+        (["layer", "--workload", "mlperf-tiny-layers", "--type", "both", "--sizes", "32"],
+         LAYER_FIELDS),
+        (["validate"], VALIDATE_FIELDS),
+    ], ids=["layer", "validate"])
+    def test_json_rows_fill_every_column_in_order(self, capsys, argv, fieldnames):
+        # a cell the row builder leaves out would print as null
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert rows
+        for row in rows:
+            assert tuple(row) == fieldnames and None not in row.values()
+
     def test_layer_utilization_at_larger_array(self, capsys):
         code, out, _ = run(capsys, "layer", "--workload", "mlperf-tiny-layers",
                            "--type", "dimc", "--sizes", "256")
@@ -539,6 +553,34 @@ class TestExitCodes:
         code, out, err = run(capsys, "peak", "--type", imc_type, "--config", str(config))
         assert code == 3 and out == ""
         assert f"clock period of the {imc_type.upper()} macro is zero" in err
+
+    @pytest.mark.parametrize("command", ["peak", "validate"])
+    @pytest.mark.parametrize("doc", [
+        {"technology": None}, {"macro": None}, {"cache": None}, {"cache": []},
+    ], ids=["null-technology", "null-macro", "null-cache", "list-cache"])
+    def test_section_must_be_an_object(self, capsys, tmp_path, command, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        (name,) = doc
+        assert err == f"imcperf: config error: config section '{name}' must be a JSON object\n"
+
+    @pytest.mark.parametrize("constant, imc_type, component", [
+        ("fa_area_ratio", "aimc", "combine tree"),
+        ("fa_area_ratio", "dimc", "adder tree"),
+        ("dff_area_ratio", "aimc", "input register"),
+        ("dff_area_ratio", "dimc", "input register"),
+    ])
+    def test_overflowing_component_area_names_the_macro(self, capsys, tmp_path, constant,
+                                                        imc_type, component):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"technology": {constant: 1e308}}))
+        code, out, err = run(capsys, "peak", "--type", imc_type, "--config", str(config))
+        assert code == 3 and out == ""
+        assert err == (f"imcperf: evaluation error: {component} of the "
+                       f"{imc_type.upper()} macro: area must be finite and non-negative, "
+                       "got inf: its technology constants are out of range\n")
 
     def test_errors_reach_stderr_not_stdout(self, capsys):
         code, out, err = run(capsys, "layer")

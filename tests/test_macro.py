@@ -334,6 +334,29 @@ class TestDegenerateTechnology:
                 assert math.isfinite(m.energy_per_mvm * m.clock_period * m.area)
 
 
+    # a unit cost near the float limit is finite, but each component multiplies it
+    # by a count inside its ComponentCost: the component and the macro are named
+    @pytest.mark.parametrize("technology, cfg, failure", [
+        ({"fa_area_ratio": 1e308}, aimc(32), "combine tree of the AIMC macro: area"),
+        ({"fa_area_ratio": 1e308}, dimc(32), "adder tree of the DIMC macro: area"),
+        ({"dff_area_ratio": 1e308}, aimc(32), "input register of the AIMC macro: area"),
+        ({"dff_area_ratio": 1e308}, dimc(32), "input register of the DIMC macro: area"),
+        # smaller ratios, so that a later component overflows first
+        ({"fa_area_ratio": 5e305}, dimc(32, b_i=1000), "accumulator of the DIMC macro: area"),
+        ({"dff_area_ratio": 3e306}, dimc(32, b_i=1, pipelined=True),
+         "pipeline register of the DIMC macro: area"),
+        # c_gate * v_dd**2 overflows; the tiny ratios keep E_FA and E_DFF finite
+        ({"c_gate": 1e300, "v_dd": 1e10, "fa_energy_ratio": 1e-30, "dff_energy_ratio": 1e-30},
+         dimc(32), "multiplier of the DIMC macro: energy"),
+    ], ids=["fa-aimc", "fa-dimc", "dff-aimc", "dff-dimc", "accumulator", "pipeline",
+            "multiplier"])
+    def test_overflowing_component_names_the_macro(self, technology, cfg, failure):
+        with pytest.raises(ValueError) as info:
+            macro_metrics(TechnologyParams(**technology), cfg)
+        assert str(info.value) == (f"{failure} must be finite and non-negative, got inf: "
+                                   "its technology constants are out of range")
+
+
 def test_underflowing_area_is_a_value_error():
     # every area term is subnormal or zero, so the area in mm^2 rounds to zero
     params = TechnologyParams(a_gate=5e-324, sram_cell_area=5e-324, k5=1000.0)

@@ -428,9 +428,11 @@ class TestErrorText:
         with pytest.raises(ValueError, match="^k_u must be"):
             SpatialMapping(k_u=0, fy_u="2")
 
-    def test_bool_factor_is_still_accepted(self):
-        mapping = SpatialMapping(k_u=True)
-        assert mapping.k_u is True and mapping.cols == 1
+    def test_bool_factor_is_refused(self):
+        # components._check_count: True is an int subclass, but no count
+        with pytest.raises(ValueError) as info:
+            SpatialMapping(k_u=True)
+        assert str(info.value) == "k_u must be an integer >= 1, got True"
 
     def test_oversized_mapping_message(self):
         system = default_system_config(dimc(32))

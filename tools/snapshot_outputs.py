@@ -21,8 +21,11 @@ The front end is snapshotted too: under ``frontend/``, one file per case holds
 the exit code, stdout and stderr of ``--help`` (top level and every command) and
 of a fixed set of usage, configuration and evaluation errors. Among them,
 ``peak`` runs under a technology, cache, macro or DRAM constant given as an
-integer too large for a float (``huge-*``), and under ``k1 = 1e308``, which
-overflows the analog macro's energy. Help text is formatted for an 80-column
+integer too large for a float (``huge-*``); under ``k1 = 1e308``, which
+overflows the analog macro's energy; and under ``fa_area_ratio`` or
+``dff_area_ratio`` at 1e308, which overflow the area of one component
+(``overflowing-*``). ``peak`` and ``validate`` also run under a ``null`` cache
+section (``null-cache-*``). Help text is formatted for an 80-column
 terminal, and the output directory's path is replaced by ``<OUT>`` so that
 snapshots written to two directories compare equal. Stdlib only.
 """
@@ -142,6 +145,9 @@ FRONTEND_INPUTS: dict[str, str] = {
     "string-toggle-rate.json": json.dumps({"macro": {"input_toggle_rate": "0.5"}}),
     "string-dram.json": json.dumps({"dram_energy_per_bit": "1"}),
     "overflowing-k1.json": json.dumps({"technology": {"k1": 1e308}}),
+    "overflowing-fa-area.json": json.dumps({"technology": {"fa_area_ratio": 1e308}}),
+    "overflowing-dff-area.json": json.dumps({"technology": {"dff_area_ratio": 1e308}}),
+    "null-cache.json": json.dumps({"cache": None}),
 }
 # fields given an integer too large for a float, one config file each
 HUGE_FIELDS: dict[str, dict] = {
@@ -210,6 +216,13 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("string-toggle-rate", ["peak", *config("string-toggle-rate.json")]),
         ("string-dram", ["sweep", *config("string-dram.json")]),
         ("overflowing-k1", ["peak", *config("overflowing-k1.json")]),
+        ("overflowing-fa-area-aimc", ["peak", "--type", "aimc",
+                                      *config("overflowing-fa-area.json")]),
+        ("overflowing-fa-area-dimc", ["peak", "--type", "dimc",
+                                      *config("overflowing-fa-area.json")]),
+        ("overflowing-dff-area", ["peak", *config("overflowing-dff-area.json")]),
+        ("null-cache-peak", ["peak", *config("null-cache.json")]),
+        ("null-cache-validate", ["validate", *config("null-cache.json")]),
     ] + [(name, ["peak", *config(f"{name}.json")]) for name in HUGE_FIELDS]
 
 
