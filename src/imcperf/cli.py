@@ -17,13 +17,14 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .components import TechnologyParams, _check_amount
-from .macro import ImcMacroConfig, ImcType, MacroMetrics, macro_metrics
+from .macro import ImcMacroConfig, ImcType, macro_metrics
 from .mapper import OBJECTIVES
 from .system import (
     ENERGY_BREAKDOWN_KEYS,
@@ -53,14 +54,20 @@ CONFIG_DIR_ENV = "IMCPERF_CONFIG_DIR"
 DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024)
 _IMC_TYPES = tuple(imc_type.value for imc_type in ImcType)
 
-PEAK_FIELDS = (
-    "imc_type", "d_i", "d_o", "b_i", "b_w", "b_cycle", "m", "n_macros",
-    "clock_period", "cycles_per_mvm",
-    "macro_energy_per_mvm", "macro_tops", "macro_tops_per_w", "macro_tops_per_mm2",
-    "macro_area",
-    "system_energy_per_mvm", "system_latency", "system_tops", "system_tops_per_w",
-    "system_tops_per_mm2", "system_area",
-)
+# the ImcMacroConfig fields a peak row shows, and each of its MacroMetrics and
+# SystemMetrics columns with the attribute it reads
+_PEAK_MACRO_FIELDS = ("d_i", "d_o", "b_i", "b_w", "b_cycle", "m", "n_macros")
+_MACRO_METRIC_FIELDS = {
+    "clock_period": "clock_period", "cycles_per_mvm": "cycles_per_mvm",
+    "macro_energy_per_mvm": "energy_per_mvm", "macro_tops": "tops",
+    "macro_tops_per_w": "tops_per_w", "macro_tops_per_mm2": "tops_per_mm2",
+    "macro_area": "area"}
+_SYSTEM_METRIC_FIELDS = {
+    "system_energy_per_mvm": "energy", "system_latency": "latency", "system_tops": "tops",
+    "system_tops_per_w": "tops_per_w", "system_tops_per_mm2": "tops_per_mm2",
+    "system_area": "area"}
+PEAK_FIELDS = ("imc_type", *_PEAK_MACRO_FIELDS, *_MACRO_METRIC_FIELDS,
+               *_SYSTEM_METRIC_FIELDS)
 # the SystemMetrics columns that end every layer and network row
 _METRICS = ("energy", "latency", "tops", "tops_per_w", "tops_per_mm2", "area")
 _METRIC_FIELDS = (_METRICS + tuple(f"energy_{key}" for key in ENERGY_BREAKDOWN_KEYS)
@@ -239,20 +246,12 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
     return tuple(sizes)
 
 
-def _resolve_types(type_arg: str | None, default_both: bool) -> tuple[str | None, ...]:
-    """None means: keep the type the config macro declares."""
-    if type_arg == "both" or (type_arg is None and default_both):
-        return _IMC_TYPES
-    return (type_arg,)
-
-
-def _design_points(args: argparse.Namespace, bundle: ConfigBundle,
-                   default_both: bool = False,
-                   default_sizes: tuple[int, ...] | None = None) -> list[ImcMacroConfig]:
-    """The macros of --type x --sizes, ordered by type, then size."""
-    sizes = args.sizes or default_sizes or (None,)
-    return [build_macro(bundle, imc_type, size)
-            for imc_type in _resolve_types(args.type, default_both) for size in sizes]
+def _design_points(args: argparse.Namespace, bundle: ConfigBundle) -> list[ImcMacroConfig]:
+    """The macros of --type x --sizes, ordered by type, then size; an unset flag
+    (None) keeps the config macro's type or dims."""
+    types = _IMC_TYPES if args.type == "both" else (args.type,)
+    sizes = args.sizes or (None,)
+    return [build_macro(bundle, imc_type, size) for imc_type in types for size in sizes]
 
 
 def _load_workload(arg: str) -> Network:
@@ -265,34 +264,27 @@ def _load_workload(arg: str) -> Network:
 
 
 def _peak_row(bundle: ConfigBundle, macro: ImcMacroConfig) -> dict[str, Any]:
-    mm: MacroMetrics = macro_metrics(bundle.params, macro)
+    mm = macro_metrics(bundle.params, macro)
     sm = peak_system_metrics(make_system(bundle, macro))
     return {
         "imc_type": macro.imc_type.value,
-        "d_i": macro.d_i, "d_o": macro.d_o,
-        "b_i": macro.b_i, "b_w": macro.b_w, "b_cycle": macro.b_cycle,
-        "m": macro.m, "n_macros": macro.n_macros,
-        "clock_period": mm.clock_period, "cycles_per_mvm": mm.cycles_per_mvm,
-        "macro_energy_per_mvm": mm.energy_per_mvm,
-        "macro_tops": mm.tops, "macro_tops_per_w": mm.tops_per_w,
-        "macro_tops_per_mm2": mm.tops_per_mm2, "macro_area": mm.area,
-        "system_energy_per_mvm": sm.energy, "system_latency": sm.latency,
-        "system_tops": sm.tops, "system_tops_per_w": sm.tops_per_w,
-        "system_tops_per_mm2": sm.tops_per_mm2, "system_area": sm.area,
+        **{name: getattr(macro, name) for name in _PEAK_MACRO_FIELDS},
+        **{name: getattr(mm, attr) for name, attr in _MACRO_METRIC_FIELDS.items()},
+        **{name: getattr(sm, attr) for name, attr in _SYSTEM_METRIC_FIELDS.items()},
     }
 
 
-def _cmd_peak(args: argparse.Namespace, bundle: ConfigBundle,
-              default_both: bool = False,
-              default_sizes: tuple[int, ...] | None = None) -> _Rows:
-    rows = [_peak_row(bundle, macro)
-            for macro in _design_points(args, bundle, default_both, default_sizes)]
+def _cmd_peak(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
+    rows = [_peak_row(bundle, macro) for macro in _design_points(args, bundle)]
     rows.sort(key=lambda r: (r["imc_type"], r["d_i"], r["d_o"]))
     return PEAK_FIELDS, rows
 
 
 def _cmd_sweep(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
-    return _cmd_peak(args, bundle, default_both=True, default_sizes=DEFAULT_SWEEP_SIZES)
+    """peak, with both types and DEFAULT_SWEEP_SIZES where the flags are unset."""
+    args.type = args.type or "both"
+    args.sizes = args.sizes or DEFAULT_SWEEP_SIZES
+    return _cmd_peak(args, bundle)
 
 
 def _workload_points(args: argparse.Namespace, bundle: ConfigBundle
@@ -432,6 +424,16 @@ def _render_json(command: str, fieldnames: tuple[str, ...],
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
+        return
+    try:
+        mode = os.stat(out_path).st_mode  # follows links, as /dev/stdout is one
+    except OSError:
+        mode = stat.S_IFREG  # a missing or unreachable target is staged
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        # a FIFO or device is written through, as a shell redirect would;
+        # replacing it would put a regular file in the node's place
+        with open(out_path, "w", encoding="utf-8") as stream:
+            stream.write(text)
         return
     # all-or-nothing: stage next to the target, then atomically replace; open()
     # creates the staged file 0o666 less the umask, as a shell redirect would.

@@ -40,6 +40,9 @@ VALIDATE_ROWS = (
     "7,dimc,8,8,1,128,8,2,4,1.38561e-13,3.75708e-09,293915",
 )
 
+# the sizes sweep runs when --sizes is unset
+SWEEP_SIZES = (32, 64, 128, 256, 512, 1024)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -134,6 +137,24 @@ class TestPeakAndSweep:
         assert code == 0, err
         assert {(r["imc_type"], r["d_i"]) for r in parse_csv(out)} == {
             ("aimc", "16"), ("aimc", "64"), ("dimc", "16"), ("dimc", "64")}
+
+    @pytest.mark.parametrize("argv, points", [
+        (["peak"], [("dimc", 64)]),
+        (["layer", "--workload", "mlperf-tiny-layers"], [("dimc", 64)] * 4),
+        (["network", "--workload", "mlperf-tiny-layers"], [("dimc", 64)]),
+        (["sweep"], [(imc_type, size) for imc_type in ("aimc", "dimc")
+                     for size in SWEEP_SIZES]),
+        (["sweep", "--type", "aimc"], [("aimc", size) for size in SWEEP_SIZES]),
+        (["sweep", "--sizes", "8"], [("aimc", 8), ("dimc", 8)]),
+    ], ids=["peak", "layer", "network", "sweep", "sweep-type", "sweep-sizes"])
+    def test_sweep_defaults_apply_to_sweep_only(self, capsys, tmp_path, argv, points):
+        # every other command keeps the config macro's type and dims
+        cfg = tmp_path / "dimc64.json"
+        cfg.write_text(json.dumps({"macro": {"imc_type": "dimc", "d_i": 64, "d_o": 64}}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0, err
+        assert [(r["imc_type"], int(r["d_i"]), int(r["d_o"])) for r in parse_csv(out)] \
+            == [(imc_type, size, size) for imc_type, size in points]
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--sizes", "32,128")
@@ -434,6 +455,28 @@ class TestOutputFile:
         assert re.fullmatch(
             re.escape("imcperf: error: cannot write output: [Errno 2] No such file or "
                       f"directory: '{missing}/.imcperf-") + r"[0-9a-f]{16}\.tmp'\n", err), err
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_out_writes_through_a_fifo(self, capsys, tmp_path, via_link):
+        # a FIFO, or a link to one as /dev/stdout is, keeps its node, and its
+        # reader gets the rows
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        target = tmp_path / "link" if via_link else fifo
+        if via_link:
+            target.symlink_to(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            written = run(capsys, "peak", "--out", str(target))
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert written == (0, "", "")
+        _, stdout_text, _ = run(capsys, "peak")
+        assert received == stdout_text
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert target.is_symlink() == via_link
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({fifo.name, target.name})
 
     def test_out_directory_fails_cleanly(self, capsys, tmp_path):
         # the staged file is written, then cannot replace a directory

@@ -9,8 +9,12 @@ SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``). The matrix is every command (sweep, peak, validate, layer,
 network) in CSV and JSON, with the objectives energy, latency and edp for the
 mapping commands, under nine configurations that switch on the options that
-change how a macro is priced. Two more configurations give technology or cache
-constants as integers; under each, peak, layer and network run in JSON, whose
+change how a macro is priced. Under each of those nine, ``sweep`` and ``peak``
+also run in CSV with their defaults left in place (``sweep-default``,
+``sweep-type-dimc``, ``sweep-sizes-8-4096``, ``peak-default``,
+``peak-both-8-64``), so the comparison covers the type and sizes each command
+fills in when ``--type`` or ``--sizes`` is unset. Two more configurations give
+technology or cache constants as integers; under each, peak, layer and network run in JSON, whose
 output shows whether a column prints as an integer or a float. Under
 ``escaping/``, ``layer`` and ``network`` run in both formats on a workload whose
 network and layer names hold non-ASCII, quote, backslash and control
@@ -87,6 +91,14 @@ def commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
                     "--objective", objective]
             out.append((f"{command}-{objective}", argv))
     return out
+
+
+# sweep and peak with --type, --sizes or both left unset; CSV only
+DEFAULT_COMMANDS = [("sweep-default", ["sweep"]),
+                    ("sweep-type-dimc", ["sweep", "--type", "dimc"]),
+                    ("sweep-sizes-8-4096", ["sweep", "--sizes", "8,4096"]),
+                    ("peak-default", ["peak"]),
+                    ("peak-both-8-64", ["peak", "--type", "both", "--sizes", "8,64"])]
 
 
 def integer_commands(workloads: list[str]) -> list[tuple[str, list[str]]]:
@@ -273,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failed = 0
     matrix = [(name, doc, commands(workloads), FORMATS) for name, doc in CONFIGS.items()]
+    matrix += [(name, doc, DEFAULT_COMMANDS, ("csv",)) for name, doc in CONFIGS.items()]
     matrix += [(name, doc, integer_commands(workloads), ("json",))
                for name, doc in INTEGER_CONFIGS.items()]
     for config_name, doc, config_commands, formats in matrix:
