@@ -20,6 +20,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -91,6 +92,15 @@ NETWORK_FIELDS = (
 _REFERENCE_FIELDS = ("b_i", "b_w", "b_cycle", "d_i", "d_o", "m", "n_macros")
 VALIDATE_FIELDS = ("ref_index", "imc_type", *_REFERENCE_FIELDS,
                    "energy_per_mac", "clock_period", "area")
+# one getter per column group, each of two or more names, so it returns a tuple
+_get_peak_macro = attrgetter(*_PEAK_MACRO_FIELDS)
+_get_macro_metrics = attrgetter(*_MACRO_METRIC_FIELDS.values())
+_get_system_metrics = attrgetter(*_SYSTEM_METRIC_FIELDS.values())
+_get_mapping = attrgetter(*_MAPPING_FIELDS)
+_get_result = attrgetter(*_RESULT_FIELDS)
+_get_traffic = itemgetter(*_TRAFFIC_FIELDS.values())
+_get_metrics = attrgetter(*_METRICS)
+_get_energy_breakdown = itemgetter(*ENERGY_BREAKDOWN_KEYS)
 # what a command returns: its columns and its rows
 _Rows = tuple[tuple[str, ...], list[dict[str, Any]]]
 
@@ -246,12 +256,13 @@ def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
     return tuple(sizes)
 
 
-def _design_points(args: argparse.Namespace, bundle: ConfigBundle) -> list[ImcMacroConfig]:
-    """The macros of --type x --sizes, ordered by type, then size; an unset flag
+def _design_points(args: argparse.Namespace, bundle: ConfigBundle) -> list[SystemConfig]:
+    """The systems of --type x --sizes, ordered by type, then size; an unset flag
     (None) keeps the config macro's type or dims."""
     types = _IMC_TYPES if args.type == "both" else (args.type,)
     sizes = args.sizes or (None,)
-    return [build_macro(bundle, imc_type, size) for imc_type in types for size in sizes]
+    return [make_system(bundle, build_macro(bundle, imc_type, size))
+            for imc_type in types for size in sizes]
 
 
 def _load_workload(arg: str) -> Network:
@@ -263,19 +274,16 @@ def _load_workload(arg: str) -> Network:
     raise WorkloadError(f"workload not found: {arg!r} is neither a file nor a bundled name")
 
 
-def _peak_row(bundle: ConfigBundle, macro: ImcMacroConfig) -> dict[str, Any]:
-    mm = macro_metrics(bundle.params, macro)
-    sm = peak_system_metrics(make_system(bundle, macro))
-    return {
-        "imc_type": macro.imc_type.value,
-        **{name: getattr(macro, name) for name in _PEAK_MACRO_FIELDS},
-        **{name: getattr(mm, attr) for name, attr in _MACRO_METRIC_FIELDS.items()},
-        **{name: getattr(sm, attr) for name, attr in _SYSTEM_METRIC_FIELDS.items()},
-    }
+def _peak_row(system: SystemConfig) -> dict[str, Any]:
+    macro = system.macro
+    return dict(zip(PEAK_FIELDS, (
+        macro.imc_type.value, *_get_peak_macro(macro),
+        *_get_macro_metrics(macro_metrics(system.params, macro)),
+        *_get_system_metrics(peak_system_metrics(system))), strict=True))
 
 
 def _cmd_peak(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
-    rows = [_peak_row(bundle, macro) for macro in _design_points(args, bundle)]
+    rows = [_peak_row(system) for system in _design_points(args, bundle)]
     rows.sort(key=lambda r: (r["imc_type"], r["d_i"], r["d_o"]))
     return PEAK_FIELDS, rows
 
@@ -287,79 +295,55 @@ def _cmd_sweep(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     return _cmd_peak(args, bundle)
 
 
-def _workload_points(args: argparse.Namespace, bundle: ConfigBundle
-                     ) -> tuple[list[Network], list[ImcMacroConfig]]:
-    """The workloads in argument order, and the macros ordered by type, then size."""
-    networks = [_load_workload(arg) for arg in args.workload]
-    return networks, _design_points(args, bundle)
+def _metric_cells(metrics: SystemMetrics) -> tuple[Any, ...]:
+    """The _METRIC_FIELDS cells of a layer or network row, in order."""
+    return (*_get_metrics(metrics), *_get_energy_breakdown(metrics.energy_breakdown),
+            "; ".join(metrics.warnings))
 
 
-def _metric_cells(metrics: SystemMetrics) -> dict[str, Any]:
-    """The _METRIC_FIELDS cells of a layer or network row."""
-    cells: dict[str, Any] = {name: getattr(metrics, name) for name in _METRICS}
-    for key in ENERGY_BREAKDOWN_KEYS:
-        cells[f"energy_{key}"] = metrics.energy_breakdown[key]
-    cells["warnings"] = "; ".join(metrics.warnings)
-    return cells
-
-
-def _layer_rows(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
-                objective: str) -> list[dict[str, Any]]:
-    system = make_system(bundle, macro)
+def _layer_rows(system: SystemConfig, network: Network, objective: str) -> list[dict[str, Any]]:
+    macro = system.macro
     rows = []
     for index, layer in enumerate(network.layers):
         result, metrics = layer_system_metrics(system, layer, objective)
-        rows.append({
-            "workload": network.name,
-            "layer_index": index,
-            "layer": layer.name or f"layer{index}",
-            "kind": classify(layer).value,
-            "imc_type": macro.imc_type.value,
-            "d_i": macro.d_i, "d_o": macro.d_o,
-            "macs": total_macs(layer),
-            **{name: getattr(result.mapping, name) for name in _MAPPING_FIELDS},
-            **{name: getattr(result, name) for name in _RESULT_FIELDS},
-            **{name: result.traffic[key] for name, key in _TRAFFIC_FIELDS.items()},
-            **_metric_cells(metrics),
-        })
+        rows.append(dict(zip(LAYER_FIELDS, (
+            network.name, index, layer.name or f"layer{index}", classify(layer).value,
+            macro.imc_type.value, macro.d_i, macro.d_o, total_macs(layer),
+            *_get_mapping(result.mapping), *_get_result(result),
+            *_get_traffic(result.traffic), *_metric_cells(metrics)), strict=True)))
     return rows
 
 
 def _cmd_layer(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
-    networks, macros = _workload_points(args, bundle)
-    rows = [row for macro in macros for network in networks
-            for row in _layer_rows(bundle, macro, network, args.objective)]
+    networks = [_load_workload(arg) for arg in args.workload]
+    rows = [row for system in _design_points(args, bundle) for network in networks
+            for row in _layer_rows(system, network, args.objective)]
     rows.sort(key=lambda r: (r["workload"], r["imc_type"], r["d_i"], r["layer_index"]))
     return LAYER_FIELDS, rows
 
 
-def _network_row(bundle: ConfigBundle, macro: ImcMacroConfig, network: Network,
+def _network_row(system: SystemConfig, network: Network,
                  objective: str) -> tuple[dict[str, Any], SystemMetrics]:
-    system = make_system(bundle, macro)
+    macro = system.macro
     summary, reports = network_system_metrics(system, network, objective)
     macs = sum(report.repeat * total_macs(report.layer) for report in reports)
-    row = {
-        "workload": network.name,
-        "imc_type": macro.imc_type.value,
-        "d_i": macro.d_i, "d_o": macro.d_o,
-        "n_layers": len(network.layers),
-        "macs": macs,
-        **_metric_cells(summary),
-    }
+    row = dict(zip(NETWORK_FIELDS, (
+        network.name, macro.imc_type.value, macro.d_i, macro.d_o, len(network.layers), macs,
+        *_metric_cells(summary)), strict=True))
     return row, summary
 
 
 def _cmd_network(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
-    networks, macros = _workload_points(args, bundle)
+    networks = [_load_workload(arg) for arg in args.workload]
     rows: list[dict[str, Any]] = []
-    for macro in macros:
-        results = [_network_row(bundle, macro, network, args.objective)
-                   for network in networks]
+    for system in _design_points(args, bundle):
+        results = [_network_row(system, network, args.objective) for network in networks]
         group_rows = sorted((row for row, _ in results), key=lambda r: r["workload"])
         rows.extend(group_rows)
         if len(networks) > 1:
             # argument order, not row order: the float sum depends on it
             means = geomean_efficiency([summary for _, summary in results])
+            macro = system.macro
             rows.append({
                 "workload": "geomean",
                 "imc_type": macro.imc_type.value,
@@ -487,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
     common.add_argument("--out", metavar="PATH",
-                        help="output file (default: stdout); written atomically")
+                        help="output file (default: stdout); a regular file is replaced "
+                             "atomically, a FIFO or device is written through")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted for compatibility (N >= 1); evaluation is serial")
 

@@ -478,6 +478,14 @@ class TestOutputFile:
         assert target.is_symlink() == via_link
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted({fifo.name, target.name})
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_states_how_each_target_is_written(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        text = " ".join(out.split())  # argparse wraps help to the terminal width
+        assert "a regular file is replaced atomically" in text
+        assert "a FIFO or device is written through" in text
+
     def test_out_directory_fails_cleanly(self, capsys, tmp_path):
         # the staged file is written, then cannot replace a directory
         target = tmp_path / "rows"

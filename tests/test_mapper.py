@@ -521,6 +521,41 @@ class TestSearchProperty:
         assert [note.split(" ")[0] for note in metrics.warnings] == ["input", "output"]
 
 
+class TestOneUlpTies:
+    """Row products whose energies differ by one ulp, in the dac or multiplier
+    term, because every energy term that falls with the row product is zero.
+    A seeded differential against the exhaustive reference reached these;
+    TestSearchProperty's draws do not. A search that prices only the largest
+    row product picks a different mapping on each."""
+
+    @pytest.mark.parametrize("imc_type, size, overrides, layer, winner", [
+        pytest.param(ImcType.AIMC, 8,
+                     {"k1": 0.0, "k2": 0.0, "k3": 4.7669e-11, "k7": 5e-11,
+                      "fa_energy_ratio": 6000.0, "c_gate": 0.0},
+                     Layer(k=8, c=96, ox=8, oy=7, fy=3), (8, 1, 2, 1, 3), id="aimc-8"),
+        pytest.param(ImcType.DIMC, 128,
+                     {"k1": 0.0, "k2": 7.3e-18, "k3": 0.0, "k7": 0.0, "fa_energy_ratio": 0.0,
+                      "dff_energy_ratio": 0.0, "sram_cell_write_energy": 7.3e-14,
+                      "c_gate": 7e-13},
+                     Layer(k=6, c=12, ox=4, oy=7, fx=3), (6, 1, 4, 3, 1), id="dimc-128"),
+        pytest.param(ImcType.AIMC, 128,
+                     {"k1": 0.0, "k2": 0.0, "k3": 0.0, "k7": 5e-11, "dff_energy_ratio": 0.0,
+                      "c_gate": 0.0},
+                     Layer(k=6, c=64, ox=2, oy=7, fx=5, fy=3), (6, 2, 32, 1, 3),
+                     id="aimc-128"),
+    ])
+    def test_search_returns_the_exhaustive_winner(self, imc_type, size, overrides, layer,
+                                                  winner):
+        macro = ImcMacroConfig(imc_type=imc_type, d_i=size, d_o=size)
+        system = default_system_config(macro, TechnologyParams(**overrides))
+        expected, expected_metrics = exhaustive_best_mapping(layer, system, "energy")
+        result = best_mapping(layer, system, "energy")
+        metrics = evaluate_layer_mapping(system, layer, result)
+        assert result.mapping.factors() == expected.mapping.factors() == winner
+        assert repr(metrics.energy) == repr(expected_metrics.energy)
+        assert repr(metrics.latency) == repr(expected_metrics.latency)
+
+
 class TestBuiltObjects:
     """The search builds its SpatialMapping, MappingResult and SystemMetrics
     objects without the generated __init__. Each must be indistinguishable from

@@ -1,0 +1,52 @@
+"""tools/search_diff.py: the seeded differential of best_mapping against the
+exhaustive reference passes on this tree and can fail."""
+
+import importlib.util
+import random
+import warnings
+from pathlib import Path
+
+import pytest
+
+from imcperf import best_mapping, enumerate_mappings, evaluate_mapping
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_diff.py"
+_spec = importlib.util.spec_from_file_location("search_diff", _TOOL)
+search_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(search_diff)
+
+
+def _runner_up(layer, system, objective):
+    """A candidate other than the winner, when the layer has two or more."""
+    winner = best_mapping(layer, system, objective).mapping
+    mapping = next((m for m in enumerate_mappings(layer, system.macro) if m != winner), winner)
+    return evaluate_mapping(layer, system.macro, mapping)
+
+
+def test_one_second_at_seed_1_finds_no_mismatch(capsys):
+    assert search_diff.main(["--seconds", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("seed 1: ") and " 0 mismatches" in out
+    assert int(out.split()[2]) > 0  # searches
+
+
+def test_a_wrong_winner_prints_a_reproducer_that_fails(capsys):
+    assert search_diff.run(60, 1, search=_runner_up) == 1
+    text = capsys.readouterr().out
+    assert text.count("\ndef test_search_diff_seed_1_draw_") == 1
+
+    namespace = {}
+    exec(compile(text, "<reproducer>", "exec"), namespace)
+    (name,) = [key for key in namespace if key.startswith("test_")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+        namespace[name]()  # the real search passes the pasted test
+        namespace["best_mapping"] = _runner_up
+        with pytest.raises(AssertionError):
+            namespace[name]()
+
+
+def test_draws_repeat_per_seed():
+    first, second = random.Random(5), random.Random(5)
+    draws = [search_diff.draw(first, 5, index) for index in range(20)]
+    assert draws == [search_diff.draw(second, 5, index) for index in range(20)]

@@ -1,0 +1,199 @@
+"""Hold the mapper search to the exhaustive reference on seeded random draws.
+
+    python3 tools/search_diff.py [--seconds N] [--seed S]
+
+Each draw is one search: a layer with at most CANDIDATE_CAP candidates, with
+or without its own b_i and b_w; a square aimc or dimc macro of 8 to 128 rows;
+the objective energy, latency or edp; and a technology in which each of
+RESCALED's constants is kept, zeroed or rescaled by a factor between 1e-3 and
+1e3. Zeroed constants tie candidates, which is where a search that prices
+fewer candidates than every one can go wrong. ``best_mapping``'s winner is
+compared with ``exhaustive_best_mapping`` from ``tests/_oracles.py``: its five
+unroll factors, and the ``repr`` of its energy and latency. A draw whose
+pricing raises ValueError is skipped and counted.
+
+Draws run until N seconds (default: 10) have passed. On the first mismatch the
+script prints one pytest function that reproduces it and exits 1; otherwise it
+prints the number of searches and exits 0. The same seed draws the same
+sequence. Needs numpy, which the oracle imports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+import warnings
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "tests"))
+                if path not in sys.path]
+
+from _oracles import exhaustive_best_mapping  # noqa: E402
+from imcperf import (  # noqa: E402
+    OBJECTIVES,
+    ImcMacroConfig,
+    ImcType,
+    Layer,
+    MappingResult,
+    SystemConfig,
+    TechnologyParams,
+    best_mapping,
+    default_cache,
+    evaluate_layer_mapping,
+)
+from imcperf.mapper import mapping_space  # noqa: E402
+
+CANDIDATE_CAP = 256
+SIZES = (8, 16, 32, 64, 128)
+# the energy constants a draw keeps, zeroes or rescales; dram_energy_per_bit
+# belongs to SystemConfig, the rest to TechnologyParams
+RESCALED = ("c_gate", "k1", "k2", "k3", "k7", "fa_energy_ratio", "dff_energy_ratio",
+            "sram_cell_write_energy", "dram_energy_per_bit")
+_DIVISOR_RICH = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
+_OUTPUTS = (1, 2, 3, 4, 5, 7, 8, 14, 16)
+_KERNELS = (1, 2, 3, 5, 7)
+_DEFAULTS = {**vars(TechnologyParams()), "dram_energy_per_bit": SystemConfig.dram_energy_per_bit}
+
+Search = Callable[[Layer, SystemConfig, str], MappingResult]
+
+
+class Draw(NamedTuple):
+    """One search: where it came from, and what it prices."""
+
+    seed: int
+    index: int
+    imc_type: ImcType
+    size: int
+    objective: str
+    layer: dict[str, Any]  # Layer arguments
+    constants: dict[str, float]  # RESCALED values that differ from the defaults
+
+    def system(self) -> SystemConfig:
+        macro = ImcMacroConfig(imc_type=self.imc_type, d_i=self.size, d_o=self.size)
+        params = {name: value for name, value in self.constants.items()
+                  if name != "dram_energy_per_bit"}
+        return SystemConfig(macro=macro, params=TechnologyParams(**params),
+                            cache=default_cache(macro),
+                            dram_energy_per_bit=self.dram_energy_per_bit)
+
+    @property
+    def dram_energy_per_bit(self) -> float:
+        return self.constants.get("dram_energy_per_bit", _DEFAULTS["dram_energy_per_bit"])
+
+
+def draw(rng: random.Random, seed: int, index: int) -> Draw:
+    """The next search of the seeded sequence."""
+    imc_type = rng.choice(list(ImcType))
+    size = rng.choice(SIZES)
+    macro = ImcMacroConfig(imc_type=imc_type, d_i=size, d_o=size)
+    while True:
+        layer = {"b": rng.choice((1, 2)), "g": rng.choice((1, 1, 1, 2, 3)),
+                 "k": rng.choice(_DIVISOR_RICH), "c": rng.choice(_DIVISOR_RICH),
+                 "ox": rng.choice(_OUTPUTS), "oy": rng.choice(_OUTPUTS),
+                 "fx": rng.choice(_KERNELS), "fy": rng.choice(_KERNELS),
+                 "sx": rng.choice((1, 2)), "sy": rng.choice((1, 2)),
+                 "b_i": rng.choice((None, rng.randint(1, 8))),
+                 "b_w": rng.choice((None, rng.randint(1, 8)))}
+        layer = {name: value for name, value in layer.items()
+                 if value != getattr(Layer, name)}  # defaults left out
+        rows, cols = mapping_space(Layer(**layer), macro)
+        if len(rows) * len(cols) <= CANDIDATE_CAP:
+            break
+    constants = {}
+    for name in RESCALED:
+        choice = rng.randrange(3)
+        if choice == 1:
+            constants[name] = 0.0
+        elif choice == 2:
+            constants[name] = float(f"{_DEFAULTS[name] * 10 ** rng.uniform(-3, 3):.3g}")
+    return Draw(seed, index, imc_type, size, rng.choice(OBJECTIVES), layer, constants)
+
+
+def reproducer(case: Draw, found: tuple, expected: tuple) -> str:
+    """A pytest function, with its imports, that fails while the search disagrees."""
+    layer = ", ".join(f"{name}={value!r}" for name, value in case.layer.items())
+    params = "".join(f"\n        {name}={value!r}," for name, value in case.constants.items()
+                     if name != "dram_energy_per_bit")
+    macro = f"imc_type=ImcType.{case.imc_type.name}, d_i={case.size}, d_o={case.size}"
+    objective = repr(case.objective)
+    return f"""\
+from imcperf import (ImcMacroConfig, ImcType, Layer, SystemConfig, TechnologyParams,
+                     best_mapping, default_cache, evaluate_layer_mapping)
+from _oracles import exhaustive_best_mapping
+
+
+def test_search_diff_seed_{case.seed}_draw_{case.index}():
+    # search {found}
+    # exhaustive {expected}
+    layer = Layer({layer})
+    macro = ImcMacroConfig({macro})
+    params = TechnologyParams({params}
+    )
+    system = SystemConfig(macro=macro, params=params, cache=default_cache(macro),
+                          dram_energy_per_bit={case.dram_energy_per_bit!r})
+    expected, expected_metrics = exhaustive_best_mapping(layer, system, {objective})
+    result = best_mapping(layer, system, {objective})
+    metrics = evaluate_layer_mapping(system, layer, result)
+    assert result.mapping.factors() == expected.mapping.factors() == {expected[0]}
+    assert repr(metrics.energy) == repr(expected_metrics.energy)
+    assert repr(metrics.latency) == repr(expected_metrics.latency)
+"""
+
+
+def compare(case: Draw, search: Search = best_mapping) -> str | None:
+    """None when the search's winner is the exhaustive one, else a reproducer.
+
+    Raises ValueError when the exhaustive reference cannot price the draw. A
+    search that raises ValueError where the reference did not is a mismatch.
+    """
+    layer, system = Layer(**case.layer), case.system()
+    winner, metrics = exhaustive_best_mapping(layer, system, case.objective)
+    expected = (winner.mapping.factors(), repr(metrics.energy), repr(metrics.latency))
+    try:
+        result = search(layer, system, case.objective)
+        metrics = evaluate_layer_mapping(system, layer, result)
+    except ValueError as exc:
+        return reproducer(case, (repr(exc),), expected)
+    found = (result.mapping.factors(), repr(metrics.energy), repr(metrics.latency))
+    return None if found == expected else reproducer(case, found, expected)
+
+
+def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
+    """Draw and compare searches for the given time; print the outcome, return the exit code."""
+    rng = random.Random(seed)
+    deadline = time.monotonic() + seconds
+    searches = skipped = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+        while time.monotonic() < deadline:
+            case = draw(rng, seed, searches + skipped)
+            try:
+                text = compare(case, search)
+            except ValueError:
+                skipped += 1
+                continue
+            searches += 1
+            if text is not None:
+                print(text, end="")
+                return 1
+    print(f"seed {seed}: {searches} searches, 0 mismatches, {skipped} draws skipped")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seconds", type=float, default=10.0,
+                        help="how long to draw searches (default: 10)")
+    parser.add_argument("--seed", type=int, default=1, help="random seed (default: 1)")
+    args = parser.parse_args(argv)
+    if not args.seconds > 0:
+        parser.error("--seconds must be > 0")
+    return run(args.seconds, args.seed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
