@@ -19,7 +19,7 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -210,7 +210,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         raise ConfigError(f"invalid macro section: {exc}") from exc
     # the cache bandwidth fit depends on --sizes, so SystemConfig checks it later
     try:
-        replace(default_cache(macro), **bundle.cache_spec)
+        default_cache(macro, **bundle.cache_spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid cache section: {exc}") from exc
     return bundle
@@ -233,8 +233,8 @@ def build_macro(bundle: ConfigBundle, imc_type: str | None = None,
 
 
 def make_system(bundle: ConfigBundle, macro: ImcMacroConfig) -> SystemConfig:
-    cache = replace(default_cache(macro), **bundle.cache_spec)
-    return SystemConfig(macro=macro, params=bundle.params, cache=cache,
+    return SystemConfig(macro=macro, params=bundle.params,
+                        cache=default_cache(macro, **bundle.cache_spec),
                         dram_energy_per_bit=bundle.dram_energy_per_bit)
 
 

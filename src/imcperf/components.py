@@ -269,6 +269,8 @@ def adder_tree_fa_count(fan_in: int, b_in: int) -> int:
     """Full adders in a binary reduction tree of fan_in operands of b_in bits each.
 
     Level n (1-indexed) holds fan_in/2**n ripple-carry adders of width b_in+n-1.
+    Summed over the depth log2(fan_in) levels, that is the closed form
+    b_in*(fan_in - 1) + fan_in - depth - 1, exact for a power-of-two fan_in.
     fan_in must be a power of two; callers wanting other fan-ins go through
     adder_tree_cost, which pads.
     """
@@ -277,7 +279,7 @@ def adder_tree_fa_count(fan_in: int, b_in: int) -> int:
         raise ValueError(f"fan_in must be a power of two >= 1, got {fan_in!r}")
     _check_count("b_in", b_in)
     depth = fan_in.bit_length() - 1
-    return sum((b_in + n - 1) * (fan_in >> n) for n in range(1, depth + 1))
+    return b_in * (fan_in - 1) + fan_in - depth - 1
 
 
 def adder_tree_cost(params: TechnologyParams, fan_in: int, b_in: int,

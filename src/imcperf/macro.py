@@ -299,33 +299,50 @@ def _pricing(params: TechnologyParams,
     cycles = cfg.cycles_per_mvm
     n = cfg.n_macros
     per_mvm = cycle_energies(d_i, d_o, cycles, 1)
-    # summed before any ComponentCost exists, so an overflow is named for its macro
-    costs = {name: (per_mvm[name] * n, delay, area * n)
-             for name, (delay, area) in timing.items()}
-    energy_per_mvm, total, area = (sum(column) for column in zip(*costs.values()))
+    # One pass scales each entry to n macros, adds it to the three sums left to
+    # right from zero, the order of sum() up to Python 3.11, and builds its
+    # ComponentCost from its field dict, as system._system_metrics builds a
+    # SystemMetrics. The entries skip ComponentCost's checks: each is a product
+    # of checked non-negative unit costs and positive counts, so it is finite
+    # and non-negative unless it overflowed to inf or NaN, and then so is its
+    # sum, which _check_range below refuses, naming the macro, before anything
+    # is returned.
+    new = object.__new__
+    set_dict = object.__setattr__
+    breakdown: dict[str, ComponentCost] = {}
+    energy_per_mvm = total = area = 0.0
+    for name, (delay, unit_area) in timing.items():
+        energy = per_mvm[name] * n
+        component_area = unit_area * n
+        energy_per_mvm += energy
+        total += delay
+        area += component_area
+        cost = breakdown[name] = new(ComponentCost)
+        set_dict(cost, "__dict__", {"energy": energy, "delay": delay, "area": component_area})
     # Each type has exactly one front end; the other type's entry reads zero.
     front = timing["adc"][0] + timing["multiplier"][0]
     clock = max(front, total - front) if cfg.pipelined else total
     area_mm2 = area * 1e-6
     _check_range(cfg, (("energy per MVM", energy_per_mvm), ("clock period", clock),
                        ("area", area_mm2)))
-    breakdown = {name: ComponentCost(*cost) for name, cost in costs.items()}
     ops = 2.0 * d_i * d_o * n
     tops = ops / (clock * cycles)
     tops_per_w = ops / energy_per_mvm
     tops_per_mm2 = tops / area_mm2
     _check_range(cfg, (("throughput", tops), ("energy efficiency", tops_per_w),
                        ("area efficiency", tops_per_mm2)))
-    metrics = MacroMetrics(
-        energy_per_mvm=energy_per_mvm,
-        clock_period=clock,
-        cycles_per_mvm=cycles,
-        area=area,
-        tops=tops,
-        tops_per_w=tops_per_w,
-        tops_per_mm2=tops_per_mm2,
-        breakdown=breakdown,
-    )
+    # MacroMetrics has no __post_init__, so its constructor would check nothing.
+    metrics = new(MacroMetrics)
+    set_dict(metrics, "__dict__", {
+        "energy_per_mvm": energy_per_mvm,
+        "clock_period": clock,
+        "cycles_per_mvm": cycles,
+        "area": area,
+        "tops": tops,
+        "tops_per_w": tops_per_w,
+        "tops_per_mm2": tops_per_mm2,
+        "breakdown": breakdown,
+    })
     _pricing_entry = (params, cfg, cycle_energies, metrics)
     return cycle_energies, metrics
 

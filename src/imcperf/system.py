@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Any, Callable
 
 from .components import TechnologyParams, _check_amount, _check_count, _store_floats
 from .macro import (
@@ -69,20 +69,23 @@ class MemoryLevel:
         _store_floats(self, "read_energy", "write_energy", "area")
 
 
-def default_cache(macro: ImcMacroConfig) -> MemoryLevel:
+def default_cache(macro: ImcMacroConfig, **fields: Any) -> MemoryLevel:
     """256 KB activation cache with bandwidth fitted to the macro dimensions.
 
-    The 0.03 pJ/bit access energy and 0.5 mm^2 area are placeholder calibration
-    values; fit them to a memory compiler before trusting absolute numbers.
+    Each MemoryLevel field given in fields replaces its default, and the level
+    is built and checked once. The 0.03 pJ/bit access energy and 0.5 mm^2 area
+    are placeholder calibration values; fit them to a memory compiler before
+    trusting absolute numbers.
     """
-    return MemoryLevel(
-        name="cache",
-        capacity_bits=256 * 1024 * 8,
-        read_energy=0.03e-12,
-        write_energy=0.03e-12,
-        area=0.5e6,
-        bandwidth_bits_per_cycle=macro.d_i * macro.b_cycle + macro.d_o * macro.b_o,
-    )
+    return MemoryLevel(**{
+        "name": "cache",
+        "capacity_bits": 256 * 1024 * 8,
+        "read_energy": 0.03e-12,
+        "write_energy": 0.03e-12,
+        "area": 0.5e6,
+        "bandwidth_bits_per_cycle": macro.d_i * macro.b_cycle + macro.d_o * macro.b_o,
+        **fields,
+    })
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,14 @@ class TestAdderTree:
             with pytest.raises(ValueError):
                 adder_tree_fa_count(fan_in, 8)
 
+    def test_fa_count_closed_form_matches_the_level_sum(self):
+        # level n of a fan_in-operand tree holds fan_in/2**n adders of b_in+n-1 bits
+        for depth in range(17):
+            fan_in = 1 << depth
+            for b_in in range(1, 65):
+                level_sum = sum((b_in + n - 1) * (fan_in >> n) for n in range(1, depth + 1))
+                assert adder_tree_fa_count(fan_in, b_in) == level_sum
+
     def test_matches_ripple_constructor(self, params):
         for exp in range(1, 11):
             fan_in = 2**exp

@@ -1,8 +1,12 @@
+import copy
 import math
+import pickle
 import random
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -10,8 +14,10 @@ from hypothesis import strategies as st
 
 from imcperf import (
     BREAKDOWN_COMPONENTS,
+    ComponentCost,
     ImcMacroConfig,
     ImcType,
+    MacroMetrics,
     TechnologyParams,
     accumulator_cost,
     adc_delay,
@@ -201,6 +207,57 @@ class TestBreakdown:
         assert m.breakdown["cell_array"].energy == 0.0
         assert m.breakdown["adc"].energy > 0.0
         assert m.energy_per_mvm > 0.0
+
+
+class TestBreakdownObjects:
+    """_pricing builds each breakdown ComponentCost and the MacroMetrics from a
+    ready __dict__, without the generated __init__. Each must be
+    indistinguishable from the one the public constructor builds, and the
+    constructor's checks must accept every value."""
+
+    @staticmethod
+    def _metrics(params):
+        for make in (aimc, dimc):
+            for pipelined in (False, True):
+                for exp in range(3, 13):  # sizes 8 to 4096
+                    cfg = make(1 << exp, pipelined=pipelined)
+                    yield cfg, macro_metrics(params, cfg)
+
+    @staticmethod
+    def _assert_same(built, expected):
+        assert type(built) is type(expected)
+        assert built == expected and not built != expected
+        assert repr(built) == repr(expected)
+        assert list(vars(built)) == [f.name for f in fields(expected)]
+        for f in fields(built):
+            with pytest.raises(FrozenInstanceError):
+                setattr(built, f.name, getattr(expected, f.name))
+        assert copy.copy(built) == expected
+        assert pickle.loads(pickle.dumps(built)) == expected
+
+    def test_every_breakdown_cost_matches_the_constructor(self, params):
+        checked = 0
+        for _, mm in self._metrics(params):
+            assert list(mm.breakdown) == list(BREAKDOWN_COMPONENTS)
+            for cost in mm.breakdown.values():
+                expected = ComponentCost(**vars(cost))
+                self._assert_same(cost, expected)
+                assert hash(cost) == hash(expected)
+                checked += 1
+        assert checked == 2 * 2 * 10 * len(BREAKDOWN_COMPONENTS)
+
+    def test_every_macro_metrics_matches_the_constructor(self, params):
+        for _, mm in self._metrics(params):
+            self._assert_same(mm, MacroMetrics(**vars(mm)))
+
+    def test_totals_add_the_breakdown_left_to_right(self, params):
+        # the floats a single sum() of the entries gave up to Python 3.11, bit for bit
+        for cfg, mm in self._metrics(params):
+            costs = [mm.breakdown[name] for name in BREAKDOWN_COMPONENTS]
+            assert mm.energy_per_mvm == reduce(add, (c.energy for c in costs), 0.0)
+            assert mm.area == reduce(add, (c.area for c in costs), 0.0)
+            if not cfg.pipelined:
+                assert mm.clock_period == reduce(add, (c.delay for c in costs), 0.0)
 
 
 class TestScaling:

@@ -1,0 +1,48 @@
+"""tools/search_cost.py: each stage times one pass and prints its figures, and
+--against compares two trees on either stage."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parent.parent
+_TOOL = _ROOT / "tools" / "search_cost.py"
+
+_KEYS = {
+    "search": ["searches", "candidates", "passes", "us_per_candidate_min",
+               "us_per_candidate_median"],
+    "pricing": ["pricings", "passes", "us_per_pricing_min", "us_per_pricing_median"],
+}
+
+
+def _run(*args):
+    proc = subprocess.run([sys.executable, str(_TOOL), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("stage", sorted(_KEYS))
+def test_one_pass_prints_every_figure(stage):
+    figures = dict(line.split() for line in _run("--stage", stage, "--passes", "1")
+                   .splitlines())
+    assert list(figures) == _KEYS[stage]
+    assert figures["passes"] == "1"
+    count = figures[_KEYS[stage][0]]
+    assert count.isdigit() and int(count) > 0
+    minimum, median = (float(figures[key]) for key in _KEYS[stage][-2:])
+    assert 0.0 < minimum == median  # one pass gives one figure
+
+
+@pytest.mark.parametrize("stage", sorted(_KEYS))
+def test_against_a_checkout_reports_the_claim_bar(stage):
+    lines = _run("--stage", stage, "--against", str(_ROOT), "--rounds", "1",
+                 "--passes", "1").splitlines()
+    per = "candidate" if stage == "search" else "pricing"
+    assert [line.split()[0] for line in lines] == [
+        "round", "against", "this", "median", "this", "claim"]
+    assert lines[1].endswith(f"(us per {per})") and lines[2].endswith(f"(us per {per})")
+    assert lines[4].startswith("this tree won ") and lines[4].endswith(" of 1 rounds")
+    assert lines[5].startswith(("claim bar met: won ", "claim bar not met: won "))

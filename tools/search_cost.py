@@ -1,33 +1,45 @@
-"""Time every mapper search of the benchmark's ``dse-network`` request set.
+"""Time a model stage over one pass of a benchmark workload's requests.
 
-    python3 tools/search_cost.py [--passes N] [--src SRC_DIR]
-    python3 tools/search_cost.py --against DIR [--rounds N] [--passes N]
+    python3 tools/search_cost.py [--stage search|pricing] [--passes N] [--src SRC_DIR]
+    python3 tools/search_cost.py --against DIR [--stage S] [--rounds N] [--passes N]
 
-The requests come from ``imcbench/workloads.py`` (``dse_requests``): one
-``network`` command per (network, macro type, size). Each request's layers are
-searched in-process, without a tracer, by calling ``best_mapping`` once per
-layer on the system that ``imcperf network`` builds for the request; only those
-calls are timed. The script prints the number of searches and candidates per
-pass and the minimum and median microseconds per candidate over N passes (a
-pass's search time divided by its candidates). SRC_DIR is the directory that
-holds the ``imcperf`` package (default: this repository's ``src``), so one copy
-of the script can time two trees.
+The requests come from ``imcbench/workloads.py``. The ``search`` stage (the
+default) takes the ``dse-network`` requests (``dse_requests``): one ``network``
+command per (network, macro type, size). Each request's layers are searched
+in-process, without a tracer, by calling ``best_mapping`` once per layer on the
+system that ``imcperf network`` builds for the request; only those calls are
+timed. It prints the number of searches and candidates per pass and the minimum
+and median microseconds per candidate over N passes (a pass's search time
+divided by its candidates; default 5 passes).
+
+The ``pricing`` stage takes the ``peak-sweep`` requests (``peak_requests``):
+each ``sweep`` prices its config's macro for both types at each of its sizes,
+and each ``validate`` prices the seven reference configurations with its
+config's technology. Each pass calls ``macro_metrics`` once per design point,
+on a fresh copy of its config, so the pricing memo never answers, and times
+those calls only. It prints the number of pricings per pass and the minimum and
+median microseconds per pricing over N passes (default 200).
+
+SRC_DIR is the directory that holds the ``imcperf`` package (default: this
+repository's ``src``), so one copy of the script can time two trees.
 
 With ``--against DIR`` the script compares this tree with the checkout in DIR
-(its ``src`` directory holds the other ``imcperf``). Each of N rounds runs the
-script once per tree, each run in a fresh process, and swaps which tree goes
-first every round. A run's figure is its minimum over its passes. The script
-prints each tree's minimum, median and quartiles of those figures, the median
-over rounds of the ratio DIR / this tree (above 1 when this tree is faster)
-and the number of rounds this tree won. It also says whether the rounds meet
-the bar for claiming that this tree is faster: it won at least nine tenths of
-the rounds (a tie counts for neither), and its median is below DIR's by more
-than the distance between DIR's quartiles. Stdlib only.
+(its ``src`` directory holds the other ``imcperf``) on the chosen stage. Each
+of N rounds runs the script once per tree, each run in a fresh process, and
+swaps which tree goes first every round. A run's figure is its minimum over its
+passes. The script prints each tree's minimum, median and quartiles of those
+figures, the median over rounds of the ratio DIR / this tree (above 1 when this
+tree is faster) and the number of rounds this tree won. It also says whether
+the rounds meet the bar for claiming that this tree is faster: it won at least
+nine tenths of the rounds (a tie counts for neither), and its median is below
+DIR's by more than the distance between DIR's quartiles. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import json
 import statistics
 import subprocess
 import sys
@@ -37,6 +49,9 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# stage: (the figure it prints, default passes)
+STAGES = {"search": ("us_per_candidate", 5), "pricing": ("us_per_pricing", 200)}
 
 
 def _option(argv: list[str], flag: str) -> str:
@@ -67,17 +82,90 @@ def _searches(run_dir: Path) -> list[tuple[object, object, str]]:
     return searches
 
 
-def _run_minimum(src: Path, passes: int) -> float:
-    """us_per_candidate_min of one fresh-process run on the package in src."""
+def _pricings(run_dir: Path) -> list[tuple[object, object]]:
+    """(params, macro) of every design point one peak-sweep pass prices."""
+    from imcbench.workloads import peak_requests, write_files
+    from imcperf.cli import _REFERENCE_FIELDS, build_macro, load_config
+    from imcperf.macro import ImcMacroConfig, ImcType
+    from imcperf.workload import _data_file
+
+    requests = peak_requests()
+    write_files(requests, run_dir)
+    references = json.loads(_data_file("reference-configs.json").read_text("utf-8"))
+    pricings = []
+    for request in requests:
+        argv = request["argv"]
+        bundle = load_config(str(run_dir / _option(argv, "--config")))
+        if argv[0] == "sweep":
+            sizes = [int(size) for size in _option(argv, "--sizes").split(",")]
+            macros = [build_macro(bundle, imc_type, size)
+                      for imc_type in ("aimc", "dimc") for size in sizes]
+        elif argv[0] == "validate":
+            macros = [ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
+                                     **{name: entry[name] for name in _REFERENCE_FIELDS})
+                      for entry in references["configs"]]
+        else:
+            raise SystemExit(f"expected a sweep or validate request, got {argv}")
+        pricings.extend((bundle.params, macro) for macro in macros)
+    return pricings
+
+
+def _time_search(passes: int) -> list[tuple[str, object]]:
+    from imcperf.mapper import best_mapping, mapping_space
+
+    with tempfile.TemporaryDirectory() as tmp:
+        searches = _searches(Path(tmp))
+    candidates = 0
+    for layer, system, _ in searches:
+        rows, cols = mapping_space(layer, system.macro)
+        candidates += len(rows) * len(cols)
+
+    per_candidate_us = []
+    clock = time.perf_counter
+    for _ in range(passes):
+        elapsed = 0.0
+        for layer, system, objective in searches:
+            start = clock()
+            best_mapping(layer, system, objective)
+            elapsed += clock() - start
+        per_candidate_us.append(elapsed / candidates * 1e6)
+    return [("searches", len(searches)), ("candidates", candidates), ("passes", passes),
+            ("us_per_candidate_min", f"{min(per_candidate_us):.2f}"),
+            ("us_per_candidate_median", f"{statistics.median(per_candidate_us):.2f}")]
+
+
+def _time_pricing(passes: int) -> list[tuple[str, object]]:
+    from imcperf.macro import macro_metrics
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pricings = _pricings(Path(tmp))
+
+    per_pricing_us = []
+    clock = time.perf_counter
+    for _ in range(passes):
+        # a copy has the config's fields but not the identity the pricing memo keys on
+        fresh = [(params, copy.copy(macro)) for params, macro in pricings]
+        start = clock()
+        for params, macro in fresh:
+            macro_metrics(params, macro)
+        per_pricing_us.append((clock() - start) / len(fresh) * 1e6)
+    return [("pricings", len(pricings)), ("passes", passes),
+            ("us_per_pricing_min", f"{min(per_pricing_us):.2f}"),
+            ("us_per_pricing_median", f"{statistics.median(per_pricing_us):.2f}")]
+
+
+def _run_minimum(src: Path, stage: str, passes: int) -> float:
+    """The stage's minimum figure in one fresh-process run on the package in src."""
+    key = f"{STAGES[stage][0]}_min"
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--passes", str(passes),
-         "--src", str(src)],
+        [sys.executable, str(Path(__file__).resolve()), "--stage", stage,
+         "--passes", str(passes), "--src", str(src)],
         capture_output=True, text=True, check=True)
     for line in proc.stdout.splitlines():
         name, _, value = line.partition(" ")
-        if name == "us_per_candidate_min":
+        if name == key:
             return float(value)
-    raise SystemExit(f"no us_per_candidate_min in the output for {src}:\n{proc.stdout}")
+    raise SystemExit(f"no {key} in the output for {src}:\n{proc.stdout}")
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -86,13 +174,13 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return low, high
 
 
-def _summary(label: str, values: list[float]) -> str:
+def _summary(label: str, values: list[float], per: str) -> str:
     low, high = _quartiles(values)
     return (f"{label:<8} min {min(values):.2f}  median {statistics.median(values):.2f}  "
-            f"q1 {low:.2f}  q3 {high:.2f}  (us per candidate)")
+            f"q1 {low:.2f}  q3 {high:.2f}  (us per {per})")
 
 
-def compare(against: Path, rounds: int, passes: int) -> int:
+def compare(against: Path, stage: str, rounds: int, passes: int) -> int:
     """Alternate fresh-process runs of this tree and the tree in against."""
     other_src = (against / "src").resolve()
     if not (other_src / "imcperf").is_dir():
@@ -103,12 +191,13 @@ def compare(against: Path, rounds: int, passes: int) -> int:
     for index in range(rounds):
         order = ((this_src, this), (other_src, other))
         for src, values in (order if index % 2 else order[::-1]):
-            values.append(_run_minimum(src, passes))
+            values.append(_run_minimum(src, stage, passes))
         print(f"round {index + 1:<3} against {other[-1]:.2f}  this {this[-1]:.2f}", flush=True)
     ratios = [o / t for o, t in zip(other, this)]
     wins = sum(t < o for t, o in zip(this, other))
-    print(_summary("against", other))
-    print(_summary("this", this))
+    per = STAGES[stage][0].removeprefix("us_per_")
+    print(_summary("against", other, per))
+    print(_summary("this", this, per))
     print(f"median ratio against/this {statistics.median(ratios):.3f}")
     print(f"this tree won {wins} of {rounds} rounds")
     low, high = _quartiles(other)
@@ -121,7 +210,11 @@ def compare(against: Path, rounds: int, passes: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--passes", type=int, default=5, help="passes to time (default: 5)")
+    parser.add_argument("--stage", choices=tuple(STAGES), default="search",
+                        help="best_mapping over dse-network, or macro_metrics over "
+                             "peak-sweep (default: search)")
+    parser.add_argument("--passes", type=int,
+                        help="passes to time (default: 5 for search, 200 for pricing)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the imcperf package (default: ./src)")
     parser.add_argument("--against", type=Path, metavar="DIR",
@@ -129,40 +222,20 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=10,
                         help="runs per tree with --against (default: 10)")
     args = parser.parse_args()
-    if args.passes < 1:
+    passes = STAGES[args.stage][1] if args.passes is None else args.passes
+    if passes < 1:
         parser.error("--passes must be >= 1")
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
     if args.against is not None:
-        return compare(args.against, args.rounds, args.passes)
+        return compare(args.against, args.stage, args.rounds, passes)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT)]
 
-    from imcperf.mapper import best_mapping, mapping_space
-
-    with tempfile.TemporaryDirectory() as tmp:
-        searches = _searches(Path(tmp))
-    candidates = 0
-    for layer, system, _ in searches:
-        rows, cols = mapping_space(layer, system.macro)
-        candidates += len(rows) * len(cols)
-
-    per_candidate_us = []
-    clock = time.perf_counter
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # b_cycle rounding warns once per layer
-        for _ in range(args.passes):
-            elapsed = 0.0
-            for layer, system, objective in searches:
-                start = clock()
-                best_mapping(layer, system, objective)
-                elapsed += clock() - start
-            per_candidate_us.append(elapsed / candidates * 1e6)
-
-    print(f"searches                {len(searches)}")
-    print(f"candidates              {candidates}")
-    print(f"passes                  {args.passes}")
-    print(f"us_per_candidate_min    {min(per_candidate_us):.2f}")
-    print(f"us_per_candidate_median {statistics.median(per_candidate_us):.2f}")
+        figures = (_time_search if args.stage == "search" else _time_pricing)(passes)
+    for name, value in figures:
+        print(f"{name:<23} {value}")
     return 0
 
 
