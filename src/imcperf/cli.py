@@ -26,9 +26,9 @@ from typing import Any, Callable, NamedTuple
 
 from .components import TechnologyParams, _check_amount
 from .macro import ImcMacroConfig, ImcType, macro_metrics
-from .mapper import OBJECTIVES
 from .system import (
     ENERGY_BREAKDOWN_KEYS,
+    OBJECTIVES,
     MemoryLevel,
     SystemConfig,
     SystemMetrics,
@@ -515,13 +515,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"imcperf: evaluation error: {exc}", file=sys.stderr)
         return 3
 
-    if args.format == "json":
-        text = _render_json(args.command, fieldnames, rows)
-    else:
-        text = _render_csv(fieldnames, rows)
     try:
+        if args.format == "json":
+            text = _render_json(args.command, fieldnames, rows)
+        else:
+            # before Python 3.11, the csv module cannot write a NUL in a name
+            text = _render_csv(fieldnames, rows)
         _emit(text, args.out)
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
         print(f"imcperf: error: cannot write output: {exc}", file=sys.stderr)
         return 1
     return 0

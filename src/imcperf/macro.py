@@ -300,7 +300,7 @@ def _pricing(params: TechnologyParams,
     n = cfg.n_macros
     per_mvm = cycle_energies(d_i, d_o, cycles, 1)
     # One pass scales each entry to n macros, adds it to the three sums left to
-    # right from zero, the order of sum() up to Python 3.11, and builds its
+    # right from zero, as system._total does on every Python, and builds its
     # ComponentCost from its field dict, as system._system_metrics builds a
     # SystemMetrics. The entries skip ComponentCost's checks: each is a product
     # of checked non-negative unit costs and positive counts, so it is finite

@@ -24,12 +24,8 @@ __all__ = [
     "mapping_space",
     "enumerate_mappings",
     "evaluate_mapping",
-    "best_mapping",
-    "OBJECTIVES",
     "MAX_CANDIDATES",
 ]
-
-OBJECTIVES = ("energy", "latency", "edp")
 
 # Largest mapping space one layer may search. The bundled and benchmark layers
 # need at most a few thousand candidates; a space this large would take minutes.
@@ -242,38 +238,3 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     _check_feasible(layer, cfg, mapping)
     return next(_results(layer, cfg, (mapping,)))
 
-
-def best_mapping(layer: Layer, system: "SystemConfig",  # noqa: F821
-                 objective: str = "energy") -> MappingResult:
-    """Exhaustive search for the mapping minimizing the system-level objective.
-
-    Ties break toward higher spatial utilization, then the lexicographically
-    smallest factor tuple, so results do not depend on evaluation order.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    # System-model import deferred: system imports this module at load time.
-    from .system import evaluate_layer_mapping
-
-    best: tuple | None = None
-    best_value = 0.0
-    best_result: MappingResult | None = None
-    cfg = system.macro
-    for result in _results(layer, cfg, enumerate_mappings(layer, cfg)):
-        metrics = evaluate_layer_mapping(system, layer, result)
-        if objective == "energy":
-            value = metrics.energy
-        elif objective == "latency":
-            value = metrics.latency
-        else:
-            value = metrics.energy * metrics.latency
-        # A key below best needs value <= best_value (a NaN on either side
-        # compares false both ways), so the tuple is built only for contenders.
-        if best is None or value <= best_value:
-            key = (value, -result.spatial_utilization, result.mapping.factors())
-            if best is None or key < best:
-                best = key
-                best_value = value
-                best_result = result
-    assert best_result is not None  # all-ones mapping always enumerates
-    return best_result

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from functools import reduce
+from operator import add
+from typing import Any, Callable, Iterable
 
 from .components import TechnologyParams, _check_amount, _check_count, _store_floats
 from .macro import (
@@ -26,7 +28,8 @@ from .macro import (
     per_cycle_energy,  # noqa: F401
     resolve_layer_precisions,  # noqa: F401
 )
-from .mapper import MappingResult, best_mapping
+from . import mapper
+from .mapper import MappingResult
 from .workload import Layer, LayerKind, Network, classify, total_macs
 
 __all__ = [
@@ -38,12 +41,21 @@ __all__ = [
     "default_system_config",
     "peak_system_metrics",
     "evaluate_layer_mapping",
+    "best_mapping",
+    "OBJECTIVES",
     "layer_system_metrics",
     "network_system_metrics",
     "geomean_efficiency",
 ]
 
 ENERGY_BREAKDOWN_KEYS: tuple[str, ...] = BREAKDOWN_COMPONENTS + ("cache", "dram", "weight_load")
+OBJECTIVES = ("energy", "latency", "edp")
+
+
+def _total(values: Iterable[float]) -> float:
+    """The floats added left to right from 0, so every Python prints the same
+    digits: from 3.12 sum() compensates."""
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -199,7 +211,7 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     energy_breakdown["cache"] = cache_energy
     energy_breakdown["dram"] = dram_energy
     energy_breakdown["weight_load"] = 0.0
-    energy = sum(energy_breakdown.values())
+    energy = _total(energy_breakdown.values())
 
     latency = mm.clock_period * mm.cycles_per_mvm
     area = mm.area + system.cache.area
@@ -308,7 +320,7 @@ def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult]
         energy_breakdown["dram"] = dram_in + dram_out
         energy_breakdown["weight_load"] = (traffic[("W", "dram")] * dram_rate
                                            + weight_macro_bits * cell_write_energy)
-        energy = sum(energy_breakdown.values())
+        energy = _total(energy_breakdown.values())
 
         compute_time = cycles * clock
         stall_time = weight_macro_bits / bandwidth * clock
@@ -337,6 +349,39 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     if entry is not None and entry[0] is system and entry[1] is layer:
         return entry[3](result)
     return _layer_price(system, layer)(result)
+
+
+def best_mapping(layer: Layer, system: SystemConfig,
+                 objective: str = "energy") -> MappingResult:
+    """Exhaustive search for the mapping minimizing the system-level objective.
+
+    Ties break toward higher spatial utilization, then the lexicographically
+    smallest factor tuple, so results do not depend on evaluation order.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    best: tuple | None = None
+    best_value = 0.0
+    best_result: MappingResult | None = None
+    cfg = system.macro
+    for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg)):
+        metrics = evaluate_layer_mapping(system, layer, result)
+        if objective == "energy":
+            value = metrics.energy
+        elif objective == "latency":
+            value = metrics.latency
+        else:
+            value = metrics.energy * metrics.latency
+        # A key below best needs value <= best_value (a NaN on either side
+        # compares false both ways), so the tuple is built only for contenders.
+        if best is None or value <= best_value:
+            key = (value, -result.spatial_utilization, result.mapping.factors())
+            if best is None or key < best:
+                best = key
+                best_value = value
+                best_result = result
+    assert best_result is not None  # all-ones mapping always enumerates
+    return best_result
 
 
 def layer_system_metrics(system: SystemConfig, layer: Layer,
@@ -394,5 +439,5 @@ def geomean_efficiency(metrics: list[SystemMetrics]) -> dict[str, float]:
         values = [getattr(m, name) for m in metrics]
         if any(v <= 0 for v in values):
             raise ValueError(f"{name} values must be positive for a geometric mean")
-        out[name] = math.exp(sum(math.log(v) for v in values) / len(values))
+        out[name] = math.exp(_total(math.log(v) for v in values) / len(values))
     return out

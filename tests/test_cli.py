@@ -971,3 +971,23 @@ class TestColumnTypes:
         # these gave integer energy_accumulator, energy_pipeline_register and
         # energy_cache columns
         assert _column_types(command, config) == _default_column_types(command)
+
+
+class TestCsvErrors:
+    """A row the csv module cannot write is an output error, as an unwritable
+    --out is: one line on stderr, exit 1, no traceback and no file."""
+
+    def test_writer_error_is_reported(self, capsys, tmp_path, monkeypatch):
+        class Refusing:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def writerow(self, row):
+                raise csv.Error("need to escape, but no escapechar set")
+
+        monkeypatch.setattr(csv, "writer", Refusing)
+        target = tmp_path / "rows.csv"
+        assert run(capsys, "validate", "--out", str(target)) == (
+            1, "", "imcperf: error: cannot write output: need to escape, but no "
+                   "escapechar set\n")
+        assert not target.exists()

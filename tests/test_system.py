@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import sys
 import threading
@@ -37,6 +39,7 @@ from imcperf import (
     total_macs,
 )
 from imcperf import macro as macro_module
+from imcperf import system as system_module
 from imcperf.system import ENERGY_BREAKDOWN_KEYS
 from _oracles import layer_metrics_oracle
 
@@ -597,3 +600,34 @@ class TestGeomean:
         mixed = geomean_efficiency([a, b])
         assert mixed["tops"] == pytest.approx(math.sqrt(a.tops * b.tops), rel=1e-12)
         assert set(mixed) == {"tops", "tops_per_w", "tops_per_mm2"}
+
+
+class TestLeftToRightTotal:
+    """Every float total of the system model adds left to right from 0, as
+    sum() does up to Python 3.11, so each Python prints the same digits."""
+
+    def test_adds_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16 twice; a compensated sum keeps the 2
+        values = [1e16, 1.0, 1.0]
+        assert math.fsum(values) == 1e16 + 2
+        assert system_module._total(values) == 1e16
+        assert system_module._total(iter(values)) == 1e16
+        assert system_module._total([]) == 0
+
+    def test_every_float_total_goes_through_it(self, monkeypatch):
+        totals = []
+
+        def recording(values):
+            values = list(values)
+            totals.append(len(values))
+            return functools.reduce(operator.add, values, 0)
+
+        monkeypatch.setattr(system_module, "_total", recording)
+        system = system_for(ImcType.AIMC, 32)
+        peak = peak_system_metrics(system)
+        assert totals == [len(ENERGY_BREAKDOWN_KEYS)]
+        network, _ = network_system_metrics(system, Network("n", (PW,), (1,)))
+        assert len(totals) > 2 and set(totals) == {len(ENERGY_BREAKDOWN_KEYS)}
+        del totals[:]
+        geomean_efficiency([peak, network])
+        assert totals == [2, 2, 2]

@@ -111,7 +111,8 @@ def _pricings(run_dir: Path) -> list[tuple[object, object]]:
 
 
 def _time_search(passes: int) -> list[tuple[str, object]]:
-    from imcperf.mapper import best_mapping, mapping_space
+    from imcperf.mapper import mapping_space
+    from imcperf.system import best_mapping
 
     with tempfile.TemporaryDirectory() as tmp:
         searches = _searches(Path(tmp))
