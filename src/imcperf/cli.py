@@ -379,11 +379,10 @@ def _format_cell(value: Any) -> str:
 
 def _render_csv(fieldnames: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(fieldnames),
-                            restval="", lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
     for row in rows:
-        writer.writerow({key: _format_cell(value) for key, value in row.items()})
+        writer.writerow([_format_cell(row.get(key, "")) for key in fieldnames])
     return buffer.getvalue()
 
 

@@ -132,15 +132,21 @@ def mapping_space(layer: Layer, cfg: ImcMacroConfig
     return row_candidates, col_candidates
 
 
-def enumerate_mappings(layer: Layer, cfg: ImcMacroConfig) -> list[SpatialMapping]:
-    """All divisor-only unroll factor tuples fitting the array capacity.
+def enumerate_mappings(
+        layer: Layer, cfg: ImcMacroConfig,
+        space: tuple[list[tuple[int, int, int]], list[tuple[int, int]]] | None = None,
+) -> list[SpatialMapping]:
+    """The mappings of space: each (k_u, ox_u) column pair with each (c_u, fx_u, fy_u)
+    row tuple, column pairs outer.
 
-    The all-ones mapping always qualifies, so the list is never empty. Order is
-    lexicographic in (k_u, ox_u, c_u, fx_u, fy_u) for deterministic iteration.
-    Raises WorkloadError, before building any mapping, when the layer has more
-    than MAX_CANDIDATES of them.
+    Without a space, the layer's whole mapping_space: every divisor-only unroll
+    factor tuple fitting the array capacity. The all-ones mapping always
+    qualifies, so that list is never empty, and its order is lexicographic in
+    (k_u, ox_u, c_u, fx_u, fy_u). Raises WorkloadError, before building any
+    mapping, when the layer has more than MAX_CANDIDATES of them. A given space
+    is not checked: its tuples come from the layer's mapping_space.
     """
-    row_candidates, col_candidates = mapping_space(layer, cfg)
+    row_candidates, col_candidates = mapping_space(layer, cfg) if space is None else space
     # The factors are _divisors output, so ints >= 1 that __post_init__ accepts.
     # Each mapping takes its field dict, in field order, as its __dict__: the
     # generated __init__ would set each field through object.__setattr__, which

@@ -21,6 +21,7 @@ from .components import TechnologyParams, _check_amount, _check_count, _store_fl
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
+    _CycleEnergies,
     _pricing,
     layer_precisions,
     macro_metrics,
@@ -234,23 +235,28 @@ def _output_spill(bits: int, capacity: int) -> str:
             f"({capacity} bits); outputs spill to DRAM")
 
 
-# The last price built, as (system, layer, cfg, price). A mapper search prices
+# The last layer pricing built, as (system, layer, cfg, price, cycle_energies):
+# the layer's single macro, the price of a mapping result on it, and the
+# energy by component of its active rows and columns. A mapper search prices
 # every candidate of one layer on one system in turn. The entry holds both
 # frozen objects, so neither can be freed and its id reused while the entry
 # lives; equal but distinct objects rebuild. The tuple is read once and
 # replaced whole, so a reader never sees a price paired with the wrong key.
-_price_entry: tuple[SystemConfig, Layer, ImcMacroConfig,
-                    Callable[[MappingResult], SystemMetrics]] | None = None
+_PriceEntry = tuple[SystemConfig, Layer, ImcMacroConfig,
+                    Callable[[MappingResult], SystemMetrics], _CycleEnergies]
+_price_entry: _PriceEntry | None = None
 
 
-def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult], SystemMetrics]:
-    """The price of a mapping result of the layer on one macro of the system.
+def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
+    """The pricing entry of the layer on one macro of the system.
 
     What does not depend on the mapping is computed here, once per (system,
-    layer); evaluate_layer_mapping calls the returned function per result.
+    layer); evaluate_layer_mapping calls the entry's price per result.
     """
     global _price_entry
     entry = _price_entry
+    if entry is not None and entry[0] is system and entry[1] is layer:
+        return entry
     b_i, b_w, b_o, b_cycle = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
     cfg = entry[2] if entry is not None and entry[0] is system else None
     if cfg is None or (cfg.b_i, cfg.b_w, cfg.b_o, cfg.b_cycle) != (b_i, b_w, b_o, b_cycle):
@@ -331,8 +337,8 @@ def _layer_price(system: SystemConfig, layer: Layer) -> Callable[[MappingResult]
             {"compute": compute_time, "weight_load_stall": stall_time},
             dict(area_breakdown), notes)
 
-    _price_entry = (system, layer, cfg, price)
-    return price
+    entry = _price_entry = (system, layer, cfg, price, cycle_energies)
+    return entry
 
 
 def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
@@ -348,15 +354,86 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     entry = _price_entry
     if entry is not None and entry[0] is system and entry[1] is layer:
         return entry[3](result)
-    return _layer_price(system, layer)(result)
+    return _layer_pricing(system, layer)[3](result)
+
+
+# The search prices the first row tuple of the largest row product r* with
+# every column pair, and the first tuple of every other row product only where
+# r* may not win exactly. For one (k_u, ox_u) column pair, the row tuple
+# (c_u, fx_u, fy_u) acts through its product r alone: the candidate's MVMs
+# are MVMs(r*) * r* / r, its cycles are cycles_per_mvm times that, and no
+# traffic entry depends on r. The tuples of one product therefore price to
+# the same floats, and the tie-break takes the first. Latency, cycles * clock
+# plus a stall that does not depend on r, is least at r*, and so is the
+# utilization tie-break, so a latency search needs nothing more.
+#
+# In exact arithmetic, a candidate's energy is its MVMs times the macro energy
+# of one MVM at (r, cols), plus cache, DRAM and weight-load terms that do not
+# depend on r. Of the macro terms, cell_array, adc, combine_tree, accumulator
+# and pipeline_register are constants times the cycles, so they fall as r
+# grows, and dac, multiplier, adder_tree and input_register do not depend on
+# r. So the exact macro energy falls with r, least from the next smaller
+# product r2 to r*, and its relative gain there is
+#     gain = r* * E1(r2, cols) / (r2 * E1(r*, cols)) - 1
+# where E1 is the macro energy of one MVM. Both E1 are sums of terms that are
+# affine in cols with non-negative coefficients, so gain is monotone in cols
+# and is least at the fewest or the most columns of any column pair.
+#
+# The floats wobble. Each macro term is at most five roundings from its exact
+# value (an int converted to float, a division and three multiplies, at
+# most), and _total adds the nine terms left to right, eight roundings more,
+# so a candidate's macro energy is within 13u of its exact value, relative
+# (u = 2**-53). With E1(r*, cols) inside _MVM_ENERGY_RANGE, no term of any
+# candidate overflows (it is at most E1(r*, max cols) times at most 2**94
+# cycles, and the macro's own range check keeps its factors finite) or loses
+# more than 1e-80 of its value to subnormals. The cache, DRAM and weight-load
+# terms are the same floats for every r and _total adds them after the macro
+# terms; float addition and multiplication are monotone, so r*'s energy, and
+# its energy-delay product, is at most every smaller product's whenever its
+# macro energy is. That holds once the exact gain exceeds 26u / (1 - 26u),
+# below 3e-15. 1 + gain is computed within 15u of its exact value, relative,
+# so a computed gain at or above _ROW_GAIN_MARGIN, 1e-12, proves r* wins. Any
+# other gain, a NaN included, or an E1(r*, cols) outside the range, prices
+# every row product.
+_ROW_GAIN_MARGIN = 1e-12
+_MVM_ENERGY_RANGE = (1e-200, 1e200)  # J
+
+
+def _priced_rows(system: SystemConfig, layer: Layer, objective: str,
+                 rows: list[tuple[int, int, int]],
+                 cols: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The row tuples the search prices with every column pair: the first
+    tuple of the largest row product, or, where that product may not win
+    exactly, the first tuple of every row product, in the order of rows."""
+    firsts: dict[int, tuple[int, int, int]] = {}
+    for row in rows:
+        firsts.setdefault(row[0] * row[1] * row[2], row)
+    top = max(firsts)
+    if objective == "latency" or len(firsts) == 1:
+        return [firsts[top]]
+    below = max(product for product in firsts if product != top)
+    _, _, cfg, _, cycle_energies = _layer_pricing(system, layer)
+    cycles = cfg.cycles_per_mvm
+    low, high = _MVM_ENERGY_RANGE
+    col_counts = [k_u * ox_u for k_u, ox_u in cols]
+    for count in {min(col_counts), max(col_counts)}:
+        top_energy = math.fsum(cycle_energies(top, count, cycles, 1).values())
+        below_energy = math.fsum(cycle_energies(below, count, cycles, 1).values())
+        if not (low < top_energy < high
+                and top * below_energy / (below * top_energy) - 1.0 >= _ROW_GAIN_MARGIN):
+            return list(firsts.values())
+    return [firsts[top]]
 
 
 def best_mapping(layer: Layer, system: SystemConfig,
                  objective: str = "energy") -> MappingResult:
-    """Exhaustive search for the mapping minimizing the system-level objective.
+    """The mapping minimizing the system-level objective.
 
     Ties break toward higher spatial utilization, then the lexicographically
-    smallest factor tuple, so results do not depend on evaluation order.
+    smallest factor tuple, so results do not depend on evaluation order. The
+    search prices each column pair with the largest row product only, unless
+    the energy that product saves is within float rounding: rows and columns
+    are independent, so the winner is the one an exhaustive search finds.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -364,7 +441,9 @@ def best_mapping(layer: Layer, system: SystemConfig,
     best_value = 0.0
     best_result: MappingResult | None = None
     cfg = system.macro
-    for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg)):
+    rows, cols = mapper.mapping_space(layer, cfg)
+    space = (_priced_rows(system, layer, objective, rows, cols), cols)
+    for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg, space)):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":
             value = metrics.energy
@@ -380,7 +459,7 @@ def best_mapping(layer: Layer, system: SystemConfig,
                 best = key
                 best_value = value
                 best_result = result
-    assert best_result is not None  # all-ones mapping always enumerates
+    assert best_result is not None  # a space has a column pair and a row tuple
     return best_result
 
 

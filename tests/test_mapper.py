@@ -633,8 +633,9 @@ class TestSearchCandidates:
     calling evaluate_mapping, and evaluate_layer_mapping prices each result from
     the scalars its layer pricing holds. Every result the search hands over must
     be indistinguishable from the oracle's result for the same mapping, in
-    enumerate_mappings order, and every metrics object it gets back must equal
-    the oracle's metrics for that result."""
+    enumerate_mappings order with some candidates left out, every metrics
+    object it gets back must equal the oracle's metrics for that result, and
+    its winner must be the exhaustive search's."""
 
     @staticmethod
     def _priced(layer, system, objective):
@@ -653,12 +654,13 @@ class TestSearchCandidates:
 
     def _check(self, layer, system, objective="energy"):
         macro = system.macro
-        rows, cols = mapper.mapping_space(layer, macro)
-        expected = [mapping_result_oracle(layer, macro, SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u))
-                    for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
         priced = self._priced(layer, system, objective)
-        assert len(priced) == len(expected)
-        for (result, metrics), expected_result in zip(priced, expected):
+        # each priced mapping is found after the one before it in the full list
+        remaining = iter(enumerate_mappings(layer, macro))
+        assert all(result.mapping in remaining for result, _ in priced)
+        for result, metrics in priced:
+            expected_result = mapping_result_oracle(layer, macro,
+                                                    SpatialMapping(*result.mapping.factors()))
             TestBuiltObjects._assert_indistinguishable(result, expected_result)
             expected_metrics = layer_metrics_oracle(system, layer, expected_result)
             assert metrics == expected_metrics
@@ -666,10 +668,13 @@ class TestSearchCandidates:
             assert list(metrics.energy_breakdown.items()) \
                 == list(expected_metrics.energy_breakdown.items())
             assert metrics.warnings == expected_metrics.warnings
+        assert layer_system_metrics(system, layer, objective) \
+            == exhaustive_best_mapping(layer, system, objective)
         return len(priced)
 
     def test_built_objects_systems(self):
-        checked = sum(self._check(layer, system) for layer, system in TestBuiltObjects._systems())
+        checked = sum(self._check(layer, system, objective)
+                      for layer, system in TestBuiltObjects._systems() for objective in OBJECTIVES)
         assert checked > 100
 
     @pytest.mark.parametrize("imc_type", list(ImcType), ids=lambda t: t.value)
@@ -725,3 +730,93 @@ class TestSearchCandidates:
                 notes.add(tuple(note.split(" ")[0] for note in priced[0][1].warnings))
                 self._check(layer, system)
         assert notes == {("input", "output"), ("input",), ("output",), ()}
+
+
+def _product(row):
+    c_u, fx_u, fy_u = row
+    return c_u * fx_u * fy_u
+
+
+# TestOneUlpTies' aimc-8 case: every energy term that falls with the row
+# product is zero, and the row products 3 and 6 each have two tuples
+_FLAT = dict(macro=aimc(8), layer=Layer(k=8, c=96, ox=8, oy=7, fy=3),
+             params=TechnologyParams(k1=0.0, k2=0.0, k3=4.7669e-11, k7=5e-11,
+                                     fa_energy_ratio=6000.0, c_gate=0.0))
+
+
+class TestPrunedSearch:
+    """best_mapping prices the first tuple of the largest row product with every
+    column pair, and the first tuple of every row product only where that
+    product's energy gain is within float rounding, through one
+    enumerate_mappings call whose every mapping it prices."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("make", (aimc, dimc))
+    def test_default_technology_prices_the_largest_row_product(self, make, objective):
+        for layer in FIXTURES:
+            system = default_system_config(make(64))
+            rows, cols = mapper.mapping_space(layer, system.macro)
+            top = max(_product(row) for row in rows)
+            first = next(row for row in rows if _product(row) == top)
+            priced = TestSearchCandidates._priced(layer, system, objective)
+            assert [result.mapping.factors() for result, _ in priced] \
+                == [(k_u, ox_u, *first) for k_u, ox_u in cols]
+
+    def test_flat_energy_takes_the_fallback(self):
+        system = default_system_config(_FLAT["macro"], _FLAT["params"])
+        layer = _FLAT["layer"]
+        rows, cols = mapper.mapping_space(layer, system.macro)
+        firsts = {}
+        for row in rows:
+            firsts.setdefault(_product(row), row)
+        assert len(firsts) < len(rows)  # some products have two tuples
+        priced = TestSearchCandidates._priced(layer, system, "energy")
+        assert [result.mapping.factors() for result, _ in priced] \
+            == [(k_u, ox_u, *row) for k_u, ox_u in cols for row in firsts.values()]
+        # latency falls with the cycles, whatever the energies
+        assert len(TestSearchCandidates._priced(layer, system, "latency")) == len(cols)
+
+    # c_gate scales the energy terms that fall with the row product: r*'s
+    # relative gain over the next smaller product is about 7e-15 at 1e-28 and
+    # about 7e-12 at 1e-25, either side of the 1e-12 margin
+    @pytest.mark.parametrize("c_gate, fallback", [(1e-28, True), (1e-25, False)])
+    def test_the_margin_decides_the_fallback(self, c_gate, fallback):
+        system = default_system_config(_FLAT["macro"], replace(_FLAT["params"], c_gate=c_gate))
+        layer = _FLAT["layer"]
+        _, cols = mapper.mapping_space(layer, system.macro)
+        priced = TestSearchCandidates._priced(layer, system, "energy")
+        assert (len(priced) > len(cols)) == fallback
+        assert layer_system_metrics(system, layer) \
+            == exhaustive_best_mapping(layer, system, "energy")
+
+    def test_one_enumeration_per_search_and_every_mapping_priced(self, monkeypatch):
+        calls = []
+        enumerate_ = mapper.enumerate_mappings
+
+        def recording(layer, cfg, space=None):
+            mappings = enumerate_(layer, cfg, space)
+            calls.append((space, mappings))
+            return mappings
+
+        monkeypatch.setattr(mapper, "enumerate_mappings", recording)
+        systems = (default_system_config(dimc(64)), default_system_config(aimc(128)),
+                   default_system_config(_FLAT["macro"], _FLAT["params"]))
+        for system in systems:
+            for layer in FIXTURES + (_FLAT["layer"],):
+                for objective in OBJECTIVES:
+                    del calls[:]
+                    priced = TestSearchCandidates._priced(layer, system, objective)
+                    (space, mappings), = calls
+                    assert space[1] == mapper.mapping_space(layer, system.macro)[1]
+                    assert [result.mapping for result, _ in priced] == mappings
+
+    def test_enumeration_without_a_space_lists_the_whole_space(self):
+        for layer in FIXTURES:
+            cfg = dimc(64)
+            rows, cols = mapper.mapping_space(layer, cfg)
+            full = [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
+                    for k_u, ox_u in cols for c_u, fx_u, fy_u in rows]
+            assert enumerate_mappings(layer, cfg) == full
+            assert enumerate_mappings(layer, cfg, (rows, cols)) == full
+            assert enumerate_mappings(layer, cfg, (rows[-1:], cols)) \
+                == [SpatialMapping(k_u, ox_u, *rows[-1]) for k_u, ox_u in cols]

@@ -9,8 +9,10 @@ command per (network, macro type, size). Each request's layers are searched
 in-process, without a tracer, by calling ``best_mapping`` once per layer on the
 system that ``imcperf network`` builds for the request; only those calls are
 timed. It prints the number of searches and candidates per pass and the minimum
-and median microseconds per candidate over N passes (a pass's search time
-divided by its candidates; default 5 passes).
+and median microseconds per candidate over N passes (default 5). A candidate
+is a mapping of a layer's ``mapping_space``, whether or not the search prices
+it: a pass's search time is divided by the size of its mapping spaces, not by
+the candidates priced, so ``--against`` compares the same work on both trees.
 
 The ``pricing`` stage takes the ``peak-sweep`` requests (``peak_requests``):
 each ``sweep`` prices its config's macro for both types at each of its sizes,

@@ -14,8 +14,10 @@ pricing raises ValueError is skipped and counted.
 
 Draws run until N seconds (default: 10) have passed. On the first mismatch the
 script prints one pytest function that reproduces it and exits 1; otherwise it
-prints the number of searches and exits 0. The same seed draws the same
-sequence. Needs numpy, which the oracle imports.
+prints the number of searches, how many of them took the search's fallback
+(priced more than one row tuple with each column pair) and the draws skipped,
+and exits 0. The same seed draws the same sequence. Needs numpy, which the
+oracle imports.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ from imcperf import (  # noqa: E402
     default_cache,
     evaluate_layer_mapping,
 )
+from imcperf import mapper  # noqa: E402
 from imcperf.mapper import mapping_space  # noqa: E402
 
-CANDIDATE_CAP = 256
+# above the 1,484 candidates of the largest dse-network layer, so draws reach
+# spaces with many distinct row products
+CANDIDATE_CAP = 2048
 SIZES = (8, 16, 32, 64, 128)
 # the energy constants a draw keeps, zeroes or rescales; dram_energy_per_bit
 # belongs to SystemConfig, the rest to TechnologyParams
@@ -166,21 +171,35 @@ def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
     """Draw and compare searches for the given time; print the outcome, return the exit code."""
     rng = random.Random(seed)
     deadline = time.monotonic() + seconds
-    searches = skipped = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
-        while time.monotonic() < deadline:
-            case = draw(rng, seed, searches + skipped)
-            try:
-                text = compare(case, search)
-            except ValueError:
-                skipped += 1
-                continue
-            searches += 1
-            if text is not None:
-                print(text, end="")
-                return 1
-    print(f"seed {seed}: {searches} searches, 0 mismatches, {skipped} draws skipped")
+    searches = skipped = fallbacks = 0
+    enumerate_mappings = mapper.enumerate_mappings
+
+    def counting(layer, cfg, space=None):
+        # the search's one call: more than one row tuple is its fallback
+        nonlocal fallbacks
+        if space is not None and len(space[0]) > 1:
+            fallbacks += 1
+        return enumerate_mappings(layer, cfg, space)
+
+    mapper.enumerate_mappings = counting
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+            while time.monotonic() < deadline:
+                case = draw(rng, seed, searches + skipped)
+                try:
+                    text = compare(case, search)
+                except ValueError:
+                    skipped += 1
+                    continue
+                searches += 1
+                if text is not None:
+                    print(text, end="")
+                    return 1
+    finally:
+        mapper.enumerate_mappings = enumerate_mappings
+    print(f"seed {seed}: {searches} searches, 0 mismatches, {fallbacks} took the fallback, "
+          f"{skipped} draws skipped")
     return 0
 
 
