@@ -357,10 +357,10 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     return _layer_pricing(system, layer)[3](result)
 
 
-# The search prices the first row tuple of the largest row product r* with
-# every column pair, and the first tuple of every other row product only where
-# r* may not win exactly. For one (k_u, ox_u) column pair, the row tuple
-# (c_u, fx_u, fy_u) acts through its product r alone: the candidate's MVMs
+# The search prices the first row tuple of the largest row product r*, and the
+# first tuple of every other row product only where r* may not win exactly,
+# with the column pairs _priced_cols picks. For one (k_u, ox_u) column pair,
+# the row tuple (c_u, fx_u, fy_u) acts through its product r alone: its MVMs
 # are MVMs(r*) * r* / r, its cycles are cycles_per_mvm times that, and no
 # traffic entry depends on r. The tuples of one product therefore price to
 # the same floats, and the tie-break takes the first. Latency, cycles * clock
@@ -392,19 +392,20 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
 # its energy-delay product, is at most every smaller product's whenever its
 # macro energy is. That holds once the exact gain exceeds 26u / (1 - 26u),
 # below 3e-15. 1 + gain is computed within 15u of its exact value, relative,
-# so a computed gain at or above _ROW_GAIN_MARGIN, 1e-12, proves r* wins. Any
+# so a computed gain at or above _GAIN_MARGIN, 1e-12, proves r* wins. Any
 # other gain, a NaN included, or an E1(r*, cols) outside the range, prices
-# every row product.
-_ROW_GAIN_MARGIN = 1e-12
+# every row product. The column argument above _priced_cols uses the same
+# margin.
+_GAIN_MARGIN = 1e-12
 _MVM_ENERGY_RANGE = (1e-200, 1e200)  # J
 
 
 def _priced_rows(system: SystemConfig, layer: Layer, objective: str,
                  rows: list[tuple[int, int, int]],
                  cols: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """The row tuples the search prices with every column pair: the first
-    tuple of the largest row product, or, where that product may not win
-    exactly, the first tuple of every row product, in the order of rows."""
+    """The row tuples the search prices: the first tuple of the largest row
+    product, or, where that product may not win exactly, the first tuple of
+    every row product, in the order of rows."""
     firsts: dict[int, tuple[int, int, int]] = {}
     for row in rows:
         firsts.setdefault(row[0] * row[1] * row[2], row)
@@ -420,9 +421,95 @@ def _priced_rows(system: SystemConfig, layer: Layer, objective: str,
         top_energy = math.fsum(cycle_energies(top, count, cycles, 1).values())
         below_energy = math.fsum(cycle_energies(below, count, cycles, 1).values())
         if not (low < top_energy < high
-                and top * below_energy / (below * top_energy) - 1.0 >= _ROW_GAIN_MARGIN):
+                and top * below_energy / (below * top_energy) - 1.0 >= _GAIN_MARGIN):
             return list(firsts.values())
     return [firsts[top]]
+
+
+# With one row tuple, of product r, the search prices one column pair per
+# ox_u, (k*, ox_u) with k* the largest k_u that fits beside ox_u, and every
+# k_u of that ox_u only where k* may not win exactly. As k_u divides k and
+# ox_u divides ox, a candidate's MVMs are W / (k_u * ox_u), with W the same
+# for every column pair, and the weight bits it writes into the macro,
+# loads * r * cols * b_w = g * k * C * FX * FY * b_w * ox_u, depend on ox_u
+# alone, and so do its weight-load energy and stall. Fix ox_u and let k_u
+# grow: the cycles fall and the stall is the same float, so latency cannot
+# rise, and utilization rises, so a latency search prices k* alone.
+#
+# In exact arithmetic, cell_array, dac, input_register and the input reads
+# (MVMs * r * b_i bits, at the cache read energy, or at the DRAM rate when the
+# inputs spill) fall with the MVMs, phi per MVM. adc, multiplier, adder_tree,
+# combine_tree, accumulator and pipeline_register scale with cols * cycles,
+# which is the same for every k_u, and the output, DRAM and weight-load terms
+# and the spill notes do not depend on k_u. So a candidate's energy is
+# phi * MVMs + F, with F the same for every k_u of ox_u, and k*'s relative gain
+# is least over the next smaller k_u, k2:
+#     gain = phi * (MVMs(k2) - MVMs(k*)) / E(k*)
+# where E(k*) is MVMs(k*) times the macro energy of one MVM, affine in cols,
+# plus the input reads, the layer's fixed cache and DRAM energy and the
+# weight-write energy, omega * ox_u.
+#
+# The floats wobble, and here the constant terms do too: their cols and
+# cycles operands differ between the k_u. Each of a candidate's twelve
+# breakdown entries is at most five roundings from its exact value (the cache,
+# DRAM and weight-load entries at most three: two products and their sum),
+# and _total adds them with eleven roundings more, so a candidate's energy is
+# within 16u / (1 - 16u) of its exact value, relative to the whole energy. k*'s
+# energy, and with its latency its energy-delay product, is therefore at most
+# every smaller k_u's once the exact gain exceeds 32u / (1 - 32u), below
+# 4e-15. With E(k*) inside _MVM_ENERGY_RANGE, no term of a candidate of that
+# ox_u overflows (its MVMs are at most d_o times k*'s, so each term is at most
+# d_o * E(k*) in exact arithmetic), and subnormal rounding, scaled by at most
+# 2**94 cycles, moves no energy and no computed gain above _GAIN_MARGIN by
+# 1e-80 of its value. The gain below is computed within 22u of its exact value,
+# relative, so a computed gain at or above _GAIN_MARGIN, 1e-12, proves k* wins.
+# Any other gain, a NaN included, or an E(k*) outside the range, prices every
+# k_u of that ox_u.
+def _priced_cols(system: SystemConfig, layer: Layer, objective: str,
+                 row: tuple[int, int, int],
+                 cols: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The column pairs the search prices with the one row tuple: the pair of
+    the largest k_u of each ox_u, or, where that pair may not win exactly,
+    every pair of that ox_u, in the order of cols."""
+    top: dict[int, int] = {}
+    below: dict[int, int] = {}
+    for k_u, ox_u in cols:  # k_u ascends
+        if ox_u in top:
+            below[ox_u] = top[ox_u]
+        top[ox_u] = k_u
+    full: set[int] = set()
+    if objective != "latency" and below:
+        _, _, cfg, _, cycle_energies = _layer_pricing(system, layer)
+        r = row[0] * row[1] * row[2]
+        b_i, b_w, b_o = cfg.b_i, cfg.b_w, cfg.b_o
+        cache = system.cache
+        dram_rate = system.dram_energy_per_bit
+        input_bits = layer.input_elements * b_i
+        output_bits = layer.output_elements * b_o
+        input_spills = input_bits > cache.capacity_bits
+        # one MVM's energy on no columns, and each column's: every entry is a
+        # term that does not depend on cols, or cols times one
+        no_cols = cycle_energies(r, 0, cfg.cycles_per_mvm, 1)
+        one_col = cycle_energies(r, 1, cfg.cycles_per_mvm, 1)
+        per_col = math.fsum(one_col[name] - no_cols[name] for name in one_col)
+        phi = math.fsum(no_cols.values()) + r * b_i * (
+            dram_rate if input_spills else cache.read_energy)
+        fixed = math.fsum((
+            output_bits * cache.write_energy,
+            0.0 if input_spills else input_bits * dram_rate,
+            output_bits * dram_rate if output_bits > cache.capacity_bits else 0.0,
+            layer.weight_elements * b_w * dram_rate))
+        omega = layer.weight_elements * b_w * system.params.sram_cell_write_energy
+        work = layer.weight_elements // r * layer.ox * layer.b * layer.oy
+        low, high = _MVM_ENERGY_RANGE
+        for ox_u, k2 in below.items():
+            k_top = top[ox_u]
+            mvms = work // (k_top * ox_u)
+            energy = mvms * (phi + per_col * (k_top * ox_u)) + fixed + omega * ox_u
+            if not (low < energy < high and
+                    phi * (work // (k2 * ox_u) - mvms) / energy >= _GAIN_MARGIN):
+                full.add(ox_u)
+    return [(k_u, ox_u) for k_u, ox_u in cols if k_u == top[ox_u] or ox_u in full]
 
 
 def best_mapping(layer: Layer, system: SystemConfig,
@@ -431,9 +518,11 @@ def best_mapping(layer: Layer, system: SystemConfig,
 
     Ties break toward higher spatial utilization, then the lexicographically
     smallest factor tuple, so results do not depend on evaluation order. The
-    search prices each column pair with the largest row product only, unless
-    the energy that product saves is within float rounding: rows and columns
-    are independent, so the winner is the one an exhaustive search finds.
+    search prices the largest row product only, and with it the largest k_u
+    of each ox_u only, unless the energy that either saves is within float
+    rounding: the MVMs depend on the rows and on k_u * ox_u alone, and the
+    weight writes and their stall on ox_u alone, so the winner is the one an
+    exhaustive search finds.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -442,7 +531,10 @@ def best_mapping(layer: Layer, system: SystemConfig,
     best_result: MappingResult | None = None
     cfg = system.macro
     rows, cols = mapper.mapping_space(layer, cfg)
-    space = (_priced_rows(system, layer, objective, rows, cols), cols)
+    rows = _priced_rows(system, layer, objective, rows, cols)
+    if len(rows) == 1:
+        cols = _priced_cols(system, layer, objective, rows[0], cols)
+    space = (rows, cols)
     for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg, space)):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":

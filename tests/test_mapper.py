@@ -556,6 +556,44 @@ class TestOneUlpTies:
         assert repr(metrics.latency) == repr(expected_metrics.latency)
 
 
+class TestColumnTies:
+    """Column pairs of one ox_u whose energies differ by rounding alone,
+    because the energy that falls with k_u is zero or nearly so: free DRAM and
+    a free or spilled cache read. tools/search_diff.py reached these once it
+    drew the cache; TestSearchProperty's draws do not. A search that prices
+    only the largest k_u of each ox_u picks a different mapping on each."""
+
+    @pytest.mark.parametrize("size, overrides, cache, layer, winner", [
+        pytest.param(16, {"k2": 0.0, "k3": 1.87e-9, "fa_energy_ratio": 0.277,
+                          "dff_energy_ratio": 0.0},
+                     {"read_energy": 9.60870114662074e-13, "write_energy": 0.0,
+                      "capacity_bits": 64},
+                     Layer(b=2, k=96, c=64, ox=3, fx=5, sx=2, sy=2), (12, 1, 16, 1, 1),
+                     id="dimc-16"),
+        pytest.param(8, {"k1": 8.27e-13, "k2": 1.15e-16, "k3": 2.14e-10, "k7": 0.0,
+                         "fa_energy_ratio": 1.33, "dff_energy_ratio": 0.0},
+                     {"read_energy": 0.0, "capacity_bits": 64},
+                     Layer(b=2, k=48, c=4, ox=8, oy=4, fx=7, fy=3, sy=2), (6, 1, 1, 7, 1),
+                     id="dimc-8"),
+        pytest.param(32, {"c_gate": 3.23e-18, "k1": 1.14e-13, "k2": 0.0, "k7": 2.43e-16,
+                          "fa_energy_ratio": 244.0, "dff_energy_ratio": 0.0,
+                          "sram_cell_write_energy": 5e-14},
+                     {"read_energy": 0.0, "capacity_bits": 4096},
+                     Layer(k=96, c=8, ox=14, oy=5, fx=2, fy=7, sx=2, b_i=3, b_w=3),
+                     (24, 1, 2, 2, 7), id="dimc-32"),
+    ])
+    def test_search_returns_the_exhaustive_winner(self, size, overrides, cache, layer, winner):
+        macro = dimc(size)
+        system = SystemConfig(macro=macro, params=TechnologyParams(**overrides),
+                              cache=default_cache(macro, **cache), dram_energy_per_bit=0.0)
+        expected, expected_metrics = exhaustive_best_mapping(layer, system, "energy")
+        result = best_mapping(layer, system, "energy")
+        metrics = evaluate_layer_mapping(system, layer, result)
+        assert result.mapping.factors() == expected.mapping.factors() == winner
+        assert repr(metrics.energy) == repr(expected_metrics.energy)
+        assert repr(metrics.latency) == repr(expected_metrics.latency)
+
+
 class TestBuiltObjects:
     """The search builds its SpatialMapping, MappingResult and SystemMetrics
     objects without the generated __init__. Each must be indistinguishable from
@@ -673,8 +711,11 @@ class TestSearchCandidates:
         return len(priced)
 
     def test_built_objects_systems(self):
-        checked = sum(self._check(layer, system, objective)
-                      for layer, system in TestBuiltObjects._systems() for objective in OBJECTIVES)
+        # each system's flat-column variant takes the column fallback
+        checked = sum(self._check(layer, variant, objective)
+                      for layer, system in TestBuiltObjects._systems()
+                      for variant in (system, _flat_columns(system))
+                      for objective in OBJECTIVES)
         assert checked > 100
 
     @pytest.mark.parametrize("imc_type", list(ImcType), ids=lambda t: t.value)
@@ -737,6 +778,34 @@ def _product(row):
     return c_u * fx_u * fy_u
 
 
+def _first_of_largest(rows):
+    """The first row tuple of the largest row product."""
+    top = max(_product(row) for row in rows)
+    return next(row for row in rows if _product(row) == top)
+
+
+def _one_pair_per_ox(cols):
+    """The column pair of the largest k_u of each ox_u, in the order of cols."""
+    largest = {}
+    for k_u, ox_u in cols:
+        largest[ox_u] = k_u
+    return [(k_u, ox_u) for k_u, ox_u in cols if k_u == largest[ox_u]]
+
+
+def _flat_columns(system):
+    """system, with every energy that falls with k_u at one row product zero:
+    an analog macro's cell array and DACs (c_gate and k7), the input register
+    (its flip-flops), and the input reads from the cache or, spilled, from
+    DRAM."""
+    params = system.params
+    if system.macro.imc_type is ImcType.AIMC:
+        params = replace(params, c_gate=0.0, k7=0.0)
+    else:  # a digital macro has no cell-array or DAC energy
+        params = replace(params, dff_energy_ratio=0.0)
+    return replace(system, params=params, cache=replace(system.cache, read_energy=0.0),
+                   dram_energy_per_bit=0.0)
+
+
 # TestOneUlpTies' aimc-8 case: every energy term that falls with the row
 # product is zero, and the row products 3 and 6 each have two tuples
 _FLAT = dict(macro=aimc(8), layer=Layer(k=8, c=96, ox=8, oy=7, fy=3),
@@ -745,10 +814,11 @@ _FLAT = dict(macro=aimc(8), layer=Layer(k=8, c=96, ox=8, oy=7, fy=3),
 
 
 class TestPrunedSearch:
-    """best_mapping prices the first tuple of the largest row product with every
-    column pair, and the first tuple of every row product only where that
-    product's energy gain is within float rounding, through one
-    enumerate_mappings call whose every mapping it prices."""
+    """best_mapping prices the first tuple of the largest row product with the
+    largest k_u of each ox_u, the first tuple of every row product only where
+    that product's energy gain is within float rounding, and every k_u of an
+    ox_u only where the largest one's is, through one enumerate_mappings call
+    whose every mapping it prices."""
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     @pytest.mark.parametrize("make", (aimc, dimc))
@@ -756,11 +826,10 @@ class TestPrunedSearch:
         for layer in FIXTURES:
             system = default_system_config(make(64))
             rows, cols = mapper.mapping_space(layer, system.macro)
-            top = max(_product(row) for row in rows)
-            first = next(row for row in rows if _product(row) == top)
+            first = _first_of_largest(rows)
             priced = TestSearchCandidates._priced(layer, system, objective)
             assert [result.mapping.factors() for result, _ in priced] \
-                == [(k_u, ox_u, *first) for k_u, ox_u in cols]
+                == [(k_u, ox_u, *first) for k_u, ox_u in _one_pair_per_ox(cols)]
 
     def test_flat_energy_takes_the_fallback(self):
         system = default_system_config(_FLAT["macro"], _FLAT["params"])
@@ -774,7 +843,8 @@ class TestPrunedSearch:
         assert [result.mapping.factors() for result, _ in priced] \
             == [(k_u, ox_u, *row) for k_u, ox_u in cols for row in firsts.values()]
         # latency falls with the cycles, whatever the energies
-        assert len(TestSearchCandidates._priced(layer, system, "latency")) == len(cols)
+        assert len(TestSearchCandidates._priced(layer, system, "latency")) \
+            == len({ox_u for _, ox_u in cols})
 
     # c_gate scales the energy terms that fall with the row product: r*'s
     # relative gain over the next smaller product is about 7e-15 at 1e-28 and
@@ -807,8 +877,61 @@ class TestPrunedSearch:
                     del calls[:]
                     priced = TestSearchCandidates._priced(layer, system, objective)
                     (space, mappings), = calls
-                    assert space[1] == mapper.mapping_space(layer, system.macro)[1]
+                    full = mapper.mapping_space(layer, system.macro)[1]
+                    remaining = iter(full)
+                    assert all(pair in remaining for pair in space[1])
+                    assert {ox_u for _, ox_u in space[1]} == {ox_u for _, ox_u in full}
                     assert [result.mapping for result, _ in priced] == mappings
+
+    @pytest.mark.parametrize("make", (aimc, dimc))
+    def test_flat_columns_take_the_column_fallback_for_energy_only(self, make):
+        system = _flat_columns(default_system_config(make(64)))
+        for layer in (PW, CONV):
+            rows, cols = mapper.mapping_space(layer, system.macro)
+            first = _first_of_largest(rows)
+            assert len(_one_pair_per_ox(cols)) < len(cols)
+            for objective, pairs in (("energy", cols), ("edp", cols),
+                                     ("latency", _one_pair_per_ox(cols))):
+                priced = TestSearchCandidates._priced(layer, system, objective)
+                assert [result.mapping.factors() for result, _ in priced] \
+                    == [(k_u, ox_u, *first) for k_u, ox_u in pairs]
+                assert layer_system_metrics(system, layer, objective) \
+                    == exhaustive_best_mapping(layer, system, objective)
+
+    # the c_gate values of test_the_margin_decides_the_fallback: the row
+    # fallback at 1e-28 prices every column pair, and r* alone at 1e-25 one
+    # column pair per ox_u
+    @pytest.mark.parametrize("c_gate, row_fallback", [(1e-28, True), (1e-25, False)])
+    def test_a_row_fallback_prices_every_column_pair(self, c_gate, row_fallback):
+        system = default_system_config(_FLAT["macro"], replace(_FLAT["params"], c_gate=c_gate))
+        layer = _FLAT["layer"]
+        rows, cols = mapper.mapping_space(layer, system.macro)
+        firsts = {}
+        for row in rows:
+            firsts.setdefault(_product(row), row)
+        if row_fallback:
+            expected = [(k_u, ox_u, *row) for k_u, ox_u in cols for row in firsts.values()]
+        else:
+            expected = [(k_u, ox_u, *_first_of_largest(rows))
+                        for k_u, ox_u in _one_pair_per_ox(cols)]
+        priced = TestSearchCandidates._priced(layer, system, "energy")
+        assert [result.mapping.factors() for result, _ in priced] == expected
+
+    # With free flip-flops, the input reads are all the energy of a digital
+    # macro that falls with k_u: on FC, whose one ox_u has seven k_u, the
+    # largest k_u's relative gain over the next is about 4e-13 at a cache read
+    # energy of 1e-22 J/bit and about 4e-12 at 1e-21, either side of the margin
+    @pytest.mark.parametrize("read_energy, fallback", [(1e-22, True), (1e-21, False)])
+    def test_the_margin_decides_the_column_fallback(self, read_energy, fallback):
+        macro = dimc(64)
+        system = SystemConfig(macro=macro, params=TechnologyParams(dff_energy_ratio=0.0),
+                              cache=default_cache(macro, read_energy=read_energy))
+        _, cols = mapper.mapping_space(FC, macro)
+        assert len(cols) == 7
+        priced = TestSearchCandidates._priced(FC, system, "energy")
+        assert len(priced) == (len(cols) if fallback else 1)
+        assert layer_system_metrics(system, FC) \
+            == exhaustive_best_mapping(FC, system, "energy")
 
     def test_enumeration_without_a_space_lists_the_whole_space(self):
         for layer in FIXTURES:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from imcperf import best_mapping, enumerate_mappings, evaluate_mapping
+from imcperf import Layer, best_mapping, enumerate_mappings, evaluate_mapping
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_diff.py"
 _spec = importlib.util.spec_from_file_location("search_diff", _TOOL)
@@ -50,3 +50,11 @@ def test_draws_repeat_per_seed():
     first, second = random.Random(5), random.Random(5)
     draws = [search_diff.draw(first, 5, index) for index in range(20)]
     assert draws == [search_diff.draw(second, 5, index) for index in range(20)]
+
+
+def test_draws_reach_a_free_cache_read_and_spilled_inputs():
+    rng = random.Random(1)
+    draws = [search_diff.draw(rng, 1, index) for index in range(30)]
+    assert any(case.cache.get("read_energy") == 0.0 for case in draws)
+    assert any(Layer(**case.layer).input_elements * case.layer.get("b_i", 8)
+               > case.system().cache.capacity_bits for case in draws)

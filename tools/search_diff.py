@@ -4,9 +4,11 @@
 
 Each draw is one search: a layer with at most CANDIDATE_CAP candidates, with
 or without its own b_i and b_w; a square aimc or dimc macro of 8 to 128 rows;
-the objective energy, latency or edp; and a technology in which each of
+the objective energy, latency or edp; a technology in which each of
 RESCALED's constants is kept, zeroed or rescaled by a factor between 1e-3 and
-1e3. Zeroed constants tie candidates, which is where a search that prices
+1e3; and a cache whose read and write energies are drawn the same way and
+whose capacity is 64 bits, 4,096 bits or the default, so that activations
+spill. Zeroed constants tie candidates, which is where a search that prices
 fewer candidates than every one can go wrong. ``best_mapping``'s winner is
 compared with ``exhaustive_best_mapping`` from ``tests/_oracles.py``: its five
 unroll factors, and the ``repr`` of its energy and latency. A draw whose
@@ -14,10 +16,10 @@ pricing raises ValueError is skipped and counted.
 
 Draws run until N seconds (default: 10) have passed. On the first mismatch the
 script prints one pytest function that reproduces it and exits 1; otherwise it
-prints the number of searches, how many of them took the search's fallback
-(priced more than one row tuple with each column pair) and the draws skipped,
-and exits 0. The same seed draws the same sequence. Needs numpy, which the
-oracle imports.
+prints the number of searches, how many of them took the search's row
+fallback (priced more than one row tuple) and its column fallback (priced
+more than one k_u with some ox_u), and the draws skipped, and exits 0. The
+same seed draws the same sequence. Needs numpy, which the oracle imports.
 """
 
 from __future__ import annotations
@@ -61,7 +63,14 @@ RESCALED = ("c_gate", "k1", "k2", "k3", "k7", "fa_energy_ratio", "dff_energy_rat
 _DIVISOR_RICH = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 _OUTPUTS = (1, 2, 3, 4, 5, 7, 8, 14, 16)
 _KERNELS = (1, 2, 3, 5, 7)
-_DEFAULTS = {**vars(TechnologyParams()), "dram_energy_per_bit": SystemConfig.dram_energy_per_bit}
+# the cache energies a draw keeps, zeroes or rescales, and the capacities it
+# draws from, in bits: spills nearly every layer, some, the default
+_CACHE_ENERGIES = ("read_energy", "write_energy")
+_CAPACITIES = (64, 4096, None)
+_DEFAULT_CACHE = default_cache(ImcMacroConfig(imc_type=ImcType.AIMC, d_i=1, d_o=1))
+_DEFAULTS = {**vars(TechnologyParams()), "dram_energy_per_bit": SystemConfig.dram_energy_per_bit,
+             "read_energy": _DEFAULT_CACHE.read_energy,
+             "write_energy": _DEFAULT_CACHE.write_energy}
 
 Search = Callable[[Layer, SystemConfig, str], MappingResult]
 
@@ -76,13 +85,14 @@ class Draw(NamedTuple):
     objective: str
     layer: dict[str, Any]  # Layer arguments
     constants: dict[str, float]  # RESCALED values that differ from the defaults
+    cache: dict[str, Any]  # default_cache fields that differ from the defaults
 
     def system(self) -> SystemConfig:
         macro = ImcMacroConfig(imc_type=self.imc_type, d_i=self.size, d_o=self.size)
         params = {name: value for name, value in self.constants.items()
                   if name != "dram_energy_per_bit"}
         return SystemConfig(macro=macro, params=TechnologyParams(**params),
-                            cache=default_cache(macro),
+                            cache=default_cache(macro, **self.cache),
                             dram_energy_per_bit=self.dram_energy_per_bit)
 
     @property
@@ -108,14 +118,24 @@ def draw(rng: random.Random, seed: int, index: int) -> Draw:
         rows, cols = mapping_space(Layer(**layer), macro)
         if len(rows) * len(cols) <= CANDIDATE_CAP:
             break
-    constants = {}
-    for name in RESCALED:
+    constants = _rescaled(rng, RESCALED)
+    cache = _rescaled(rng, _CACHE_ENERGIES)
+    capacity = rng.choice(_CAPACITIES)
+    if capacity is not None:
+        cache["capacity_bits"] = capacity
+    return Draw(seed, index, imc_type, size, rng.choice(OBJECTIVES), layer, constants, cache)
+
+
+def _rescaled(rng: random.Random, names: tuple[str, ...]) -> dict[str, float]:
+    """Each named default kept (left out), zeroed or rescaled by 1e-3 to 1e3."""
+    values = {}
+    for name in names:
         choice = rng.randrange(3)
         if choice == 1:
-            constants[name] = 0.0
+            values[name] = 0.0
         elif choice == 2:
-            constants[name] = float(f"{_DEFAULTS[name] * 10 ** rng.uniform(-3, 3):.3g}")
-    return Draw(seed, index, imc_type, size, rng.choice(OBJECTIVES), layer, constants)
+            values[name] = float(f"{_DEFAULTS[name] * 10 ** rng.uniform(-3, 3):.3g}")
+    return values
 
 
 def reproducer(case: Draw, found: tuple, expected: tuple) -> str:
@@ -124,6 +144,7 @@ def reproducer(case: Draw, found: tuple, expected: tuple) -> str:
     params = "".join(f"\n        {name}={value!r}," for name, value in case.constants.items()
                      if name != "dram_energy_per_bit")
     macro = f"imc_type=ImcType.{case.imc_type.name}, d_i={case.size}, d_o={case.size}"
+    cache = "".join(f"\n        {name}={value!r}," for name, value in case.cache.items())
     objective = repr(case.objective)
     return f"""\
 from imcperf import (ImcMacroConfig, ImcType, Layer, SystemConfig, TechnologyParams,
@@ -138,7 +159,10 @@ def test_search_diff_seed_{case.seed}_draw_{case.index}():
     macro = ImcMacroConfig({macro})
     params = TechnologyParams({params}
     )
-    system = SystemConfig(macro=macro, params=params, cache=default_cache(macro),
+    cache = default_cache(
+        macro,{cache}
+    )
+    system = SystemConfig(macro=macro, params=params, cache=cache,
                           dram_energy_per_bit={case.dram_energy_per_bit!r})
     expected, expected_metrics = exhaustive_best_mapping(layer, system, {objective})
     result = best_mapping(layer, system, {objective})
@@ -171,14 +195,19 @@ def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
     """Draw and compare searches for the given time; print the outcome, return the exit code."""
     rng = random.Random(seed)
     deadline = time.monotonic() + seconds
-    searches = skipped = fallbacks = 0
+    searches = skipped = row_fallbacks = col_fallbacks = 0
     enumerate_mappings = mapper.enumerate_mappings
 
     def counting(layer, cfg, space=None):
-        # the search's one call: more than one row tuple is its fallback
-        nonlocal fallbacks
-        if space is not None and len(space[0]) > 1:
-            fallbacks += 1
+        # the search's one call: more than one row tuple is its row fallback,
+        # more than one k_u with an ox_u its column fallback
+        nonlocal row_fallbacks, col_fallbacks
+        if space is not None:
+            rows, cols = space
+            if len(rows) > 1:
+                row_fallbacks += 1
+            elif len(cols) > len({ox_u for _, ox_u in cols}):
+                col_fallbacks += 1
         return enumerate_mappings(layer, cfg, space)
 
     mapper.enumerate_mappings = counting
@@ -198,8 +227,8 @@ def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
                     return 1
     finally:
         mapper.enumerate_mappings = enumerate_mappings
-    print(f"seed {seed}: {searches} searches, 0 mismatches, {fallbacks} took the fallback, "
-          f"{skipped} draws skipped")
+    print(f"seed {seed}: {searches} searches, 0 mismatches, {row_fallbacks} took the row "
+          f"fallback, {col_fallbacks} the column fallback, {skipped} draws skipped")
     return 0
 
 
