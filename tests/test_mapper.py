@@ -778,10 +778,18 @@ def _product(row):
     return c_u * fx_u * fy_u
 
 
+def _firsts(rows):
+    """The first row tuple of each row product, by product, in the order of rows."""
+    firsts = {}
+    for row in rows:
+        firsts.setdefault(_product(row), row)
+    return firsts
+
+
 def _first_of_largest(rows):
     """The first row tuple of the largest row product."""
-    top = max(_product(row) for row in rows)
-    return next(row for row in rows if _product(row) == top)
+    firsts = _firsts(rows)
+    return firsts[max(firsts)]
 
 
 def _one_pair_per_ox(cols):
@@ -835,9 +843,7 @@ class TestPrunedSearch:
         system = default_system_config(_FLAT["macro"], _FLAT["params"])
         layer = _FLAT["layer"]
         rows, cols = mapper.mapping_space(layer, system.macro)
-        firsts = {}
-        for row in rows:
-            firsts.setdefault(_product(row), row)
+        firsts = _firsts(rows)
         assert len(firsts) < len(rows)  # some products have two tuples
         priced = TestSearchCandidates._priced(layer, system, "energy")
         assert [result.mapping.factors() for result, _ in priced] \
@@ -906,11 +912,8 @@ class TestPrunedSearch:
         system = default_system_config(_FLAT["macro"], replace(_FLAT["params"], c_gate=c_gate))
         layer = _FLAT["layer"]
         rows, cols = mapper.mapping_space(layer, system.macro)
-        firsts = {}
-        for row in rows:
-            firsts.setdefault(_product(row), row)
         if row_fallback:
-            expected = [(k_u, ox_u, *row) for k_u, ox_u in cols for row in firsts.values()]
+            expected = [(k_u, ox_u, *row) for k_u, ox_u in cols for row in _firsts(rows).values()]
         else:
             expected = [(k_u, ox_u, *_first_of_largest(rows))
                         for k_u, ox_u in _one_pair_per_ox(cols)]
