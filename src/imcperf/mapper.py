@@ -187,11 +187,7 @@ def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) 
 
 def _results(layer: Layer, cfg: ImcMacroConfig,
              mappings: Iterable[SpatialMapping]) -> Iterator[MappingResult]:
-    """The result of each of the layer's mappings on cfg, in the order given.
-
-    Each result is built like the mappings of enumerate_mappings: its field
-    dict becomes its __dict__.
-    """
+    """The result of each of the layer's mappings on cfg, in the order given."""
     b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
     k, ox, c, fx, fy, g = layer.k, layer.ox, layer.c, layer.fx, layer.fy, layer.g
     b_oy = layer.b * layer.oy  # batch x output rows: temporal loops no unrolling touches
@@ -205,8 +201,6 @@ def _results(layer: Layer, cfg: ImcMacroConfig,
     base_traffic[("I", "dram")] = layer.input_elements * b_i
     base_traffic[("O", "cache")] = layer.output_elements * b_o
 
-    new = object.__new__
-    set_dict = object.__setattr__
     for mapping in mappings:
         k_u, ox_u, c_u, fx_u, fy_u = mapping.factors()
         rows = c_u * fx_u * fy_u
@@ -217,18 +211,16 @@ def _results(layer: Layer, cfg: ImcMacroConfig,
         traffic = base_traffic.copy()
         traffic[("W", "macro")] = loads * rows * cols * b_w
         traffic[("I", "cache")] = mvms * rows * b_i
-        result = new(MappingResult)
-        set_dict(result, "__dict__", {
-            "mapping": mapping,
-            "spatial_utilization": (rows * cols) / array_cells,
-            "mvm_invocations": mvms,
-            "total_cycles": mvms * cycles_per_mvm,
-            "weight_tile_loads": loads,
-            "traffic": traffic,
-            "in_unroll_ratio": rows / reduction,
-            "out_unroll_ratio": cols / col_bound,
-        })
-        yield result
+        yield MappingResult(
+            mapping=mapping,
+            spatial_utilization=(rows * cols) / array_cells,
+            mvm_invocations=mvms,
+            total_cycles=mvms * cycles_per_mvm,
+            weight_tile_loads=loads,
+            traffic=traffic,
+            in_unroll_ratio=rows / reduction,
+            out_unroll_ratio=cols / col_bound,
+        )
 
 
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,

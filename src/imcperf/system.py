@@ -164,8 +164,8 @@ def _system_metrics(ops: float, energy: float, latency: float, area: float,
                     warnings: tuple[str, ...]) -> SystemMetrics:
     """The metrics of ops operations that take energy and latency on area um^2."""
     # The field dict, in field order, becomes the instance's __dict__, as for
-    # the search's mappings and results; SystemMetrics has no __post_init__,
-    # so its constructor would check nothing.
+    # the search's mappings; SystemMetrics has no __post_init__, so its
+    # constructor would check nothing.
     metrics = object.__new__(SystemMetrics)
     object.__setattr__(metrics, "__dict__", {
         "tops": ops / latency,
@@ -235,15 +235,15 @@ def _output_spill(bits: int, capacity: int) -> str:
             f"({capacity} bits); outputs spill to DRAM")
 
 
-# The last layer pricing built, as (system, layer, cfg, price, cycle_energies):
-# the layer's single macro, the price of a mapping result on it, and the
-# energy by component of its active rows and columns. A mapper search prices
-# every candidate of one layer on one system in turn. The entry holds both
-# frozen objects, so neither can be freed and its id reused while the entry
-# lives; equal but distinct objects rebuild. The tuple is read once and
+# The last layer pricing built, as (system, layer, cfg, price, cycle_energies,
+# clock): the layer's single macro, the price of a mapping result on it, the
+# energy by component of its active rows and columns, and its clock period. A
+# mapper search prices every candidate of one layer on one system in turn.
+# The entry holds both frozen objects, so neither can be freed and its id
+# reused while the entry lives; equal but distinct objects rebuild. The tuple is read once and
 # replaced whole, so a reader never sees a price paired with the wrong key.
 _PriceEntry = tuple[SystemConfig, Layer, ImcMacroConfig,
-                    Callable[[MappingResult], SystemMetrics], _CycleEnergies]
+                    Callable[[MappingResult], SystemMetrics], _CycleEnergies, float]
 _price_entry: _PriceEntry | None = None
 
 
@@ -337,7 +337,7 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
             {"compute": compute_time, "weight_load_stall": stall_time},
             dict(area_breakdown), notes)
 
-    entry = _price_entry = (system, layer, cfg, price, cycle_energies)
+    entry = _price_entry = (system, layer, cfg, price, cycle_energies, clock)
     return entry
 
 
@@ -357,159 +357,130 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     return _layer_pricing(system, layer)[3](result)
 
 
-# The search prices the first row tuple of the largest row product r*, and the
-# first tuple of every other row product only where r* may not win exactly,
-# with the column pairs _priced_cols picks. For one (k_u, ox_u) column pair,
-# the row tuple (c_u, fx_u, fy_u) acts through its product r alone: its MVMs
-# are MVMs(r*) * r* / r, its cycles are cycles_per_mvm times that, and no
-# traffic entry depends on r. The tuples of one product therefore price to
-# the same floats, and the tie-break takes the first. Latency, cycles * clock
-# plus a stall that does not depend on r, is least at r*, and so is the
-# utilization tie-break, so a latency search needs nothing more.
+# The search prices only the candidates that a closed form of the objective
+# cannot rule out. A candidate is a row tuple of product r and a column pair
+# (k_u, ox_u), with cols = k_u * ox_u. Each factor divides its loop bound, so
+# the candidate makes W / (r * cols) MVMs, with W the layer's MACs, and writes
+# w * ox_u weight bits into the macro, with w the layer's weight bits; nothing
+# else it is priced from depends on the mapping. The tuples of one row product
+# therefore price to the same floats, and the tie-break takes the first. In
+# exact arithmetic its energy and latency are
+#     E = W * (A / (r * cols) + B / cols + C / r + D) + F + omega * ox_u
+#     L = W * cpm * clock / (r * cols) + sigma * ox_u
+# with cpm the cycles per MVM and these coefficients, read entry by entry from
+# one cycle_energies call at one row, one column, one cycle and one MVM:
+#     A = cpm * cell_array
+#     B = cpm * dac + input_register + b_i * rho
+#     C = cpm * (adc + combine_tree + accumulator + pipeline_register)
+#     D = cpm * (multiplier + adder_tree)
+# where rho is the rate of the input reads: the cache read energy, or the DRAM
+# rate when the layer's inputs spill. F, the output, DRAM and weight-stream
+# energy, is the same for every candidate, and omega * ox_u and sigma * ox_u
+# are the weight writes into the macro and their stall. No coefficient is
+# negative, so at one ox_u the objective f, which is E, L or E * L, does not
+# rise with r or with k_u. Let r* be the largest row product, r2 the next
+# smaller one, k* the largest k_u beside an ox_u and k2 the next smaller one.
+# Every candidate of ox_u is then at least V(ox_u) = f(r*, k*, ox_u); those
+# with a smaller row product are at least f(r2, k*, ox_u), and those with a
+# smaller k_u at least f(r*, k2, ox_u). So the search prices r* with k* of each
+# ox_u whose V is not proved above the least V; every row product as well where
+# f(r2, k*, ox_u) is not proved above V(ox_u) for some kept ox_u; and every k_u
+# of a kept ox_u where f(r*, k2, ox_u) is not.
 #
-# In exact arithmetic, a candidate's energy is its MVMs times the macro energy
-# of one MVM at (r, cols), plus cache, DRAM and weight-load terms that do not
-# depend on r. Of the macro terms, cell_array, adc, combine_tree, accumulator
-# and pipeline_register are constants times the cycles, so they fall as r
-# grows, and dac, multiplier, adder_tree and input_register do not depend on
-# r. So the exact macro energy falls with r, least from the next smaller
-# product r2 to r*, and its relative gain there is
-#     gain = r* * E1(r2, cols) / (r2 * E1(r*, cols)) - 1
-# where E1 is the macro energy of one MVM. Both E1 are sums of terms that are
-# affine in cols with non-negative coefficients, so gain is monotone in cols
-# and is least at the fewest or the most columns of any column pair.
-#
-# The floats wobble. Each macro term is at most five roundings from its exact
-# value (an int converted to float, a division and three multiplies, at
-# most), and _total adds the nine terms left to right, eight roundings more,
-# so a candidate's macro energy is within 13u of its exact value, relative
-# (u = 2**-53). With E1(r*, cols) inside _MVM_ENERGY_RANGE, no term of any
-# candidate overflows (it is at most E1(r*, max cols) times at most 2**94
-# cycles, and the macro's own range check keeps its factors finite) or loses
-# more than 1e-80 of its value to subnormals. The cache, DRAM and weight-load
-# terms are the same floats for every r and _total adds them after the macro
-# terms; float addition and multiplication are monotone, so r*'s energy, and
-# its energy-delay product, is at most every smaller product's whenever its
-# macro energy is. That holds once the exact gain exceeds 26u / (1 - 26u),
-# below 3e-15. 1 + gain is computed within 15u of its exact value, relative,
-# so a computed gain at or above _GAIN_MARGIN, 1e-12, proves r* wins. Any
-# other gain, a NaN included, or an E1(r*, cols) outside the range, prices
-# every row product. The column argument above _priced_cols uses the same
-# margin.
+# P is proved above Q when the computed P / Q - 1 exceeds _GAIN_MARGIN, m. The
+# floats wobble, and the bound below covers them. Relative to exact values and
+# to first order in u = 2**-53: each of a priced candidate's twelve energy
+# entries is at most five roundings off (ints above 2**53 converted to float, a
+# division, multiplies) and _total adds them with eleven more, its latency is
+# three roundings off, and E * L one more than the two, so a priced objective
+# is within 20u. The form takes each coefficient as a sum of entries, never a
+# difference, so it stays within 17u: at most 6 in C / r and D, 2 adding the
+# four terms, 2 for W's conversion and product and 2 adding F and omega * ox_u
+# make 12 in E, L is within 4, and E * L adds 1. The subtraction is exact
+# wherever the quotient lies in [1/2, 2] (Sterbenz), so a computed gain above m
+# makes the exact P at least (1 + m)(1 - 35u) Q, and every candidate at least P
+# then prices strictly above the priced candidate that is Q once m exceeds
+# about 75u, below 1e-14; m is 1e-12. While the energy and latency forms at r*
+# and k* lie inside _FORM_RANGE for every ox_u, every Q the proof uses lies in
+# (1e-200, 1e200) and every P above 1e-200: no intermediate of a candidate
+# priced at r* and k* overflows (none exceeds 2**16 times its energy or
+# latency), an overflow elsewhere only raises a value, and subnormal rounding,
+# scaled by at most 2**94 cycles, moves no value by 1e-80 of itself. A form
+# outside the range, NaN included, prices the first tuple of every row product
+# with every column pair, and a NaN gain proves nothing.
 _GAIN_MARGIN = 1e-12
-_MVM_ENERGY_RANGE = (1e-200, 1e200)  # J
+_FORM_RANGE = (1e-100, 1e100)  # J and s
 
 
-def _priced_rows(system: SystemConfig, layer: Layer, objective: str,
-                 rows: list[tuple[int, int, int]],
-                 cols: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """The row tuples the search prices: the first tuple of the largest row
-    product, or, where that product may not win exactly, the first tuple of
-    every row product, in the order of rows."""
+def _screen(system: SystemConfig, layer: Layer, objective: str,
+            rows: list[tuple[int, int, int]], cols: list[tuple[int, int]]
+            ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """The row tuples and column pairs the search prices, each in the order given:
+    the first tuple of r*, or of every row product, and k* of each ox_u left
+    in, or every k_u of it."""
     firsts: dict[int, tuple[int, int, int]] = {}
     for row in rows:
         firsts.setdefault(row[0] * row[1] * row[2], row)
-    top = max(firsts)
-    if objective == "latency" or len(firsts) == 1:
-        return [firsts[top]]
-    below = max(product for product in firsts if product != top)
-    _, _, cfg, _, cycle_energies = _layer_pricing(system, layer)
-    cycles = cfg.cycles_per_mvm
-    low, high = _MVM_ENERGY_RANGE
-    col_counts = [k_u * ox_u for k_u, ox_u in cols]
-    for count in {min(col_counts), max(col_counts)}:
-        top_energy = math.fsum(cycle_energies(top, count, cycles, 1).values())
-        below_energy = math.fsum(cycle_energies(below, count, cycles, 1).values())
-        if not (low < top_energy < high
-                and top * below_energy / (below * top_energy) - 1.0 >= _GAIN_MARGIN):
-            return list(firsts.values())
-    return [firsts[top]]
-
-
-# With one row tuple, of product r, the search prices one column pair per
-# ox_u, (k*, ox_u) with k* the largest k_u that fits beside ox_u, and every
-# k_u of that ox_u only where k* may not win exactly. As k_u divides k and
-# ox_u divides ox, a candidate's MVMs are W / (k_u * ox_u), with W the same
-# for every column pair, and the weight bits it writes into the macro,
-# loads * r * cols * b_w = g * k * C * FX * FY * b_w * ox_u, depend on ox_u
-# alone, and so do its weight-load energy and stall. Fix ox_u and let k_u
-# grow: the cycles fall and the stall is the same float, so latency cannot
-# rise, and utilization rises, so a latency search prices k* alone.
-#
-# In exact arithmetic, cell_array, dac, input_register and the input reads
-# (MVMs * r * b_i bits, at the cache read energy, or at the DRAM rate when the
-# inputs spill) fall with the MVMs, phi per MVM. adc, multiplier, adder_tree,
-# combine_tree, accumulator and pipeline_register scale with cols * cycles,
-# which is the same for every k_u, and the output, DRAM and weight-load terms
-# and the spill notes do not depend on k_u. So a candidate's energy is
-# phi * MVMs + F, with F the same for every k_u of ox_u, and k*'s relative gain
-# is least over the next smaller k_u, k2:
-#     gain = phi * (MVMs(k2) - MVMs(k*)) / E(k*)
-# where E(k*) is MVMs(k*) times the macro energy of one MVM, affine in cols,
-# plus the input reads, the layer's fixed cache and DRAM energy and the
-# weight-write energy, omega * ox_u.
-#
-# The floats wobble, and here the constant terms do too: their cols and
-# cycles operands differ between the k_u. Each of a candidate's twelve
-# breakdown entries is at most five roundings from its exact value (the cache,
-# DRAM and weight-load entries at most three: two products and their sum),
-# and _total adds them with eleven roundings more, so a candidate's energy is
-# within 16u / (1 - 16u) of its exact value, relative to the whole energy. k*'s
-# energy, and with its latency its energy-delay product, is therefore at most
-# every smaller k_u's once the exact gain exceeds 32u / (1 - 32u), below
-# 4e-15. With E(k*) inside _MVM_ENERGY_RANGE, no term of a candidate of that
-# ox_u overflows (its MVMs are at most d_o times k*'s, so each term is at most
-# d_o * E(k*) in exact arithmetic), and subnormal rounding, scaled by at most
-# 2**94 cycles, moves no energy and no computed gain above _GAIN_MARGIN by
-# 1e-80 of its value. The gain below is computed within 22u of its exact value,
-# relative, so a computed gain at or above _GAIN_MARGIN, 1e-12, proves k* wins.
-# Any other gain, a NaN included, or an E(k*) outside the range, prices every
-# k_u of that ox_u.
-def _priced_cols(system: SystemConfig, layer: Layer, objective: str,
-                 row: tuple[int, int, int],
-                 cols: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The column pairs the search prices with the one row tuple: the pair of
-    the largest k_u of each ox_u, or, where that pair may not win exactly,
-    every pair of that ox_u, in the order of cols."""
     top: dict[int, int] = {}
     below: dict[int, int] = {}
     for k_u, ox_u in cols:  # k_u ascends
         if ox_u in top:
             below[ox_u] = top[ox_u]
         top[ox_u] = k_u
-    full: set[int] = set()
-    if objective != "latency" and below:
-        _, _, cfg, _, cycle_energies = _layer_pricing(system, layer)
-        r = row[0] * row[1] * row[2]
-        b_i, b_w, b_o = cfg.b_i, cfg.b_w, cfg.b_o
-        cache = system.cache
-        dram_rate = system.dram_energy_per_bit
-        input_bits = layer.input_elements * b_i
-        output_bits = layer.output_elements * b_o
-        input_spills = input_bits > cache.capacity_bits
-        # one MVM's energy on no columns, and each column's: every entry is a
-        # term that does not depend on cols, or cols times one
-        no_cols = cycle_energies(r, 0, cfg.cycles_per_mvm, 1)
-        one_col = cycle_energies(r, 1, cfg.cycles_per_mvm, 1)
-        per_col = math.fsum(one_col[name] - no_cols[name] for name in one_col)
-        phi = math.fsum(no_cols.values()) + r * b_i * (
-            dram_rate if input_spills else cache.read_energy)
-        fixed = math.fsum((
-            output_bits * cache.write_energy,
-            0.0 if input_spills else input_bits * dram_rate,
-            output_bits * dram_rate if output_bits > cache.capacity_bits else 0.0,
-            layer.weight_elements * b_w * dram_rate))
-        omega = layer.weight_elements * b_w * system.params.sram_cell_write_energy
-        work = layer.weight_elements // r * layer.ox * layer.b * layer.oy
-        low, high = _MVM_ENERGY_RANGE
-        for ox_u, k2 in below.items():
-            k_top = top[ox_u]
-            mvms = work // (k_top * ox_u)
-            energy = mvms * (phi + per_col * (k_top * ox_u)) + fixed + omega * ox_u
-            if not (low < energy < high and
-                    phi * (work // (k2 * ox_u) - mvms) / energy >= _GAIN_MARGIN):
-                full.add(ox_u)
-    return [(k_u, ox_u) for k_u, ox_u in cols if k_u == top[ox_u] or ox_u in full]
+    _, _, cfg, _, cycle_energies, clock = _layer_pricing(system, layer)
+    one = cycle_energies(1, 1, 1, 1)
+    cpm = cfg.cycles_per_mvm
+    cache = system.cache
+    dram_rate = system.dram_energy_per_bit
+    input_bits = layer.input_elements * cfg.b_i
+    output_bits = layer.output_elements * cfg.b_o
+    weight_bits = layer.weight_elements * cfg.b_w
+    input_spills = input_bits > cache.capacity_bits
+    a = cpm * one["cell_array"]
+    b = (cpm * one["dac"] + one["input_register"]
+         + cfg.b_i * (dram_rate if input_spills else cache.read_energy))
+    c = cpm * (one["adc"] + one["combine_tree"] + one["accumulator"]
+               + one["pipeline_register"])
+    d = cpm * (one["multiplier"] + one["adder_tree"])
+    fixed = (output_bits * cache.write_energy
+             + (0.0 if input_spills else input_bits * dram_rate)
+             + (output_bits * dram_rate if output_bits > cache.capacity_bits else 0.0)
+             + weight_bits * dram_rate)
+    omega = weight_bits * system.params.sram_cell_write_energy
+    sigma = weight_bits / cache.bandwidth_bits_per_cycle * clock
+    work = total_macs(layer)
+
+    def form(r: int, k_u: int, ox_u: int) -> tuple[float, float, float]:
+        """E, L and the objective's value in closed form."""
+        columns = k_u * ox_u
+        energy = work * (a / (r * columns) + b / columns + c / r + d) + fixed + omega * ox_u
+        latency = work * cpm * clock / (r * columns) + sigma * ox_u
+        return energy, latency, (energy if objective == "energy" else
+                                 latency if objective == "latency" else energy * latency)
+
+    r_top = max(firsts)
+    low, high = _FORM_RANGE
+    value: dict[int, float] = {}
+    for ox_u, k_u in top.items():
+        energy, latency, value[ox_u] = form(r_top, k_u, ox_u)
+        if not (low < energy < high and low < latency < high):
+            return list(firsts.values()), cols
+    least = min(value.values())
+    kept = {ox_u for ox_u in top if not value[ox_u] / least - 1.0 > _GAIN_MARGIN}
+
+    def proved(r: int, k_u: int, ox_u: int) -> bool:
+        """Whether f(r, k_u, ox_u) is proved above V(ox_u)."""
+        return form(r, k_u, ox_u)[2] / value[ox_u] - 1.0 > _GAIN_MARGIN
+
+    priced_rows = [firsts[r_top]]
+    if len(firsts) > 1:
+        r2 = max(product for product in firsts if product != r_top)
+        if not all(proved(r2, top[ox_u], ox_u) for ox_u in kept):
+            priced_rows = list(firsts.values())
+    every_k = {ox_u for ox_u in kept
+               if ox_u in below and not proved(r_top, below[ox_u], ox_u)}
+    return priced_rows, [(k_u, ox_u) for k_u, ox_u in cols
+                         if ox_u in kept and (k_u == top[ox_u] or ox_u in every_k)]
 
 
 def best_mapping(layer: Layer, system: SystemConfig,
@@ -518,10 +489,10 @@ def best_mapping(layer: Layer, system: SystemConfig,
 
     Ties break toward higher spatial utilization, then the lexicographically
     smallest factor tuple, so results do not depend on evaluation order. The
-    search prices the largest row product only, and with it the largest k_u
-    of each ox_u only, unless the energy that either saves is within float
-    rounding: the MVMs depend on the rows and on k_u * ox_u alone, and the
-    weight writes and their stall on ox_u alone, so the winner is the one an
+    MVMs depend on the row product and on k_u * ox_u alone, and the weight
+    writes and their stall on ox_u alone, so the objective has a closed form;
+    the search prices only the candidates that this form cannot prove worse
+    than another by more than float rounding, and the winner is the one an
     exhaustive search finds.
     """
     if objective not in OBJECTIVES:
@@ -530,11 +501,7 @@ def best_mapping(layer: Layer, system: SystemConfig,
     best_value = 0.0
     best_result: MappingResult | None = None
     cfg = system.macro
-    rows, cols = mapper.mapping_space(layer, cfg)
-    rows = _priced_rows(system, layer, objective, rows, cols)
-    if len(rows) == 1:
-        cols = _priced_cols(system, layer, objective, rows[0], cols)
-    space = (rows, cols)
+    space = _screen(system, layer, objective, *mapper.mapping_space(layer, cfg))
     for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg, space)):
         metrics = evaluate_layer_mapping(system, layer, result)
         if objective == "energy":

@@ -595,9 +595,10 @@ class TestColumnTies:
 
 
 class TestBuiltObjects:
-    """The search builds its SpatialMapping, MappingResult and SystemMetrics
-    objects without the generated __init__. Each must be indistinguishable from
-    the one the public constructor builds from values derived independently."""
+    """The search builds its SpatialMapping and SystemMetrics objects without
+    the generated __init__, and its MappingResult objects with it. Each must be
+    indistinguishable from the one the public constructor builds from values
+    derived independently."""
 
     @staticmethod
     def _systems():
@@ -711,10 +712,11 @@ class TestSearchCandidates:
         return len(priced)
 
     def test_built_objects_systems(self):
-        # each system's flat-column variant takes the column fallback
+        # each system's flat-column variant takes the column fallback, and its
+        # free-write variant prices every ox_u of a tied column count
         checked = sum(self._check(layer, variant, objective)
                       for layer, system in TestBuiltObjects._systems()
-                      for variant in (system, _flat_columns(system))
+                      for variant in (system, _flat_columns(system), _free_cell_writes(system))
                       for objective in OBJECTIVES)
         assert checked > 100
 
@@ -814,6 +816,11 @@ def _flat_columns(system):
                    dram_energy_per_bit=0.0)
 
 
+def _free_cell_writes(system):
+    """system, with free cell writes: the column splits of one column count tie."""
+    return replace(system, params=replace(system.params, sram_cell_write_energy=0.0))
+
+
 # TestOneUlpTies' aimc-8 case: every energy term that falls with the row
 # product is zero, and the row products 3 and 6 each have two tuples
 _FLAT = dict(macro=aimc(8), layer=Layer(k=8, c=96, ox=8, oy=7, fy=3),
@@ -821,12 +828,37 @@ _FLAT = dict(macro=aimc(8), layer=Layer(k=8, c=96, ox=8, oy=7, fy=3),
                                      fa_energy_ratio=6000.0, c_gate=0.0))
 
 
+def _value(metrics, objective):
+    return {"energy": metrics.energy, "latency": metrics.latency,
+            "edp": metrics.energy * metrics.latency}[objective]
+
+
+def _assert_prices_the_contenders(layer, system, objective):
+    """The factor tuples the search prices, in order, checked to hold the
+    exhaustive winner and the first row tuple of every row product and column
+    pair whose objective lies less than _GAIN_MARGIN above the winner's."""
+    priced = [result.mapping.factors()
+              for result, _ in TestSearchCandidates._priced(layer, system, objective)]
+    winner, metrics = exhaustive_best_mapping(layer, system, objective)
+    assert winner.mapping.factors() in priced
+    least = _value(metrics, objective)
+    rows, cols = mapper.mapping_space(layer, system.macro)
+    for k_u, ox_u in cols:
+        for row in _firsts(rows).values():
+            result = evaluate_mapping(layer, system.macro, SpatialMapping(k_u, ox_u, *row))
+            value = _value(evaluate_layer_mapping(system, layer, result), objective)
+            if value / least - 1.0 < system_module._GAIN_MARGIN:
+                assert (k_u, ox_u, *row) in priced
+    return priced
+
+
 class TestPrunedSearch:
-    """best_mapping prices the first tuple of the largest row product with the
-    largest k_u of each ox_u, the first tuple of every row product only where
-    that product's energy gain is within float rounding, and every k_u of an
-    ox_u only where the largest one's is, through one enumerate_mappings call
-    whose every mapping it prices."""
+    """best_mapping prices, through one enumerate_mappings call whose every
+    mapping it prices, the first tuple of the largest row product with the
+    largest k_u of each ox_u whose closed-form objective lies within
+    _GAIN_MARGIN of the least; the first tuple of every row product as well
+    only where the largest one's gain is within the margin, and every k_u of
+    an ox_u only where the largest one's is."""
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     @pytest.mark.parametrize("make", (aimc, dimc))
@@ -835,9 +867,18 @@ class TestPrunedSearch:
             system = default_system_config(make(64))
             rows, cols = mapper.mapping_space(layer, system.macro)
             first = _first_of_largest(rows)
+            priced = _assert_prices_the_contenders(layer, system, objective)
+            remaining = iter([(k_u, ox_u, *first) for k_u, ox_u in _one_pair_per_ox(cols)])
+            assert all(factors in remaining for factors in priced)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("make", (aimc, dimc))
+    def test_default_technology_prices_the_winners_ox_u_alone(self, make, objective):
+        for layer in FIXTURES:
+            system = default_system_config(make(64))
+            winner, _ = exhaustive_best_mapping(layer, system, objective)
             priced = TestSearchCandidates._priced(layer, system, objective)
-            assert [result.mapping.factors() for result, _ in priced] \
-                == [(k_u, ox_u, *first) for k_u, ox_u in _one_pair_per_ox(cols)]
+            assert [result.mapping for result, _ in priced] == [winner.mapping]
 
     def test_flat_energy_takes_the_fallback(self):
         system = default_system_config(_FLAT["macro"], _FLAT["params"])
@@ -845,23 +886,22 @@ class TestPrunedSearch:
         rows, cols = mapper.mapping_space(layer, system.macro)
         firsts = _firsts(rows)
         assert len(firsts) < len(rows)  # some products have two tuples
-        priced = TestSearchCandidates._priced(layer, system, "energy")
-        assert [result.mapping.factors() for result, _ in priced] \
-            == [(k_u, ox_u, *row) for k_u, ox_u in cols for row in firsts.values()]
+        priced = _assert_prices_the_contenders(layer, system, "energy")
+        pairs = [pair for pair in cols if pair in {factors[:2] for factors in priced}]
+        assert priced == [(k_u, ox_u, *row) for k_u, ox_u in pairs for row in firsts.values()]
         # latency falls with the cycles, whatever the energies
-        assert len(TestSearchCandidates._priced(layer, system, "latency")) \
-            == len({ox_u for _, ox_u in cols})
+        priced = _assert_prices_the_contenders(layer, system, "latency")
+        assert {factors[2:] for factors in priced} == {_first_of_largest(rows)}
 
     # c_gate scales the energy terms that fall with the row product: r*'s
-    # relative gain over the next smaller product is about 7e-15 at 1e-28 and
-    # about 7e-12 at 1e-25, either side of the 1e-12 margin
+    # relative gain over the next smaller product is about 5.5e-14 at 1e-28
+    # and about 5.5e-11 at 1e-25, either side of the 1e-12 margin
     @pytest.mark.parametrize("c_gate, fallback", [(1e-28, True), (1e-25, False)])
     def test_the_margin_decides_the_fallback(self, c_gate, fallback):
         system = default_system_config(_FLAT["macro"], replace(_FLAT["params"], c_gate=c_gate))
         layer = _FLAT["layer"]
-        _, cols = mapper.mapping_space(layer, system.macro)
-        priced = TestSearchCandidates._priced(layer, system, "energy")
-        assert (len(priced) > len(cols)) == fallback
+        priced = _assert_prices_the_contenders(layer, system, "energy")
+        assert (len({factors[2:] for factors in priced}) > 1) == fallback
         assert layer_system_metrics(system, layer) \
             == exhaustive_best_mapping(layer, system, "energy")
 
@@ -881,13 +921,12 @@ class TestPrunedSearch:
             for layer in FIXTURES + (_FLAT["layer"],):
                 for objective in OBJECTIVES:
                     del calls[:]
-                    priced = TestSearchCandidates._priced(layer, system, objective)
+                    priced = _assert_prices_the_contenders(layer, system, objective)
                     (space, mappings), = calls
                     full = mapper.mapping_space(layer, system.macro)[1]
                     remaining = iter(full)
                     assert all(pair in remaining for pair in space[1])
-                    assert {ox_u for _, ox_u in space[1]} == {ox_u for _, ox_u in full}
-                    assert [result.mapping for result, _ in priced] == mappings
+                    assert priced == [mapping.factors() for mapping in mappings]
 
     @pytest.mark.parametrize("make", (aimc, dimc))
     def test_flat_columns_take_the_column_fallback_for_energy_only(self, make):
@@ -896,29 +935,42 @@ class TestPrunedSearch:
             rows, cols = mapper.mapping_space(layer, system.macro)
             first = _first_of_largest(rows)
             assert len(_one_pair_per_ox(cols)) < len(cols)
-            for objective, pairs in (("energy", cols), ("edp", cols),
+            for objective, pairs in (("energy", cols), ("edp", _one_pair_per_ox(cols)),
                                      ("latency", _one_pair_per_ox(cols))):
-                priced = TestSearchCandidates._priced(layer, system, objective)
-                assert [result.mapping.factors() for result, _ in priced] \
-                    == [(k_u, ox_u, *first) for k_u, ox_u in pairs]
+                priced = _assert_prices_the_contenders(layer, system, objective)
+                kept = {factors[1] for factors in priced}
+                assert priced == [(k_u, ox_u, *first) for k_u, ox_u in pairs if ox_u in kept]
+                assert (len(priced) > len(kept)) == (objective == "energy")
                 assert layer_system_metrics(system, layer, objective) \
                     == exhaustive_best_mapping(layer, system, objective)
 
     # the c_gate values of test_the_margin_decides_the_fallback: the row
-    # fallback at 1e-28 prices every column pair, and r* alone at 1e-25 one
-    # column pair per ox_u
+    # fallback at 1e-28 prices every row product, and r* alone at 1e-25, each
+    # with the column pairs the closed form keeps
     @pytest.mark.parametrize("c_gate, row_fallback", [(1e-28, True), (1e-25, False)])
-    def test_a_row_fallback_prices_every_column_pair(self, c_gate, row_fallback):
+    def test_a_row_fallback_prices_every_row_product_with_the_kept_pairs(self, c_gate,
+                                                                          row_fallback):
         system = default_system_config(_FLAT["macro"], replace(_FLAT["params"], c_gate=c_gate))
         layer = _FLAT["layer"]
         rows, cols = mapper.mapping_space(layer, system.macro)
-        if row_fallback:
-            expected = [(k_u, ox_u, *row) for k_u, ox_u in cols for row in _firsts(rows).values()]
-        else:
-            expected = [(k_u, ox_u, *_first_of_largest(rows))
-                        for k_u, ox_u in _one_pair_per_ox(cols)]
-        priced = TestSearchCandidates._priced(layer, system, "energy")
-        assert [result.mapping.factors() for result, _ in priced] == expected
+        priced = _assert_prices_the_contenders(layer, system, "energy")
+        pairs = [pair for pair in cols if pair in {factors[:2] for factors in priced}]
+        assert len(pairs) < len(_one_pair_per_ox(cols))
+        expected_rows = list(_firsts(rows).values()) if row_fallback \
+            else [_first_of_largest(rows)]
+        assert priced == [(k_u, ox_u, *row) for k_u, ox_u in pairs for row in expected_rows]
+
+    # With free cell writes the energy depends on the column count, not on how
+    # it splits into k_u and ox_u: 64 columns are 64 x 1, 32 x 2 and 16 x 4 on
+    # PW, and 16 x 4, 8 x 8, 4 x 16 and 2 x 32 on CONV
+    @pytest.mark.parametrize("make", (aimc, dimc))
+    def test_free_cell_writes_price_every_tied_ox_u(self, make):
+        system = _free_cell_writes(default_system_config(make(64)))
+        for layer, tied in ((PW, {1, 2, 4}), (CONV, {4, 8, 16, 32})):
+            priced = _assert_prices_the_contenders(layer, system, "energy")
+            assert {factors[1] for factors in priced} == tied
+            assert layer_system_metrics(system, layer) \
+                == exhaustive_best_mapping(layer, system, "energy")
 
     # With free flip-flops, the input reads are all the energy of a digital
     # macro that falls with k_u: on FC, whose one ox_u has seven k_u, the
@@ -935,6 +987,19 @@ class TestPrunedSearch:
         assert len(priced) == (len(cols) if fallback else 1)
         assert layer_system_metrics(system, FC) \
             == exhaustive_best_mapping(FC, system, "energy")
+
+    # The cell writes alone part PW's 64 x 1, 32 x 2 and 16 x 4 columns: ox_u
+    # 2's relative gain over ox_u 1 is about 6.8e-14 at 1e-24 J per written
+    # bit, 6.8e-13 at 1e-23 and 6.8e-12 at 1e-22, and ox_u 4's three times as
+    # much, so the 1e-12 margin keeps three, two or one of them
+    @pytest.mark.parametrize("cell_write, kept", [(1e-24, {1, 2, 4}), (1e-23, {1, 2}),
+                                                  (1e-22, {1})])
+    def test_the_margin_decides_which_ox_u_are_priced(self, cell_write, kept):
+        system = default_system_config(dimc(64),
+                                       TechnologyParams(sram_cell_write_energy=cell_write))
+        priced = _assert_prices_the_contenders(PW, system, "energy")
+        assert {factors[1] for factors in priced} == kept
+        assert layer_system_metrics(system, PW) == exhaustive_best_mapping(PW, system, "energy")
 
     def test_enumeration_without_a_space_lists_the_whole_space(self):
         for layer in FIXTURES:

@@ -11,7 +11,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "search_cost.py"
 
 _KEYS = {
-    "search": ["searches", "candidates", "passes", "us_per_candidate_min",
+    "search": ["searches", "candidates", "priced", "passes", "us_per_candidate_min",
                "us_per_candidate_median"],
     "pricing": ["pricings", "passes", "us_per_pricing_min", "us_per_pricing_median"],
 }
@@ -32,6 +32,8 @@ def test_one_pass_prints_every_figure(stage):
     assert figures["passes"] == "1"
     count = figures[_KEYS[stage][0]]
     assert count.isdigit() and int(count) > 0
+    if stage == "search":  # the searches price some of the candidates
+        assert 0 < int(figures["priced"]) <= int(figures["candidates"])
     minimum, median = (float(figures[key]) for key in _KEYS[stage][-2:])
     assert 0.0 < minimum == median  # one pass gives one figure
 

@@ -8,11 +8,13 @@ default) takes the ``dse-network`` requests (``dse_requests``): one ``network``
 command per (network, macro type, size). Each request's layers are searched
 in-process, without a tracer, by calling ``best_mapping`` once per layer on the
 system that ``imcperf network`` builds for the request; only those calls are
-timed. It prints the number of searches and candidates per pass and the minimum
-and median microseconds per candidate over N passes (default 5). A candidate
-is a mapping of a layer's ``mapping_space``, whether or not the search prices
-it: a pass's search time is divided by the size of its mapping spaces, not by
-the candidates priced, so ``--against`` compares the same work on both trees.
+timed. It prints the number of searches and candidates per pass, the number
+of candidates the searches price (their ``evaluate_layer_mapping`` calls, counted
+in one untimed pass), and the minimum and median microseconds per candidate
+over N passes (default 5). A candidate is a mapping of a layer's
+``mapping_space``, whether or not the search prices it: a pass's search time
+is divided by the size of its mapping spaces, not by the candidates priced, so
+``--against`` compares the same work on both trees.
 
 The ``pricing`` stage takes the ``peak-sweep`` requests (``peak_requests``):
 each ``sweep`` prices its config's macro for both types at each of its sizes,
@@ -112,6 +114,27 @@ def _pricings(run_dir: Path) -> list[tuple[object, object]]:
     return pricings
 
 
+def _priced(searches: list[tuple[object, object, str]]) -> int:
+    """The evaluate_layer_mapping calls the searches make: the candidates they price."""
+    from imcperf import system as system_module
+
+    price = system_module.evaluate_layer_mapping
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return price(*args)
+
+    system_module.evaluate_layer_mapping = counting
+    try:
+        for layer, system, objective in searches:
+            system_module.best_mapping(layer, system, objective)
+    finally:
+        system_module.evaluate_layer_mapping = price
+    return calls
+
+
 def _time_search(passes: int) -> list[tuple[str, object]]:
     from imcperf.mapper import mapping_space
     from imcperf.system import best_mapping
@@ -122,6 +145,7 @@ def _time_search(passes: int) -> list[tuple[str, object]]:
     for layer, system, _ in searches:
         rows, cols = mapping_space(layer, system.macro)
         candidates += len(rows) * len(cols)
+    priced = _priced(searches)
 
     per_candidate_us = []
     clock = time.perf_counter
@@ -132,7 +156,8 @@ def _time_search(passes: int) -> list[tuple[str, object]]:
             best_mapping(layer, system, objective)
             elapsed += clock() - start
         per_candidate_us.append(elapsed / candidates * 1e6)
-    return [("searches", len(searches)), ("candidates", candidates), ("passes", passes),
+    return [("searches", len(searches)), ("candidates", candidates), ("priced", priced),
+            ("passes", passes),
             ("us_per_candidate_min", f"{min(per_candidate_us):.2f}"),
             ("us_per_candidate_median", f"{statistics.median(per_candidate_us):.2f}")]
 

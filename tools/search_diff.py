@@ -16,10 +16,10 @@ pricing raises ValueError is skipped and counted.
 
 Draws run until N seconds (default: 10) have passed. On the first mismatch the
 script prints one pytest function that reproduces it and exits 1; otherwise it
-prints the number of searches, how many of them took the search's row
-fallback (priced more than one row tuple) and its column fallback (priced
-more than one k_u with some ox_u), and the draws skipped, and exits 0. The
-same seed draws the same sequence. Needs numpy, which the oracle imports.
+prints the number of searches, how many of them priced more than one row tuple
+and how many more than one column pair, the mean and the largest number of
+candidates a search priced, and the draws skipped, and exits 0. The same seed
+draws the same sequence. Needs numpy, which the oracle imports.
 """
 
 from __future__ import annotations
@@ -195,19 +195,19 @@ def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
     """Draw and compare searches for the given time; print the outcome, return the exit code."""
     rng = random.Random(seed)
     deadline = time.monotonic() + seconds
-    searches = skipped = row_fallbacks = col_fallbacks = 0
+    searches = skipped = many_rows = many_cols = priced = most = 0
     enumerate_mappings = mapper.enumerate_mappings
 
     def counting(layer, cfg, space=None):
-        # the search's one call: more than one row tuple is its row fallback,
-        # more than one k_u with an ox_u its column fallback
-        nonlocal row_fallbacks, col_fallbacks
+        # the search's one call lists the row tuples and column pairs it prices;
+        # the exhaustive reference passes no space
+        nonlocal many_rows, many_cols, priced, most
         if space is not None:
             rows, cols = space
-            if len(rows) > 1:
-                row_fallbacks += 1
-            elif len(cols) > len({ox_u for _, ox_u in cols}):
-                col_fallbacks += 1
+            many_rows += len(rows) > 1
+            many_cols += len(cols) > 1
+            priced += len(rows) * len(cols)
+            most = max(most, len(rows) * len(cols))
         return enumerate_mappings(layer, cfg, space)
 
     mapper.enumerate_mappings = counting
@@ -227,8 +227,10 @@ def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
                     return 1
     finally:
         mapper.enumerate_mappings = enumerate_mappings
-    print(f"seed {seed}: {searches} searches, 0 mismatches, {row_fallbacks} took the row "
-          f"fallback, {col_fallbacks} the column fallback, {skipped} draws skipped")
+    print(f"seed {seed}: {searches} searches, 0 mismatches, {many_rows} priced more than "
+          f"one row tuple, {many_cols} more than one column pair, "
+          f"{priced / max(searches, 1):.2f} candidates priced per search (at most {most}), "
+          f"{skipped} draws skipped")
     return 0
 
 
