@@ -27,8 +27,8 @@ __all__ = [
     "MAX_CANDIDATES",
 ]
 
-# Largest mapping space one layer may search. The bundled and benchmark layers
-# need at most a few thousand candidates; a space this large would take minutes.
+# Largest mapping space one layer may search. The search prices a few candidates;
+# this bounds mapping_space's row tuples and an exhaustive enumerate_mappings.
 MAX_CANDIDATES = 200_000
 
 # (operand, level) -> bits moved. Fixed key set so serialized rows share a schema.

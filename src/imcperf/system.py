@@ -21,7 +21,6 @@ from .components import TechnologyParams, _check_amount, _check_count, _store_fl
 from .macro import (
     BREAKDOWN_COMPONENTS,
     ImcMacroConfig,
-    _CycleEnergies,
     _pricing,
     layer_precisions,
     macro_metrics,
@@ -235,15 +234,17 @@ def _output_spill(bits: int, capacity: int) -> str:
             f"({capacity} bits); outputs spill to DRAM")
 
 
-# The last layer pricing built, as (system, layer, cfg, price, cycle_energies,
-# clock): the layer's single macro, the price of a mapping result on it, the
-# energy by component of its active rows and columns, and its clock period. A
-# mapper search prices every candidate of one layer on one system in turn.
-# The entry holds both frozen objects, so neither can be freed and its id
-# reused while the entry lives; equal but distinct objects rebuild. The tuple is read once and
-# replaced whole, so a reader never sees a price paired with the wrong key.
+# The last layer pricing built, as (system, layer, cfg, price, form): the
+# layer's single macro, the price of a mapping result on it, and the closed form
+# of a candidate's energy and latency that the search screens with. A search
+# prices its few candidates and re-prices its winner from it, and an exhaustive
+# reference prices every candidate of one layer on one system in turn. The
+# entry holds both frozen objects, so neither can be freed and its id reused
+# while the entry lives; equal but distinct objects rebuild. The tuple is read
+# once and replaced whole, so a reader never sees a price paired with the wrong key.
+_Form = Callable[[int, int, int], tuple[float, float]]
 _PriceEntry = tuple[SystemConfig, Layer, ImcMacroConfig,
-                    Callable[[MappingResult], SystemMetrics], _CycleEnergies, float]
+                    Callable[[MappingResult], SystemMetrics], _Form]
 _price_entry: _PriceEntry | None = None
 
 
@@ -251,7 +252,8 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
     """The pricing entry of the layer on one macro of the system.
 
     What does not depend on the mapping is computed here, once per (system,
-    layer); evaluate_layer_mapping calls the entry's price per result.
+    layer); evaluate_layer_mapping calls the entry's price per result, and the
+    search screens candidates with its form.
     """
     global _price_entry
     entry = _price_entry
@@ -270,7 +272,8 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
     area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
     area_breakdown["cache"] = cache.area
     cycle_energies = _pricing(params, cfg)[0]  # a memo hit: macro_metrics priced cfg
-    ops = 2.0 * total_macs(layer)
+    work = total_macs(layer)
+    ops = 2.0 * work
     area = mm.area + cache.area
     d_i, d_o = cfg.d_i, cfg.d_o
     clock = mm.clock_period
@@ -337,7 +340,30 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
             {"compute": compute_time, "weight_load_stall": stall_time},
             dict(area_breakdown), notes)
 
-    entry = _price_entry = (system, layer, cfg, price, cycle_energies, clock)
+    # The closed form of a candidate's energy and latency, from the same terms;
+    # the comment above _GAIN_MARGIN derives it and what the search may drop.
+    one = cycle_energies(1, 1, 1, 1)
+    cpm = cfg.cycles_per_mvm
+    rho = cache_read_energy if input_spill is None else dram_rate
+    a = cpm * one["cell_array"]
+    b = cpm * one["dac"] + one["input_register"] + b_i * rho
+    c = cpm * (one["adc"] + one["combine_tree"] + one["accumulator"]
+               + one["pipeline_register"])
+    d = cpm * (one["multiplier"] + one["adder_tree"])
+    weight_bits = layer.weight_elements * b_w
+    fixed = (layer_output_bits * cache_write_energy
+             + (layer_input_bits * dram_rate if input_spill is None else 0.0)
+             + (0.0 if output_spill is None else layer_output_bits * dram_rate)
+             + weight_bits * dram_rate)
+    omega = weight_bits * cell_write_energy
+    sigma = weight_bits / bandwidth * clock
+
+    def form(r: int, k_u: int, ox_u: int) -> tuple[float, float]:
+        columns = k_u * ox_u
+        return (work * (a / (r * columns) + b / columns + c / r + d) + fixed + omega * ox_u,
+                work * cpm * clock / (r * columns) + sigma * ox_u)
+
+    entry = _price_entry = (system, layer, cfg, price, form)
     return entry
 
 
@@ -367,8 +393,9 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
 # exact arithmetic its energy and latency are
 #     E = W * (A / (r * cols) + B / cols + C / r + D) + F + omega * ox_u
 #     L = W * cpm * clock / (r * cols) + sigma * ox_u
-# with cpm the cycles per MVM and these coefficients, read entry by entry from
-# one cycle_energies call at one row, one column, one cycle and one MVM:
+# with cpm the cycles per MVM and these coefficients, which _layer_pricing builds
+# beside price, entry by entry from one cycle_energies call at one row, one
+# column, one cycle and one MVM:
 #     A = cpm * cell_array
 #     B = cpm * dac + input_register + b_i * rho
 #     C = cpm * (adc + combine_tree + accumulator + pipeline_register)
@@ -412,12 +439,18 @@ _GAIN_MARGIN = 1e-12
 _FORM_RANGE = (1e-100, 1e100)  # J and s
 
 
-def _screen(system: SystemConfig, layer: Layer, objective: str,
+def _objective(objective: str, energy: float, latency: float) -> float:
+    """The objective's value: E, L or E * L."""
+    return (energy if objective == "energy" else
+            latency if objective == "latency" else energy * latency)
+
+
+def _screen(form: _Form, objective: str,
             rows: list[tuple[int, int, int]], cols: list[tuple[int, int]]
             ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """The row tuples and column pairs the search prices, each in the order given:
-    the first tuple of r*, or of every row product, and k* of each ox_u left
-    in, or every k_u of it."""
+    """The row tuples and column pairs that the layer's form leaves to price, each
+    in the order given: the first tuple of r*, or of every row product, and k*
+    of each ox_u left in, or every k_u of it."""
     firsts: dict[int, tuple[int, int, int]] = {}
     for row in rows:
         firsts.setdefault(row[0] * row[1] * row[2], row)
@@ -427,50 +460,20 @@ def _screen(system: SystemConfig, layer: Layer, objective: str,
         if ox_u in top:
             below[ox_u] = top[ox_u]
         top[ox_u] = k_u
-    _, _, cfg, _, cycle_energies, clock = _layer_pricing(system, layer)
-    one = cycle_energies(1, 1, 1, 1)
-    cpm = cfg.cycles_per_mvm
-    cache = system.cache
-    dram_rate = system.dram_energy_per_bit
-    input_bits = layer.input_elements * cfg.b_i
-    output_bits = layer.output_elements * cfg.b_o
-    weight_bits = layer.weight_elements * cfg.b_w
-    input_spills = input_bits > cache.capacity_bits
-    a = cpm * one["cell_array"]
-    b = (cpm * one["dac"] + one["input_register"]
-         + cfg.b_i * (dram_rate if input_spills else cache.read_energy))
-    c = cpm * (one["adc"] + one["combine_tree"] + one["accumulator"]
-               + one["pipeline_register"])
-    d = cpm * (one["multiplier"] + one["adder_tree"])
-    fixed = (output_bits * cache.write_energy
-             + (0.0 if input_spills else input_bits * dram_rate)
-             + (output_bits * dram_rate if output_bits > cache.capacity_bits else 0.0)
-             + weight_bits * dram_rate)
-    omega = weight_bits * system.params.sram_cell_write_energy
-    sigma = weight_bits / cache.bandwidth_bits_per_cycle * clock
-    work = total_macs(layer)
-
-    def form(r: int, k_u: int, ox_u: int) -> tuple[float, float, float]:
-        """E, L and the objective's value in closed form."""
-        columns = k_u * ox_u
-        energy = work * (a / (r * columns) + b / columns + c / r + d) + fixed + omega * ox_u
-        latency = work * cpm * clock / (r * columns) + sigma * ox_u
-        return energy, latency, (energy if objective == "energy" else
-                                 latency if objective == "latency" else energy * latency)
-
     r_top = max(firsts)
     low, high = _FORM_RANGE
     value: dict[int, float] = {}
     for ox_u, k_u in top.items():
-        energy, latency, value[ox_u] = form(r_top, k_u, ox_u)
+        energy, latency = form(r_top, k_u, ox_u)
         if not (low < energy < high and low < latency < high):
             return list(firsts.values()), cols
+        value[ox_u] = _objective(objective, energy, latency)
     least = min(value.values())
     kept = {ox_u for ox_u in top if not value[ox_u] / least - 1.0 > _GAIN_MARGIN}
 
     def proved(r: int, k_u: int, ox_u: int) -> bool:
         """Whether f(r, k_u, ox_u) is proved above V(ox_u)."""
-        return form(r, k_u, ox_u)[2] / value[ox_u] - 1.0 > _GAIN_MARGIN
+        return _objective(objective, *form(r, k_u, ox_u)) / value[ox_u] - 1.0 > _GAIN_MARGIN
 
     priced_rows = [firsts[r_top]]
     if len(firsts) > 1:
@@ -501,15 +504,11 @@ def best_mapping(layer: Layer, system: SystemConfig,
     best_value = 0.0
     best_result: MappingResult | None = None
     cfg = system.macro
-    space = _screen(system, layer, objective, *mapper.mapping_space(layer, cfg))
+    rows, cols = mapper.mapping_space(layer, cfg)
+    space = _screen(_layer_pricing(system, layer)[4], objective, rows, cols)
     for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg, space)):
         metrics = evaluate_layer_mapping(system, layer, result)
-        if objective == "energy":
-            value = metrics.energy
-        elif objective == "latency":
-            value = metrics.latency
-        else:
-            value = metrics.energy * metrics.latency
+        value = _objective(objective, metrics.energy, metrics.latency)
         # A key below best needs value <= best_value (a NaN on either side
         # compares false both ways), so the tuple is built only for contenders.
         if best is None or value <= best_value:

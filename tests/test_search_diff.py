@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from imcperf import Layer, best_mapping, enumerate_mappings, evaluate_mapping
+from imcperf import system as system_module
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_diff.py"
 _spec = importlib.util.spec_from_file_location("search_diff", _TOOL)
@@ -42,6 +43,34 @@ def test_a_wrong_winner_prints_a_reproducer_that_fails(capsys):
         warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
         namespace[name]()  # the real search passes the pasted test
         namespace["best_mapping"] = _runner_up
+        with pytest.raises(AssertionError):
+            namespace[name]()
+
+
+def _perturbed_pricing(system, layer):
+    """The layer's pricing entry with a form whose energy is 1e-9 off."""
+    entry = system_module._layer_pricing(system, layer)
+    form = entry[4]
+
+    def perturbed(r, k_u, ox_u):
+        energy, latency = form(r, k_u, ox_u)
+        return energy * (1 + 1e-9), latency
+
+    return entry[:4] + (perturbed,)
+
+
+def test_a_form_that_disagrees_with_its_price_prints_a_reproducer_that_fails(capsys):
+    assert search_diff.run(60, 1, pricing=_perturbed_pricing) == 1
+    text = capsys.readouterr().out
+    assert text.count("\ndef test_search_diff_form_seed_1_draw_") == 1
+
+    namespace = {}
+    exec(compile(text, "<reproducer>", "exec"), namespace)
+    (name,) = [key for key in namespace if key.startswith("test_")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # b_cycle rounding is drawn on purpose
+        namespace[name]()  # the real form passes the pasted test
+        namespace["_layer_pricing"] = _perturbed_pricing
         with pytest.raises(AssertionError):
             namespace[name]()
 

@@ -484,6 +484,53 @@ class TestPricingAcrossLayers:
         assert sum("does not divide b_i" in str(w.message) for w in caught) == 2
 
 
+class TestClosedForm:
+    """The closed form a layer pricing holds, which the search screens with, gives
+    every candidate the energy and latency its price does, up to the rounding
+    bounded above system._GAIN_MARGIN: 20u for a priced value and 17u for the
+    form, u = 2**-53."""
+
+    TOLERANCE = 40 * 2.0 ** -53
+    SPILLS = Layer(k=16, c=16, ox=32, oy=32, fx=3, fy=3)  # 147,968 input bits
+    GROWS = Layer(k=64, c=16, ox=12, oy=12)  # 73,728 output bits, 18,432 input bits
+    OWN_PRECISIONS = Layer(k=16, c=16, ox=8, oy=8, fx=3, fy=3, b_i=7, b_w=3, b_o=12)
+
+    @classmethod
+    def _cases(cls):
+        """(system, layer, the spill warnings every candidate carries), on each
+        macro type and size, plain and pipelined."""
+        for kind in ImcType:
+            for d in (16, 64, 256):
+                for pipelined in (False, True):
+                    macro = ImcMacroConfig(imc_type=kind, d_i=d, d_o=d, pipelined=pipelined)
+                    system = default_system_config(macro)
+                    for layer in FIXTURES:
+                        yield system, layer, ()
+                    yield (replace(system, cache=default_cache(macro, capacity_bits=140_000)),
+                           cls.SPILLS, ("input",))
+                    yield (replace(system, cache=default_cache(macro, capacity_bits=32_768)),
+                           cls.GROWS, ("output",))
+                    yield (default_system_config(replace(macro, b_cycle=2)),
+                           cls.OWN_PRECISIONS, ())
+
+    def test_the_form_prices_every_candidate_as_price_does(self):
+        tolerance = self.TOLERANCE
+        candidates = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b_i = 7 is not a multiple of b_cycle = 2
+            for system, layer, spills in self._cases():
+                form = system_module._layer_pricing(system, layer)[4]
+                for mapping in enumerate_mappings(layer, system.macro):
+                    result = evaluate_mapping(layer, system.macro, mapping)
+                    metrics = evaluate_layer_mapping(system, layer, result)
+                    assert tuple(note.split(" ")[0] for note in metrics.warnings) == spills
+                    energy, latency = form(mapping.rows, mapping.k_u, mapping.ox_u)
+                    assert abs(energy - metrics.energy) <= tolerance * metrics.energy
+                    assert abs(latency - metrics.latency) <= tolerance * metrics.latency
+                    candidates += 1
+        assert candidates > 18_000
+
+
 class TestNetwork:
     def net(self, repeats=(1, 1, 1, 1)):
         return Network(name="fixtures", layers=FIXTURES, repeats=repeats)

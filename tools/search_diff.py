@@ -14,12 +14,19 @@ compared with ``exhaustive_best_mapping`` from ``tests/_oracles.py``: its five
 unroll factors, and the ``repr`` of its energy and latency. A draw whose
 pricing raises ValueError is skipped and counted.
 
-Draws run until N seconds (default: 10) have passed. On the first mismatch the
-script prints one pytest function that reproduces it and exits 1; otherwise it
-prints the number of searches, how many of them priced more than one row tuple
-and how many more than one column pair, the mean and the largest number of
-candidates a search priced, and the draws skipped, and exits 0. The same seed
-draws the same sequence. Needs numpy, which the oracle imports.
+Each draw also checks the premise of the search's screen: every candidate that
+the exhaustive reference prices, and whose closed form (the form of the layer's
+pricing entry) lies inside ``_FORM_RANGE``, must get from the form the energy
+and latency it is priced at, within FORM_TOLERANCE of the priced value.
+
+Draws run until N seconds (default: 10) have passed. On the first form
+disagreement or mismatch the script prints one pytest function that reproduces
+it and exits 1; otherwise it prints the number of searches, the candidates whose
+form it checked and their largest deviation in units of 2**-53, how many
+searches priced more than one row tuple and how many more than one column
+pair, the mean and the largest number of candidates a search priced, and the
+draws skipped, and exits 0. The same seed draws the same sequence. Needs numpy,
+which the oracle imports.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "tests"))
                 if path not in sys.path]
 
+import _oracles  # noqa: E402
 from _oracles import exhaustive_best_mapping  # noqa: E402
 from imcperf import (  # noqa: E402
     OBJECTIVES,
@@ -43,7 +51,9 @@ from imcperf import (  # noqa: E402
     ImcType,
     Layer,
     MappingResult,
+    SpatialMapping,
     SystemConfig,
+    SystemMetrics,
     TechnologyParams,
     best_mapping,
     default_cache,
@@ -51,6 +61,7 @@ from imcperf import (  # noqa: E402
 )
 from imcperf import mapper  # noqa: E402
 from imcperf.mapper import mapping_space  # noqa: E402
+from imcperf.system import _FORM_RANGE, _layer_pricing  # noqa: E402
 
 # above the 1,484 candidates of the largest dse-network layer, so draws reach
 # spaces with many distinct row products
@@ -72,7 +83,14 @@ _DEFAULTS = {**vars(TechnologyParams()), "dram_energy_per_bit": SystemConfig.dra
              "read_energy": _DEFAULT_CACHE.read_energy,
              "write_energy": _DEFAULT_CACHE.write_energy}
 
+# The most a candidate's closed form may differ from its priced energy or
+# latency, relative to the priced value: the proof above
+# imcperf.system._GAIN_MARGIN puts a priced value within 20u of the exact one
+# and the form within 17u, u = 2**-53.
+FORM_TOLERANCE = 40 * 2.0 ** -53
+
 Search = Callable[[Layer, SystemConfig, str], MappingResult]
+Pricing = Callable[[SystemConfig, Layer], tuple]  # as _layer_pricing
 
 
 class Draw(NamedTuple):
@@ -138,13 +156,28 @@ def _rescaled(rng: random.Random, names: tuple[str, ...]) -> dict[str, float]:
     return values
 
 
-def reproducer(case: Draw, found: tuple, expected: tuple) -> str:
-    """A pytest function, with its imports, that fails while the search disagrees."""
+def _setup(case: Draw) -> str:
+    """The lines of a pytest function that build the draw's layer and system."""
     layer = ", ".join(f"{name}={value!r}" for name, value in case.layer.items())
     params = "".join(f"\n        {name}={value!r}," for name, value in case.constants.items()
                      if name != "dram_energy_per_bit")
     macro = f"imc_type=ImcType.{case.imc_type.name}, d_i={case.size}, d_o={case.size}"
     cache = "".join(f"\n        {name}={value!r}," for name, value in case.cache.items())
+    return f"""\
+    layer = Layer({layer})
+    macro = ImcMacroConfig({macro})
+    params = TechnologyParams({params}
+    )
+    cache = default_cache(
+        macro,{cache}
+    )
+    system = SystemConfig(macro=macro, params=params, cache=cache,
+                          dram_energy_per_bit={case.dram_energy_per_bit!r})
+"""
+
+
+def reproducer(case: Draw, found: tuple, expected: tuple) -> str:
+    """A pytest function, with its imports, that fails while the search disagrees."""
     objective = repr(case.objective)
     return f"""\
 from imcperf import (ImcMacroConfig, ImcType, Layer, SystemConfig, TechnologyParams,
@@ -155,15 +188,7 @@ from _oracles import exhaustive_best_mapping
 def test_search_diff_seed_{case.seed}_draw_{case.index}():
     # search {found}
     # exhaustive {expected}
-    layer = Layer({layer})
-    macro = ImcMacroConfig({macro})
-    params = TechnologyParams({params}
-    )
-    cache = default_cache(
-        macro,{cache}
-    )
-    system = SystemConfig(macro=macro, params=params, cache=cache,
-                          dram_energy_per_bit={case.dram_energy_per_bit!r})
+{_setup(case)}\
     expected, expected_metrics = exhaustive_best_mapping(layer, system, {objective})
     result = best_mapping(layer, system, {objective})
     metrics = evaluate_layer_mapping(system, layer, result)
@@ -173,29 +198,95 @@ def test_search_diff_seed_{case.seed}_draw_{case.index}():
 """
 
 
-def compare(case: Draw, search: Search = best_mapping) -> str | None:
-    """None when the search's winner is the exhaustive one, else a reproducer.
+def form_reproducer(case: Draw, mapping: SpatialMapping, form: tuple, priced: tuple) -> str:
+    """A pytest function, with its imports, that fails while the candidate's
+    closed form and its price disagree."""
+    factors = ", ".join(f"{name}={value}" for name, value in vars(mapping).items())
+    return f"""\
+from imcperf import (ImcMacroConfig, ImcType, Layer, SpatialMapping, SystemConfig,
+                     TechnologyParams, default_cache, evaluate_layer_mapping,
+                     evaluate_mapping)
+from imcperf.system import _layer_pricing
+
+
+def test_search_diff_form_seed_{case.seed}_draw_{case.index}():
+    # form (energy, latency) {form}
+    # priced (energy, latency) {priced}
+{_setup(case)}\
+    mapping = SpatialMapping({factors})
+    metrics = evaluate_layer_mapping(system, layer, evaluate_mapping(layer, macro, mapping))
+    energy, latency = _layer_pricing(system, layer)[4](mapping.rows, mapping.k_u, mapping.ox_u)
+    assert abs(energy - metrics.energy) <= {FORM_TOLERANCE!r} * metrics.energy
+    assert abs(latency - metrics.latency) <= {FORM_TOLERANCE!r} * metrics.latency
+"""
+
+
+def check_form(case: Draw, form: Callable[[int, int, int], tuple[float, float]],
+               priced: list[tuple[SpatialMapping, SystemMetrics]]
+               ) -> tuple[str | None, int, float]:
+    """A reproducer for the first priced candidate whose form lies inside
+    _FORM_RANGE and disagrees with its price, or None; the candidates checked;
+    and their largest relative deviation."""
+    low, high = _FORM_RANGE
+    checked = 0
+    worst = 0.0
+    for mapping, metrics in priced:
+        energy, latency = form(mapping.rows, mapping.k_u, mapping.ox_u)
+        if not (low < energy < high and low < latency < high):
+            continue
+        checked += 1
+        energy_off = abs(energy - metrics.energy)
+        latency_off = abs(latency - metrics.latency)
+        if not (energy_off <= FORM_TOLERANCE * metrics.energy
+                and latency_off <= FORM_TOLERANCE * metrics.latency):
+            return (form_reproducer(case, mapping, (energy, latency),
+                                    (metrics.energy, metrics.latency)), checked, worst)
+        worst = max(worst, energy_off / metrics.energy, latency_off / metrics.latency)
+    return None, checked, worst
+
+
+def compare(case: Draw, search: Search = best_mapping,
+            pricing: Pricing = _layer_pricing) -> tuple[str | None, int, float]:
+    """None when every candidate's form agrees with its price and the search's
+    winner is the exhaustive one, else a reproducer; and check_form's count and
+    largest deviation.
 
     Raises ValueError when the exhaustive reference cannot price the draw. A
     search that raises ValueError where the reference did not is a mismatch.
     """
     layer, system = Layer(**case.layer), case.system()
-    winner, metrics = exhaustive_best_mapping(layer, system, case.objective)
+    priced: list[tuple[SpatialMapping, SystemMetrics]] = []
+
+    def recording(system, layer, result):
+        metrics = evaluate_layer_mapping(system, layer, result)
+        priced.append((result.mapping, metrics))
+        return metrics
+
+    _oracles.evaluate_layer_mapping = recording
+    try:
+        winner, metrics = exhaustive_best_mapping(layer, system, case.objective)
+    finally:
+        _oracles.evaluate_layer_mapping = evaluate_layer_mapping
+    text, checked, worst = check_form(case, pricing(system, layer)[4], priced)
+    if text is not None:
+        return text, checked, worst
     expected = (winner.mapping.factors(), repr(metrics.energy), repr(metrics.latency))
     try:
         result = search(layer, system, case.objective)
         metrics = evaluate_layer_mapping(system, layer, result)
     except ValueError as exc:
-        return reproducer(case, (repr(exc),), expected)
+        return reproducer(case, (repr(exc),), expected), checked, worst
     found = (result.mapping.factors(), repr(metrics.energy), repr(metrics.latency))
-    return None if found == expected else reproducer(case, found, expected)
+    return None if found == expected else reproducer(case, found, expected), checked, worst
 
 
-def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
+def run(seconds: float, seed: int, search: Search = best_mapping,
+        pricing: Pricing = _layer_pricing) -> int:
     """Draw and compare searches for the given time; print the outcome, return the exit code."""
     rng = random.Random(seed)
     deadline = time.monotonic() + seconds
-    searches = skipped = many_rows = many_cols = priced = most = 0
+    searches = skipped = many_rows = many_cols = priced = most = checked = 0
+    worst = 0.0
     enumerate_mappings = mapper.enumerate_mappings
 
     def counting(layer, cfg, space=None):
@@ -217,17 +308,20 @@ def run(seconds: float, seed: int, search: Search = best_mapping) -> int:
             while time.monotonic() < deadline:
                 case = draw(rng, seed, searches + skipped)
                 try:
-                    text = compare(case, search)
+                    text, candidates, deviation = compare(case, search, pricing)
                 except ValueError:
                     skipped += 1
                     continue
                 searches += 1
+                checked += candidates
+                worst = max(worst, deviation)
                 if text is not None:
                     print(text, end="")
                     return 1
     finally:
         mapper.enumerate_mappings = enumerate_mappings
-    print(f"seed {seed}: {searches} searches, 0 mismatches, {many_rows} priced more than "
+    print(f"seed {seed}: {searches} searches, 0 mismatches, 0 form disagreements over "
+          f"{checked} candidates (worst {worst / 2 ** -53:.1f}u), {many_rows} priced more than "
           f"one row tuple, {many_cols} more than one column pair, "
           f"{priced / max(searches, 1):.2f} candidates priced per search (at most {most}), "
           f"{skipped} draws skipped")
