@@ -301,12 +301,12 @@ def _pricing(params: TechnologyParams,
     per_mvm = cycle_energies(d_i, d_o, cycles, 1)
     # One pass scales each entry to n macros, adds it to the three sums left to
     # right from zero, as system._total does on every Python, and builds its
-    # ComponentCost from its field dict, as system._system_metrics builds a
-    # SystemMetrics. The entries skip ComponentCost's checks: each is a product
-    # of checked non-negative unit costs and positive counts, so it is finite
-    # and non-negative unless it overflowed to inf or NaN, and then so is its
-    # sum, which _check_range below refuses, naming the macro, before anything
-    # is returned.
+    # ComponentCost with its field dict, in field order, as its __dict__. The
+    # entries skip ComponentCost's checks: each is a product of checked
+    # non-negative unit costs and positive counts, so it is finite and
+    # non-negative unless it overflowed to inf or NaN, and then so is its sum,
+    # which _check_range below refuses, naming the macro, before anything is
+    # returned.
     new = object.__new__
     set_dict = object.__setattr__
     breakdown: dict[str, ComponentCost] = {}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterable, Iterator
 
 from .components import _check_count
 from .macro import ImcMacroConfig, layer_precisions
@@ -147,23 +146,8 @@ def enumerate_mappings(
     is not checked: its tuples come from the layer's mapping_space.
     """
     row_candidates, col_candidates = mapping_space(layer, cfg) if space is None else space
-    # The factors are _divisors output, so ints >= 1 that __post_init__ accepts.
-    # Each mapping takes its field dict, in field order, as its __dict__: the
-    # generated __init__ would set each field through object.__setattr__, which
-    # is most of what building a mapping costs. Equality, hashing, repr,
-    # frozenness, replace() and pickling read the fields, so they are the same
-    # as for a constructor-built instance.
-    new = object.__new__
-    set_dict = object.__setattr__
-    mappings = []
-    append = mappings.append
-    for k_u, ox_u in col_candidates:
-        for c_u, fx_u, fy_u in row_candidates:
-            mapping = new(SpatialMapping)
-            set_dict(mapping, "__dict__",
-                     {"k_u": k_u, "ox_u": ox_u, "c_u": c_u, "fx_u": fx_u, "fy_u": fy_u})
-            append(mapping)
-    return mappings
+    return [SpatialMapping(k_u, ox_u, c_u, fx_u, fy_u)
+            for k_u, ox_u in col_candidates for c_u, fx_u, fy_u in row_candidates]
 
 
 def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) -> None:
@@ -185,44 +169,6 @@ def _check_feasible(layer: Layer, cfg: ImcMacroConfig, mapping: SpatialMapping) 
             f"infeasible mapping: {mapping.cols} columns exceed d_o={cfg.d_o}")
 
 
-def _results(layer: Layer, cfg: ImcMacroConfig,
-             mappings: Iterable[SpatialMapping]) -> Iterator[MappingResult]:
-    """The result of each of the layer's mappings on cfg, in the order given."""
-    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
-    k, ox, c, fx, fy, g = layer.k, layer.ox, layer.c, layer.fx, layer.fy, layer.g
-    b_oy = layer.b * layer.oy  # batch x output rows: temporal loops no unrolling touches
-    reduction = c * fx * fy
-    col_bound = min(cfg.d_o, k * ox)
-    array_cells = cfg.d_i * cfg.d_o
-    cycles_per_mvm = -(-b_i // b_cycle)
-    # every traffic entry but the two that depend on the mapping, in key order
-    base_traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
-    base_traffic[("W", "dram")] = layer.weight_elements * b_w
-    base_traffic[("I", "dram")] = layer.input_elements * b_i
-    base_traffic[("O", "cache")] = layer.output_elements * b_o
-
-    for mapping in mappings:
-        k_u, ox_u, c_u, fx_u, fy_u = mapping.factors()
-        rows = c_u * fx_u * fy_u
-        cols = k_u * ox_u
-        # G x K weight tiles times the C x FX x FY reduction tiles
-        loads = g * (k // k_u) * ((c // c_u) * (fx // fx_u) * (fy // fy_u))
-        mvms = loads * ((ox // ox_u) * b_oy)  # OX x B x OY MVMs per tile
-        traffic = base_traffic.copy()
-        traffic[("W", "macro")] = loads * rows * cols * b_w
-        traffic[("I", "cache")] = mvms * rows * b_i
-        yield MappingResult(
-            mapping=mapping,
-            spatial_utilization=(rows * cols) / array_cells,
-            mvm_invocations=mvms,
-            total_cycles=mvms * cycles_per_mvm,
-            weight_tile_loads=loads,
-            traffic=traffic,
-            in_unroll_ratio=rows / reduction,
-            out_unroll_ratio=cols / col_bound,
-        )
-
-
 def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
                      mapping: SpatialMapping) -> MappingResult:
     """Cycle counts, weight-reload events, and per-operand traffic of one mapping.
@@ -234,5 +180,28 @@ def evaluate_mapping(layer: Layer, cfg: ImcMacroConfig,
     their reduction finishes and are then written to the cache once.
     """
     _check_feasible(layer, cfg, mapping)
-    return next(_results(layer, cfg, (mapping,)))
-
+    b_i, b_w, b_o, b_cycle = layer_precisions(cfg, layer.b_i, layer.b_w, layer.b_o)
+    k_u, ox_u, c_u, fx_u, fy_u = mapping.factors()
+    rows = c_u * fx_u * fy_u
+    cols = k_u * ox_u
+    # G x K weight tiles times the C x FX x FY reduction tiles
+    loads = layer.g * (layer.k // k_u) * (
+        (layer.c // c_u) * (layer.fx // fx_u) * (layer.fy // fy_u))
+    # OX x B x OY MVMs per tile; batch and output rows are never unrolled
+    mvms = loads * ((layer.ox // ox_u) * (layer.b * layer.oy))
+    traffic = dict.fromkeys(TRAFFIC_KEYS, 0)
+    traffic[("W", "dram")] = layer.weight_elements * b_w
+    traffic[("W", "macro")] = loads * rows * cols * b_w
+    traffic[("I", "dram")] = layer.input_elements * b_i
+    traffic[("I", "cache")] = mvms * rows * b_i
+    traffic[("O", "cache")] = layer.output_elements * b_o
+    return MappingResult(
+        mapping=mapping,
+        spatial_utilization=(rows * cols) / (cfg.d_i * cfg.d_o),
+        mvm_invocations=mvms,
+        total_cycles=mvms * -(-b_i // b_cycle),
+        weight_tile_loads=loads,
+        traffic=traffic,
+        in_unroll_ratio=rows / (layer.c * layer.fx * layer.fy),
+        out_unroll_ratio=cols / min(cfg.d_o, layer.k * layer.ox),
+    )

@@ -162,23 +162,9 @@ def _system_metrics(ops: float, energy: float, latency: float, area: float,
                     area_breakdown: dict[str, float],
                     warnings: tuple[str, ...]) -> SystemMetrics:
     """The metrics of ops operations that take energy and latency on area um^2."""
-    # The field dict, in field order, becomes the instance's __dict__, as for
-    # the search's mappings; SystemMetrics has no __post_init__, so its
-    # constructor would check nothing.
-    metrics = object.__new__(SystemMetrics)
-    object.__setattr__(metrics, "__dict__", {
-        "tops": ops / latency,
-        "tops_per_w": ops / energy,
-        "tops_per_mm2": ops / latency / (area * 1e-6),
-        "energy": energy,
-        "latency": latency,
-        "area": area,
-        "energy_breakdown": energy_breakdown,
-        "delay_breakdown": delay_breakdown,
-        "area_breakdown": area_breakdown,
-        "warnings": warnings,
-    })
-    return metrics
+    return SystemMetrics(ops / latency, ops / energy, ops / latency / (area * 1e-6),
+                         energy, latency, area, energy_breakdown, delay_breakdown,
+                         area_breakdown, warnings)
 
 
 def _in_range(metrics: SystemMetrics, scope: str) -> SystemMetrics:
@@ -222,16 +208,6 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
     return _in_range(_system_metrics(
         ops, energy, latency, area, energy_breakdown,
         {"compute": latency, "weight_load_stall": 0.0}, area_breakdown, ()), "system at peak")
-
-
-def _input_spill(bits: int, capacity: int) -> str:
-    return (f"input activations ({bits} bits) exceed the cache capacity "
-            f"({capacity} bits); inputs stream from DRAM per access")
-
-
-def _output_spill(bits: int, capacity: int) -> str:
-    return (f"output activations ({bits} bits) exceed the cache capacity "
-            f"({capacity} bits); outputs spill to DRAM")
 
 
 # The last layer pricing built, as (system, layer, cfg, price, form): the
@@ -282,14 +258,11 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
     bandwidth = cache.bandwidth_bits_per_cycle
     dram_rate = system.dram_energy_per_bit
     cell_write_energy = params.sram_cell_write_energy
-    # The layer's own activation sizes and their spill warnings, None where the
-    # size fits the cache; a result with other traffic gets its text formatted.
+    # the layer's own activation sizes, and whether each spills from the cache
     layer_input_bits = layer.input_elements * b_i
-    input_spill = (_input_spill(layer_input_bits, capacity)
-                   if layer_input_bits > capacity else None)
     layer_output_bits = layer.output_elements * b_o
-    output_spill = (_output_spill(layer_output_bits, capacity)
-                    if layer_output_bits > capacity else None)
+    inputs_spill = layer_input_bits > capacity
+    outputs_spill = layer_output_bits > capacity
 
     def price(result: MappingResult) -> SystemMetrics:
         mapping = result.mapping
@@ -308,8 +281,8 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
 
         if input_bits_from_dram > capacity:
             notes: tuple[str, ...] = (
-                input_spill if input_bits_from_dram == layer_input_bits
-                else _input_spill(input_bits_from_dram, capacity),)
+                f"input activations ({input_bits_from_dram} bits) exceed the cache "
+                f"capacity ({capacity} bits); inputs stream from DRAM per access",)
             dram_in = input_cache_reads * dram_rate
             cache_in = 0.0
         else:
@@ -320,8 +293,8 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
         cache_out = output_bits * cache_write_energy
         dram_out = 0.0
         if output_bits > capacity:
-            notes += (output_spill if output_bits == layer_output_bits
-                      else _output_spill(output_bits, capacity),)
+            notes += (f"output activations ({output_bits} bits) exceed the cache "
+                      f"capacity ({capacity} bits); outputs spill to DRAM",)
             dram_out = output_bits * dram_rate
 
         energy_breakdown = cycle_energies(rows, cols, cycles, result.mvm_invocations)
@@ -344,7 +317,7 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
     # the comment above _GAIN_MARGIN derives it and what the search may drop.
     one = cycle_energies(1, 1, 1, 1)
     cpm = cfg.cycles_per_mvm
-    rho = cache_read_energy if input_spill is None else dram_rate
+    rho = dram_rate if inputs_spill else cache_read_energy
     a = cpm * one["cell_array"]
     b = cpm * one["dac"] + one["input_register"] + b_i * rho
     c = cpm * (one["adc"] + one["combine_tree"] + one["accumulator"]
@@ -352,8 +325,8 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
     d = cpm * (one["multiplier"] + one["adder_tree"])
     weight_bits = layer.weight_elements * b_w
     fixed = (layer_output_bits * cache_write_energy
-             + (layer_input_bits * dram_rate if input_spill is None else 0.0)
-             + (0.0 if output_spill is None else layer_output_bits * dram_rate)
+             + (0.0 if inputs_spill else layer_input_bits * dram_rate)
+             + (layer_output_bits * dram_rate if outputs_spill else 0.0)
              + weight_bits * dram_rate)
     omega = weight_bits * cell_write_energy
     sigma = weight_bits / bandwidth * clock
@@ -501,22 +474,18 @@ def best_mapping(layer: Layer, system: SystemConfig,
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     best: tuple | None = None
-    best_value = 0.0
     best_result: MappingResult | None = None
     cfg = system.macro
     rows, cols = mapper.mapping_space(layer, cfg)
     space = _screen(_layer_pricing(system, layer)[4], objective, rows, cols)
-    for result in mapper._results(layer, cfg, mapper.enumerate_mappings(layer, cfg, space)):
+    for mapping in mapper.enumerate_mappings(layer, cfg, space):
+        result = mapper.evaluate_mapping(layer, cfg, mapping)
         metrics = evaluate_layer_mapping(system, layer, result)
-        value = _objective(objective, metrics.energy, metrics.latency)
-        # A key below best needs value <= best_value (a NaN on either side
-        # compares false both ways), so the tuple is built only for contenders.
-        if best is None or value <= best_value:
-            key = (value, -result.spatial_utilization, result.mapping.factors())
-            if best is None or key < best:
-                best = key
-                best_value = value
-                best_result = result
+        key = (_objective(objective, metrics.energy, metrics.latency),
+               -result.spatial_utilization, mapping.factors())
+        if best is None or key < best:
+            best = key
+            best_result = result
     assert best_result is not None  # a space has a column pair and a row tuple
     return best_result
 

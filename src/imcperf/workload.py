@@ -140,11 +140,19 @@ def classify(layer: Layer) -> LayerKind:
 
 
 def total_macs(layer: Layer) -> int:
-    """Product of all eight loop bounds."""
+    """Product of all eight loop bounds.
+
+    Raises WorkloadError when it, or the layer's input element count, exceeds
+    2**62. At unit strides the input count is at most the MAC count, so only
+    sx and sy can push it past the bound.
+    """
     product = (layer.b * layer.g * layer.k * layer.c
                * layer.ox * layer.oy * layer.fx * layer.fy)
     if product > _MAC_LIMIT:
         raise WorkloadError(f"layer MAC count {product} overflows the supported range")
+    if layer.input_elements > _MAC_LIMIT:
+        raise WorkloadError("layer input element count overflows the supported range "
+                            "of 2**62: its stride sx or sy is too large")
     return product
 
 

@@ -588,6 +588,20 @@ class TestExitCodes:
             {"layers": [{"k": 1 << 31, "c": 1 << 31, "ox": 4}]}))
         assert run(capsys, "network", "--workload", str(overflow))[0] == 3
 
+    def test_overflowing_stride_is_an_evaluation_error(self, capsys, tmp_path):
+        # under a cache that held the inputs, a 10**400 stride failed converting
+        # the input bits to a float
+        workload = tmp_path / "wide.json"
+        workload.write_text(json.dumps({"layers": [{"ox": 2, "sx": 10**400}]}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cache": {"capacity_bits": 10**500}}))
+        code, out, err = run(capsys, "layer", "--workload", str(workload), "--config",
+                             str(config), "--type", "dimc", "--sizes", "32")
+        assert code == 3 and out == ""
+        assert err == ("imcperf: evaluation error: layer 0: layer input element count "
+                       "overflows the supported range of 2**62: its stride sx or sy is "
+                       "too large\n")
+
     def test_search_budget_is_an_evaluation_error(self, capsys, tmp_path):
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps({"layers": [

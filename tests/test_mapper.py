@@ -595,8 +595,8 @@ class TestColumnTies:
 
 
 class TestBuiltObjects:
-    """The search builds its SpatialMapping and SystemMetrics objects without
-    the generated __init__, and its MappingResult objects with it. Each must be
+    """Each SpatialMapping that enumerate_mappings builds, each MappingResult of
+    evaluate_mapping and each SystemMetrics of evaluate_layer_mapping must be
     indistinguishable from the one the public constructor builds from values
     derived independently."""
 
@@ -668,10 +668,10 @@ _AWKWARD_LAYERS = st.builds(
 
 
 class TestSearchCandidates:
-    """best_mapping prices each candidate from its own unroll factors instead of
-    calling evaluate_mapping, and evaluate_layer_mapping prices each result from
-    the scalars its layer pricing holds. Every result the search hands over must
-    be indistinguishable from the oracle's result for the same mapping, in
+    """best_mapping builds each candidate's result with evaluate_mapping, and
+    evaluate_layer_mapping prices each result from the scalars its layer
+    pricing holds. Every result the search hands over must be
+    indistinguishable from the oracle's result for the same mapping, in
     enumerate_mappings order with some candidates left out, every metrics
     object it gets back must equal the oracle's metrics for that result, and
     its winner must be the exhaustive search's."""
@@ -710,6 +710,25 @@ class TestSearchCandidates:
         assert layer_system_metrics(system, layer, objective) \
             == exhaustive_best_mapping(layer, system, objective)
         return len(priced)
+
+    def test_every_priced_result_comes_from_evaluate_mapping(self):
+        # one public function builds every result, so the search cannot drift
+        # from what evaluate_mapping, the references and the oracles compute
+        built = []
+        evaluate = mapper.evaluate_mapping
+
+        def record(layer_, cfg, mapping):
+            built.append(evaluate(layer_, cfg, mapping))
+            return built[-1]
+
+        for layer, system in TestBuiltObjects._systems():
+            for objective in OBJECTIVES:
+                built.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(mapper, "evaluate_mapping", record)
+                    priced = self._priced(layer, system, objective)
+                assert len(built) == len(priced) >= 1
+                assert all(result is made for (result, _), made in zip(priced, built))
 
     def test_built_objects_systems(self):
         # each system's flat-column variant takes the column fallback, and its

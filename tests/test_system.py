@@ -22,6 +22,7 @@ from imcperf import (
     SpatialMapping,
     SystemConfig,
     TechnologyParams,
+    WorkloadError,
     best_mapping,
     default_cache,
     default_system_config,
@@ -621,6 +622,18 @@ class TestModelProperty:
                                        TechnologyParams(sram_cell_write_energy=1e308))
         with pytest.raises(ValueError, match="energy of the layer is inf"):
             layer_system_metrics(system, Layer(k=64, c=64, ox=8, oy=8))
+
+    @pytest.mark.parametrize("capacity", [256 * 1024 * 8, 10**500],
+                             ids=["default-cache", "huge-cache"])
+    def test_overflowing_input_is_a_workload_error(self, capacity):
+        # A 10**400 stride made the input reads too large for a float under a
+        # cache that holds them, and a 400-digit spill warning under one that
+        # does not.
+        macro = make_macro(ImcType.DIMC, 32)
+        system = SystemConfig(macro=macro, params=TechnologyParams(),
+                              cache=default_cache(macro, capacity_bits=capacity))
+        with pytest.raises(WorkloadError, match="stride sx or sy is too large"):
+            layer_system_metrics(system, Layer(ox=2, sx=10**400))
 
     def test_overflowing_network_is_a_value_error(self):
         # each layer prices to about 3e304 J; ten thousand repeats overflow the sum

@@ -66,6 +66,16 @@ class TestTotalMacs:
         with pytest.raises(WorkloadError):
             total_macs(huge)
 
+    def test_input_overflow_names_the_strides(self):
+        # strides widen the input without adding MACs: 2**62 input elements
+        # pass, one more is refused
+        assert total_macs(Layer(ox=2, sx=(1 << 62) - 1)) == 2
+        for layer in (Layer(ox=2, sx=10**400), Layer(oy=2, sy=1 << 62)):
+            with pytest.raises(WorkloadError, match=r"stride sx or sy is too large$"):
+                total_macs(layer)
+        with pytest.raises(WorkloadError, match=r"^layer 1: layer input element count "):
+            Network(name="n", layers=(FC, Layer(ox=2, sx=10**400)), repeats=(1, 1))
+
 
 class TestLayerValidation:
     def test_rejects_bad_bounds(self):
