@@ -20,8 +20,10 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
 from .components import TechnologyParams, _check_amount
@@ -119,14 +121,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigBundle:
-    """Parsed configuration: technology constants plus raw macro/cache sections."""
+    """Parsed configuration: technology constants plus raw macro/cache sections.
+
+    Frozen, and each section, given as any mapping, is kept as a read-only view
+    of its own copy, so the default bundle that load_config shares cannot be
+    changed under another caller.
+    """
 
     params: TechnologyParams
-    macro_spec: dict[str, Any]
-    cache_spec: dict[str, Any]
+    macro_spec: MappingProxyType[str, Any]
+    cache_spec: MappingProxyType[str, Any]
     dram_energy_per_bit: float
+
+    def __post_init__(self) -> None:
+        for name in ("macro_spec", "cache_spec"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 # each config section and the fields it may set
@@ -158,26 +169,38 @@ def load_config(path_arg: str | None) -> ConfigBundle:
     """Parse the JSON configuration file, or return embedded defaults.
 
     Explicit --config paths must exist; the optional config.json under
-    $IMCPERF_CONFIG_DIR is used when present. Unknown keys are rejected, a
-    section must be a JSON object, and an absent one reads as {}.
+    $IMCPERF_CONFIG_DIR is used when present. Both are looked up, read and
+    checked on every call. Unknown keys are rejected, a section must be a JSON
+    object, and an absent one reads as {}. With no file, every call returns
+    one shared bundle, built and checked on first use.
     """
     path = _resolve_config_path(path_arg)
-    doc: dict[str, Any] = {}
-    if path is not None:
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"invalid JSON in {path}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-            ) from exc
-        except (ValueError, RecursionError) as exc:  # overlong integer, deep nesting
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config root in {path} must be a JSON object")
+    if path is None:
+        return _default_config()
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"invalid JSON in {path}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from exc
+    except (ValueError, RecursionError) as exc:  # overlong integer, deep nesting
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config root in {path} must be a JSON object")
+    return _config_bundle(doc)
+
+
+@cache
+def _default_config() -> ConfigBundle:
+    return _config_bundle({})
+
+
+def _config_bundle(doc: dict[str, Any]) -> ConfigBundle:
+    """The bundle a config document describes, with every section checked."""
     _check_keys(doc, {*_SECTIONS, "dram_energy_per_bit"}, "config")
 
     specs = {name: doc.get(name, {}) for name in _SECTIONS}
@@ -200,8 +223,8 @@ def load_config(path_arg: str | None) -> ConfigBundle:
 
     bundle = ConfigBundle(
         params=params,
-        macro_spec=dict(specs["macro"]),
-        cache_spec=dict(specs["cache"]),
+        macro_spec=specs["macro"],
+        cache_spec=specs["cache"],
         dram_energy_per_bit=dram,
     )
     try:
@@ -219,7 +242,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
 def build_macro(bundle: ConfigBundle, imc_type: str | None = None,
                 size: int | None = None) -> ImcMacroConfig:
     """Macro from the config section, optionally overriding type and both dims."""
-    spec = dict(bundle.macro_spec)
+    spec = bundle.macro_spec.copy()
     spec.setdefault("imc_type", "aimc")
     spec.setdefault("d_i", 32)
     spec.setdefault("d_o", 32)

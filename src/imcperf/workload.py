@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
 
 from .components import _check_count
@@ -29,6 +31,12 @@ __all__ = [
 # Guard against absurd loop bounds; products beyond this are treated as overflow.
 _MAC_LIMIT = 1 << 62
 
+_BOUNDS = ("b", "g", "k", "c", "ox", "oy", "fx", "fy", "sx", "sy")
+_PRECISIONS = ("b_i", "b_w", "b_o")
+_get_bounds = attrgetter(*_BOUNDS)
+_get_precisions = attrgetter(*_PRECISIONS)
+_NO_PRECISIONS = (None,) * len(_PRECISIONS)
+
 
 class WorkloadError(ValueError):
     """Raised for malformed workload files or invalid layer definitions."""
@@ -47,6 +55,8 @@ class Layer:
     """One 8-nested-loop layer; bounds default to 1, strides to 1.
 
     b_i/b_w/b_o override the macro operand precisions for this layer when set.
+    The input extents ix and iy (kernel halo included) and the weight_elements,
+    input_elements and output_elements counts are set once, at construction.
     """
 
     b: int = 1
@@ -65,40 +75,39 @@ class Layer:
     name: str = ""
 
     def __post_init__(self) -> None:
-        problems = []
-        for f in ("b", "g", "k", "c", "ox", "oy", "fx", "fy", "sx", "sy", "b_i", "b_w", "b_o"):
-            value = getattr(self, f)
-            if value is None and f in ("b_i", "b_w", "b_o"):
-                continue  # the macro's precision applies
-            try:
-                _check_count(f, value)
-            except ValueError as exc:
-                problems.append(str(exc))
-        if not isinstance(self.name, str):
-            problems.append(f"name must be a string, got {self.name!r}")
-        if problems:
-            raise WorkloadError("; ".join(problems))
-
-    @property
-    def ix(self) -> int:
-        """Input width including the kernel halo."""
-        return (self.ox - 1) * self.sx + self.fx
-
-    @property
-    def iy(self) -> int:
-        return (self.oy - 1) * self.sy + self.fy
-
-    @property
-    def weight_elements(self) -> int:
-        return self.g * self.k * self.c * self.fx * self.fy
-
-    @property
-    def input_elements(self) -> int:
-        return self.b * self.g * self.c * self.ix * self.iy
-
-    @property
-    def output_elements(self) -> int:
-        return self.b * self.g * self.k * self.ox * self.oy
+        # every layer of every request runs this, so a valid one skips the
+        # diagnosis; bool is an int subclass, and type() leaves it out
+        values = _get_bounds(self)
+        precisions = _get_precisions(self)
+        if precisions != _NO_PRECISIONS:
+            values += tuple(value for value in precisions if value is not None)
+        if not (isinstance(self.name, str) and set(map(type, values)) == {int}
+                and min(values) >= 1):
+            problems = []
+            for f in _BOUNDS + _PRECISIONS:
+                value = getattr(self, f)
+                if value is None and f in _PRECISIONS:
+                    continue  # the macro's precision applies
+                try:
+                    _check_count(f, value)
+                except ValueError as exc:
+                    problems.append(str(exc))
+            if not isinstance(self.name, str):
+                problems.append(f"name must be a string, got {self.name!r}")
+            if problems:
+                raise WorkloadError("; ".join(problems))
+        # The derived counts, computed once. They are attributes beside the
+        # fields, so ==, hash, repr and dataclasses.replace never read them.
+        set_count = object.__setattr__
+        ix = (self.ox - 1) * self.sx + self.fx  # input width including the kernel halo
+        iy = (self.oy - 1) * self.sy + self.fy
+        set_count(self, "ix", ix)
+        set_count(self, "iy", iy)
+        set_count(self, "weight_elements", self.g * self.k * self.c * self.fx * self.fy)
+        set_count(self, "input_elements", self.b * self.g * self.c * ix * iy)
+        set_count(self, "output_elements", self.b * self.g * self.k * self.ox * self.oy)
+        set_count(self, "_macs", (self.b * self.g * self.k * self.c
+                                  * self.ox * self.oy * self.fx * self.fy))
 
 
 @dataclass(frozen=True)
@@ -146,14 +155,13 @@ def total_macs(layer: Layer) -> int:
     2**62. At unit strides the input count is at most the MAC count, so only
     sx and sy can push it past the bound.
     """
-    product = (layer.b * layer.g * layer.k * layer.c
-               * layer.ox * layer.oy * layer.fx * layer.fy)
-    if product > _MAC_LIMIT:
-        raise WorkloadError(f"layer MAC count {product} overflows the supported range")
+    macs = layer._macs
+    if macs > _MAC_LIMIT:
+        raise WorkloadError(f"layer MAC count {macs} overflows the supported range")
     if layer.input_elements > _MAC_LIMIT:
         raise WorkloadError("layer input element count overflows the supported range "
                             "of 2**62: its stride sx or sy is too large")
-    return product
+    return macs
 
 
 _LAYER_FIELDS = {f.name for f in fields(Layer)} | {"repeat"}
@@ -228,7 +236,16 @@ def bundled_network_names() -> tuple[str, ...]:
 
 
 def bundled_network(name: str = "mlperf-tiny-layers") -> Network:
-    """Load a workload shipped with the package (see bundled_network_names)."""
+    """Load a workload shipped with the package (see bundled_network_names).
+
+    Each file is package data, parsed on first use and then shared: a Network
+    and its layers are frozen.
+    """
     if name not in bundled_network_names():
         raise WorkloadError(f"unknown bundled network {name!r}")
+    return _parsed_bundled_network(name)
+
+
+@cache
+def _parsed_bundled_network(name: str) -> Network:
     return load_network(_data_file(f"{name}.json"))

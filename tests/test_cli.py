@@ -14,7 +14,7 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +306,63 @@ class TestConfigHandling:
         assert run(capsys, "peak", "--config", str(cfg)) == (
             2, "", "imcperf: config error: invalid cache section: "
                    f"name must be a string, got {name!r}\n")
+
+
+class TestMemoBoundaries:
+    """The default configuration is built once per process and shared; a file
+    the user names or places is read again on every call."""
+
+    @staticmethod
+    def _rows(capsys, *argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        return json.loads(out)["rows"]
+
+    def test_env_config_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("IMCPERF_CONFIG_DIR", str(tmp_path))
+        config = tmp_path / "config.json"
+        sizes = []
+        for text in (None, {"macro": {"d_i": 64, "d_o": 64}},
+                     {"macro": {"d_i": 128, "d_o": 128}}, None):
+            if text is None:
+                config.unlink(missing_ok=True)
+            else:
+                config.write_text(json.dumps(text))
+            sizes.append(self._rows(capsys, "peak")[0]["d_i"])
+        # absent, appeared, changed, gone again
+        assert sizes == [32, 64, 128, 32]
+
+    def test_named_config_and_workload_are_read_on_every_call(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        workload = tmp_path / "net.json"
+        argv = ("network", "--config", str(config), "--workload", str(workload))
+        seen = []
+        for size, k in ((64, 8), (128, 8), (128, 16)):
+            config.write_text(json.dumps({"macro": {"d_i": size, "d_o": size}}))
+            workload.write_text(json.dumps({"layers": [{"k": k, "c": 4}]}))
+            row = self._rows(capsys, *argv)[0]
+            seen.append((row["d_i"], row["macs"]))
+        assert seen == [(64, 32), (128, 32), (128, 64)]
+
+    def test_default_bundle_is_shared_and_read_only(self, monkeypatch):
+        monkeypatch.delenv("IMCPERF_CONFIG_DIR", raising=False)
+        bundle = cli.load_config(None)
+        assert cli.load_config(None) is bundle
+        with pytest.raises(FrozenInstanceError):
+            bundle.dram_energy_per_bit = 0.0
+        with pytest.raises(FrozenInstanceError):
+            bundle.macro_spec = {"d_i": 64}
+        with pytest.raises(TypeError):
+            bundle.macro_spec["d_i"] = 64
+        with pytest.raises(TypeError):
+            bundle.cache_spec["capacity_bits"] = 8
+        assert bundle.macro_spec == bundle.cache_spec == {}
+
+    def test_a_bundle_keeps_its_own_copy_of_each_section(self, params):
+        macro, cache = {"d_i": 64}, {"area": 0.0}
+        bundle = cli.ConfigBundle(params, macro, cache, 1e-12)
+        macro["d_i"], cache["area"] = 128, 1.0
+        assert (bundle.macro_spec, bundle.cache_spec) == ({"d_i": 64}, {"area": 0.0})
 
 
 class TestBooleanConfig:

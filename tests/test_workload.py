@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import re
 
 import pytest
@@ -16,6 +18,7 @@ from imcperf import (
     load_network,
     total_macs,
 )
+from imcperf.workload import _data_file
 
 FC = Layer(k=128, c=640, name="fc")
 PW = Layer(k=64, c=64, ox=12, oy=12, name="pw")
@@ -107,6 +110,100 @@ class TestLayerValidation:
         assert CONV.weight_elements == 16 * 16 * 3 * 3
         assert CONV.input_elements == 16 * 34 * 34
         assert CONV.output_elements == 16 * 32 * 32
+
+
+_BOUND_FIELDS = ("b", "g", "k", "c", "ox", "oy", "fx", "fy", "sx", "sy")
+_PRECISION_FIELDS = ("b_i", "b_w", "b_o")
+_BAD_VALUES = (True, False, 0, -1, 1.0, "1")
+
+
+class TestLayerDiagnosis:
+    """A valid layer skips the diagnosis; an invalid one gets every problem,
+    in field order, each in the text the field-by-field check gives."""
+
+    @pytest.mark.parametrize("field,value", [
+        *((f, v) for f in _BOUND_FIELDS for v in (*_BAD_VALUES, None)),
+        *((f, v) for f in _PRECISION_FIELDS for v in _BAD_VALUES),
+    ])
+    def test_one_bad_field(self, field, value):
+        with pytest.raises(WorkloadError) as info:
+            Layer(**{"k": 4, field: value})
+        assert str(info.value) == f"{field} must be an integer >= 1, got {value!r}"
+
+    @pytest.mark.parametrize("name", [5, None, b"conv", ("conv",)])
+    def test_a_name_that_is_not_a_string(self, name):
+        with pytest.raises(WorkloadError) as info:
+            Layer(k=4, name=name)
+        assert str(info.value) == f"name must be a string, got {name!r}"
+
+    def test_problems_are_joined_in_field_order(self):
+        with pytest.raises(WorkloadError) as info:
+            Layer(name=7, b_o=0, sy=True, k=-2)
+        assert str(info.value) == (
+            "k must be an integer >= 1, got -2; sy must be an integer >= 1, got True; "
+            "b_o must be an integer >= 1, got 0; name must be a string, got 7")
+
+    def test_int_subclasses_and_str_subclasses_are_accepted(self):
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        layer = Layer(k=Count(4), b_i=Count(8), name=Name("conv"))
+        assert layer == Layer(k=4, b_i=8, name="conv")
+        assert total_macs(layer) == 4
+
+
+_COUNTS = ("ix", "iy", "weight_elements", "input_elements", "output_elements")
+
+
+def _closed_forms(layer):
+    ix = (layer.ox - 1) * layer.sx + layer.fx
+    iy = (layer.oy - 1) * layer.sy + layer.fy
+    return {"ix": ix, "iy": iy,
+            "weight_elements": layer.g * layer.k * layer.c * layer.fx * layer.fy,
+            "input_elements": layer.b * layer.g * layer.c * ix * iy,
+            "output_elements": layer.b * layer.g * layer.k * layer.ox * layer.oy}
+
+
+_layers = st.builds(Layer, **{f: st.integers(1, 40) for f in _BOUND_FIELDS},
+                    b_i=st.none() | st.integers(1, 16), name=st.text(max_size=4))
+
+
+class TestDerivedCounts:
+    @given(_layers)
+    def test_counts_match_their_closed_forms(self, layer):
+        assert {name: getattr(layer, name) for name in _COUNTS} == _closed_forms(layer)
+        product = 1
+        for f in _BOUND_FIELDS[:8]:
+            product *= getattr(layer, f)
+        assert total_macs(layer) == product
+
+    @given(_layers)
+    def test_counts_stay_out_of_equality_hash_repr_replace_and_pickle(self, layer):
+        twin = Layer(**{f.name: getattr(layer, f.name) for f in dataclasses.fields(Layer)})
+        for name in _COUNTS:
+            getattr(layer, name)
+        total_macs(layer)
+        assert layer == twin and hash(layer) == hash(twin) and repr(layer) == repr(twin)
+        assert dataclasses.asdict(layer) == dataclasses.asdict(twin)
+        for copy in (dataclasses.replace(layer), pickle.loads(pickle.dumps(layer))):
+            assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
+            assert {name: getattr(copy, name) for name in _COUNTS} == _closed_forms(twin)
+            assert total_macs(copy) == total_macs(twin)
+        wider = dataclasses.replace(layer, ox=layer.ox + 1)
+        assert {name: getattr(wider, name) for name in _COUNTS} == _closed_forms(wider)
+
+    def test_an_overflow_is_raised_on_every_call(self):
+        layer = Layer(ox=2, sx=10**400)
+        texts = set()
+        for _ in range(3):
+            with pytest.raises(WorkloadError) as info:
+                total_macs(layer)
+            texts.add(str(info.value))
+        assert texts == {"layer input element count overflows the supported range "
+                         "of 2**62: its stride sx or sy is too large"}
 
 
 class TestLoadNetwork:
@@ -212,3 +309,10 @@ def test_bundled_networks():
     assert kinds == [LayerKind.FC, LayerKind.PW, LayerKind.DW, LayerKind.CONV]
     with pytest.raises(WorkloadError):
         bundled_network("no-such-network")
+
+
+def test_a_bundled_network_is_parsed_once_per_process():
+    for name in bundled_network_names():
+        net = bundled_network(name)
+        assert bundled_network(name) is net
+        assert net == load_network(_data_file(f"{name}.json"))

@@ -1,7 +1,9 @@
 """Time a model stage over one pass of a benchmark workload's requests.
 
-    python3 tools/search_cost.py [--stage search|pricing] [--passes N] [--src SRC_DIR]
-    python3 tools/search_cost.py --against DIR [--stage S] [--rounds N] [--passes N]
+    python3 tools/search_cost.py [--stage search|pricing|request] [--workload W]
+                                 [--passes N] [--src SRC_DIR]
+    python3 tools/search_cost.py --against DIR [--stage S] [--workload W] [--rounds N]
+                                 [--passes N]
 
 The requests come from ``imcbench/workloads.py``. The ``search`` stage (the
 default) takes the ``dse-network`` requests (``dse_requests``): one ``network``
@@ -24,11 +26,23 @@ on a fresh copy of its config, so the pricing memo never answers, and times
 those calls only. It prints the number of pricings per pass and the minimum and
 median microseconds per pricing over N passes (default 200).
 
+The ``request`` stage times the real ``cli.main`` over one pass of workload
+W's requests (default ``dse-network``; its seed is the benchmark's default),
+each run as the benchmark runs it: in-process, writing JSON to a file in a
+directory that holds the files the requests read. It wraps the names ``main``
+looks up for each step (``_PARSER.parse_args``, ``load_config``,
+``_load_workload``, ``_design_points``, ``_render_json`` and ``_emit``) and
+prints, for each step, the minimum and median over N passes (default 5) of its
+microseconds per request; ``model`` is the rest of ``main``, the search and
+pricing, and ``us_per_request`` all of it. A step a workload never takes
+(``load_workload`` in ``peak-sweep``) reads 0.
+
 SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``), so one copy of the script can time two trees.
 
 With ``--against DIR`` the script compares this tree with the checkout in DIR
-(its ``src`` directory holds the other ``imcperf``) on the chosen stage. Each
+(its ``src`` directory holds the other ``imcperf``) on the chosen stage and,
+for ``request``, workload. Each
 of N rounds runs the script once per tree, each run in a fresh process, and
 swaps which tree goes first every round. A run's figure is its minimum over its
 passes. The script prints each tree's minimum, median and quartiles of those
@@ -44,6 +58,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -55,7 +70,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # stage: (the figure it prints, default passes)
-STAGES = {"search": ("us_per_candidate", 5), "pricing": ("us_per_pricing", 200)}
+STAGES = {"search": ("us_per_candidate", 5), "pricing": ("us_per_pricing", 200),
+          "request": ("us_per_request", 5)}
+# each step of a request, and the name cli.main looks it up by
+REQUEST_STEPS = {"parse_args": "_PARSER.parse_args", "load_config": "load_config",
+                 "load_workload": "_load_workload", "design_points": "_design_points",
+                 "render_json": "_render_json", "emit": "_emit"}
 
 
 def _option(argv: list[str], flag: str) -> str:
@@ -182,11 +202,66 @@ def _time_pricing(passes: int) -> list[tuple[str, object]]:
             ("us_per_pricing_median", f"{statistics.median(per_pricing_us):.2f}")]
 
 
-def _run_minimum(src: Path, stage: str, passes: int) -> float:
+def _time_request(passes: int, workload: str) -> list[tuple[str, object]]:
+    from imcbench.workloads import DEFAULT_SEED, requests_for, write_files
+    from imcperf import cli
+
+    requests = requests_for(workload, DEFAULT_SEED)
+    clock = time.perf_counter
+    spent = dict.fromkeys(REQUEST_STEPS, 0.0)
+
+    def timed(step: str, fn):
+        def wrapper(*args, **kwargs):
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[step] += clock() - start
+        return wrapper
+
+    saved = []
+    for step, name in REQUEST_STEPS.items():
+        owner_name, _, attr = name.rpartition(".")
+        owner = getattr(cli, owner_name) if owner_name else cli
+        saved.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, timed(step, getattr(owner, attr)))
+    per_request_us: dict[str, list[float]] = {
+        step: [] for step in (*REQUEST_STEPS, "model", "request")}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_files(requests, Path(tmp))
+        os.chdir(tmp)
+        try:
+            for _ in range(passes):
+                spent.update(dict.fromkeys(spent, 0.0))
+                elapsed = 0.0
+                for request in requests:
+                    start = clock()
+                    code = cli.main([*request["argv"], "--format", "json", "--out", "out.json"])
+                    elapsed += clock() - start
+                    if code != 0:
+                        raise SystemExit(f"{request['argv']} exited with code {code}")
+                for step, seconds in (*spent.items(), ("model", elapsed - sum(spent.values())),
+                                      ("request", elapsed)):
+                    per_request_us[step].append(seconds / len(requests) * 1e6)
+        finally:
+            os.chdir(cwd)
+            for owner, attr, original in saved:
+                setattr(owner, attr, original)
+    figures: list[tuple[str, object]] = [("requests", len(requests)), ("passes", passes)]
+    for step, values in per_request_us.items():
+        prefix = "us_per_request" if step == "request" else f"{step}_us"
+        figures += [(f"{prefix}_min", f"{min(values):.2f}"),
+                    (f"{prefix}_median", f"{statistics.median(values):.2f}")]
+    return figures
+
+
+def _run_minimum(src: Path, stage: str, passes: int, workload: str | None) -> float:
     """The stage's minimum figure in one fresh-process run on the package in src."""
     key = f"{STAGES[stage][0]}_min"
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--stage", stage,
+         *(("--workload", workload) if workload else ()),
          "--passes", str(passes), "--src", str(src)],
         capture_output=True, text=True, check=True)
     for line in proc.stdout.splitlines():
@@ -208,7 +283,8 @@ def _summary(label: str, values: list[float], per: str) -> str:
             f"q1 {low:.2f}  q3 {high:.2f}  (us per {per})")
 
 
-def compare(against: Path, stage: str, rounds: int, passes: int) -> int:
+def compare(against: Path, stage: str, rounds: int, passes: int,
+            workload: str | None) -> int:
     """Alternate fresh-process runs of this tree and the tree in against."""
     other_src = (against / "src").resolve()
     if not (other_src / "imcperf").is_dir():
@@ -219,7 +295,7 @@ def compare(against: Path, stage: str, rounds: int, passes: int) -> int:
     for index in range(rounds):
         order = ((this_src, this), (other_src, other))
         for src, values in (order if index % 2 else order[::-1]):
-            values.append(_run_minimum(src, stage, passes))
+            values.append(_run_minimum(src, stage, passes, workload))
         print(f"round {index + 1:<3} against {other[-1]:.2f}  this {this[-1]:.2f}", flush=True)
     ratios = [o / t for o, t in zip(other, this)]
     wins = sum(t < o for t, o in zip(this, other))
@@ -239,10 +315,14 @@ def compare(against: Path, stage: str, rounds: int, passes: int) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--stage", choices=tuple(STAGES), default="search",
-                        help="best_mapping over dse-network, or macro_metrics over "
-                             "peak-sweep (default: search)")
+                        help="best_mapping over dse-network, macro_metrics over "
+                             "peak-sweep, or each step of cli.main over a workload "
+                             "(default: search)")
+    parser.add_argument("--workload",
+                        help="benchmark workload of the request stage (default: dse-network)")
     parser.add_argument("--passes", type=int,
-                        help="passes to time (default: 5 for search, 200 for pricing)")
+                        help="passes to time (default: 5 for search and request, "
+                             "200 for pricing)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the imcperf package (default: ./src)")
     parser.add_argument("--against", type=Path, metavar="DIR",
@@ -255,13 +335,23 @@ def main() -> int:
         parser.error("--passes must be >= 1")
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
+    if args.workload is not None and args.stage != "request":
+        parser.error("--workload applies to the request stage only")
     if args.against is not None:
-        return compare(args.against, args.stage, args.rounds, passes)
+        return compare(args.against, args.stage, args.rounds, passes, args.workload)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT)]
+    from imcbench.workloads import WORKLOADS
+
+    workload = args.workload or "dse-network"
+    if workload not in WORKLOADS:
+        parser.error(f"--workload must be one of {', '.join(WORKLOADS)}")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # b_cycle rounding warns once per layer
-        figures = (_time_search if args.stage == "search" else _time_pricing)(passes)
+        if args.stage == "request":
+            figures = _time_request(passes, workload)
+        else:
+            figures = (_time_search if args.stage == "search" else _time_pricing)(passes)
     for name, value in figures:
         print(f"{name:<23} {value}")
     return 0

@@ -3,7 +3,7 @@
 Run it once on each of two source trees and compare the directories with
 ``diff -r``: an empty diff shows that both trees print byte-identical results.
 
-    python3 tools/snapshot_outputs.py OUT_DIR [--src SRC_DIR]
+    python3 tools/snapshot_outputs.py OUT_DIR [--src SRC_DIR] [--reduced] [--python EXE]...
 
 SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``). The matrix is every command (sweep, peak, validate, layer,
@@ -31,7 +31,16 @@ overflows the analog macro's energy; and under ``fa_area_ratio`` or
 (``overflowing-*``). ``peak`` and ``validate`` also run under a ``null`` cache
 section (``null-cache-*``). Help text is formatted for an 80-column
 terminal, and the output directory's path is replaced by ``<OUT>`` so that
-snapshots written to two directories compare equal. Stdlib only.
+snapshots written to two directories compare equal.
+
+``--reduced`` writes only the ``network`` JSON cases of the default
+configuration and the ``escaping/`` cases. Each ``--python EXE`` (repeatable)
+also writes the same matrix under the interpreter EXE, into a temporary
+directory, and compares it file by file with OUT_DIR, the running
+interpreter's snapshot, so OUT_DIR should start empty. The script prints each
+interpreter's count of differing files and their names, and exits 1 if any
+file differs or any command of the running interpreter's matrix failed.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -41,7 +50,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -269,11 +280,38 @@ def run_to_file(imcperf_main, argv: list[str], target: Path) -> int:
     return code
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def differing_files(exe: str, out_dir: Path, src: Path, reduced: bool) -> list[str]:
+    """The files of out_dir that the same matrix, written under exe, does not repeat
+    byte for byte, with any file only one of the two snapshots holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [exe, str(Path(__file__).resolve()), tmp, "--src", str(src),
+             *(("--reduced",) if reduced else ())],
+            capture_output=True, text=True)
+        if proc.returncode not in (0, 1):  # 1: a command failed, and its file says so
+            raise SystemExit(f"{exe} exited with code {proc.returncode}:\n{proc.stderr}")
+        theirs = _files(Path(tmp))
+    ours = _files(out_dir)
+    return sorted(name for name in ours.keys() | theirs.keys()
+                  if ours.get(name) != theirs.get(name))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the imcperf package (default: ./src)")
+    parser.add_argument("--reduced", action="store_true",
+                        help="only the default configuration's network JSON cases and "
+                             "the escaping cases")
+    parser.add_argument("--python", action="append", default=[], metavar="EXE",
+                        help="also write the matrix under EXE and compare it with "
+                             "OUT_DIR (repeatable)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     # fixed help width, and no config picked up from the environment
@@ -284,10 +322,14 @@ def main(argv: list[str] | None = None) -> int:
     workloads = ["mlperf-tiny-layers"] + [str(p) for p in sorted(NETWORK_DIR.glob("*.json"))]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failed = 0
-    matrix = [(name, doc, commands(workloads), FORMATS) for name, doc in CONFIGS.items()]
-    matrix += [(name, doc, DEFAULT_COMMANDS, ("csv",)) for name, doc in CONFIGS.items()]
-    matrix += [(name, doc, integer_commands(workloads), ("json",))
-               for name, doc in INTEGER_CONFIGS.items()]
+    if args.reduced:
+        network = [case for case in commands(workloads) if case[0].startswith("network-")]
+        matrix = [("default", CONFIGS["default"], network, ("json",))]
+    else:
+        matrix = [(name, doc, commands(workloads), FORMATS) for name, doc in CONFIGS.items()]
+        matrix += [(name, doc, DEFAULT_COMMANDS, ("csv",)) for name, doc in CONFIGS.items()]
+        matrix += [(name, doc, integer_commands(workloads), ("json",))
+                   for name, doc in INTEGER_CONFIGS.items()]
     for config_name, doc, config_commands, formats in matrix:
         config_dir = args.out_dir / config_name
         config_dir.mkdir(exist_ok=True)
@@ -306,8 +348,16 @@ def main(argv: list[str] | None = None) -> int:
         for fmt in FORMATS:
             failed += run_to_file(imcperf_main, [*command, "--format", fmt],
                                   escaping_dir / f"{name}.{fmt}") != 0
-    snapshot_frontend(imcperf_main, args.out_dir)
-    return 1 if failed else 0
+    if not args.reduced:
+        snapshot_frontend(imcperf_main, args.out_dir)
+    differing = 0
+    for exe in args.python:
+        names = differing_files(exe, args.out_dir, args.src.resolve(), args.reduced)
+        print(f"{exe}: {len(names)} differing file(s)", flush=True)
+        for name in names:
+            print(f"  {name}", flush=True)
+        differing += len(names)
+    return 1 if failed or differing else 0
 
 
 if __name__ == "__main__":
