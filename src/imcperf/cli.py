@@ -377,16 +377,23 @@ def _cmd_network(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     return NETWORK_FIELDS, rows
 
 
-def _cmd_validate(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
+@cache
+def _reference_macros() -> tuple[tuple[int, ImcMacroConfig], ...]:
+    """(index, macro) of each reference configuration: package data, read on
+    first use and then shared, as a tuple of frozen macros."""
     raw = _data_file("reference-configs.json").read_text("utf-8")
-    entries = json.loads(raw)["configs"]
+    return tuple((entry["index"],
+                  ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
+                                 **{name: entry[name] for name in _REFERENCE_FIELDS}))
+                 for entry in json.loads(raw)["configs"])
+
+
+def _cmd_validate(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     rows = []
-    for entry in entries:
-        macro = ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
-                               **{name: entry[name] for name in _REFERENCE_FIELDS})
+    for index, macro in _reference_macros():
         mm = macro_metrics(bundle.params, macro)
         rows.append({
-            "ref_index": entry["index"],
+            "ref_index": index,
             "imc_type": macro.imc_type.value,
             **{name: getattr(macro, name) for name in _REFERENCE_FIELDS},
             "energy_per_mac": mm.energy_per_mvm / (macro.d_i * macro.d_o * macro.n_macros),
@@ -476,7 +483,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict[str, argparse.ArgumentParser] | None = None
+                 ) -> argparse.ArgumentParser:
+    """The imcperf parser; each command's own parser also goes into commands,
+    when given, under the command's name."""
     parser = _Parser(prog="imcperf",
                      description="Analytical performance model for SRAM-based "
                                  "in-memory-computing macros.")
@@ -504,17 +514,40 @@ def build_parser() -> argparse.ArgumentParser:
         if command.takes_workload:
             cmd.add_argument("--workload", action="append", metavar="PATH",
                              help="workload JSON file or bundled name (repeatable)")
+        if commands is not None:
+            commands[name] = cmd
     return parser
 
 
-# built once per process: parse_args keeps no state between calls, and the
+# built once per process: parsing keeps no state between calls, and the
 # --workload list starts from a None default on every call
-_PARSER = build_parser()
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
+_PARSER = build_parser(_COMMAND_PARSERS)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """argv parsed as _PARSER parses it, in one pass when it starts with a command.
+
+    _PARSER hands everything after the command to that command's parser, so
+    calling it directly gives the same namespace, help and errors; arguments it
+    leaves over are _PARSER's error, as they would be. Any other argv (none, a
+    help flag, an unknown command) goes through _PARSER.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .components import TechnologyParams, _check_amount, _check_count, _store_floats
 from .macro import (
@@ -210,16 +210,63 @@ def peak_system_metrics(system: SystemConfig) -> SystemMetrics:
         {"compute": latency, "weight_load_stall": 0.0}, area_breakdown, ()), "system at peak")
 
 
-# The last layer pricing built, as (system, layer, cfg, price, form): the
-# layer's single macro, the price of a mapping result on it, and the closed form
-# of a candidate's energy and latency that the search screens with. A search
-# prices its few candidates and re-prices its winner from it, and an exhaustive
-# reference prices every candidate of one layer on one system in turn. The
-# entry holds both frozen objects, so neither can be freed and its id reused
-# while the entry lives; equal but distinct objects rebuild. The tuple is read
-# once and replaced whole, so a reader never sees a price paired with the wrong key.
+class _DesignPoint(NamedTuple):
+    """What a layer's pricing takes from its design point, built once per run
+    of layers on one system at the same resolved precisions: the layer macro's
+    gated energies, clock and cycles per MVM, the area with the cache and its
+    breakdown, and the closed form's coefficients A, C and D with B's macro
+    part, cpm * dac + input_register, to which a layer adds b_i * rho."""
+
+    precisions: tuple[int, int, int, int]
+    cycle_energies: Callable[..., dict[str, float]]
+    area: float
+    area_breakdown: dict[str, float]
+    clock: float
+    cycles_per_mvm: int
+    a: float
+    b_macro: float
+    c: float
+    d: float
+
+
+def _design_point(system: SystemConfig, precisions: tuple[int, int, int, int]) -> _DesignPoint:
+    """The design point of one macro of the system at the resolved precisions."""
+    macro = system.macro
+    if macro.n_macros == 1 and (macro.b_i, macro.b_w, macro.b_o, macro.b_cycle) == precisions:
+        cfg = macro
+    else:
+        # One replace per run of layers at the same precisions, so a b_cycle
+        # that does not divide b_i warns once per run.
+        b_i, b_w, b_o, b_cycle = precisions
+        cfg = replace(macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
+    params = system.params
+    cache = system.cache
+    mm = macro_metrics(params, cfg)
+    area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
+    area_breakdown["cache"] = cache.area
+    cycle_energies = _pricing(params, cfg)[0]  # a memo hit: macro_metrics priced cfg
+    one = cycle_energies(1, 1, 1, 1)
+    cpm = cfg.cycles_per_mvm
+    return _DesignPoint(
+        precisions, cycle_energies, mm.area + cache.area, area_breakdown, mm.clock_period,
+        cpm, cpm * one["cell_array"], cpm * one["dac"] + one["input_register"],
+        cpm * (one["adc"] + one["combine_tree"] + one["accumulator"]
+               + one["pipeline_register"]),
+        cpm * (one["multiplier"] + one["adder_tree"]))
+
+
+# The last layer pricing built, as (system, layer, point, price, form): the
+# layer's design point, the price of a mapping result on one macro of the
+# system, and the closed form of a candidate's energy and latency that the
+# search screens with. A search prices its few candidates and re-prices its
+# winner from it, an exhaustive reference prices every candidate of one layer
+# on one system in turn, and the next layer on the same system at the same
+# precisions keeps the point. The entry holds both frozen objects, so neither
+# can be freed and its id reused while the entry lives; equal but distinct
+# objects rebuild. The tuple is read once and replaced whole, so a reader never
+# sees a price paired with the wrong key.
 _Form = Callable[[int, int, int], tuple[float, float]]
-_PriceEntry = tuple[SystemConfig, Layer, ImcMacroConfig,
+_PriceEntry = tuple[SystemConfig, Layer, _DesignPoint,
                     Callable[[MappingResult], SystemMetrics], _Form]
 _price_entry: _PriceEntry | None = None
 
@@ -228,36 +275,29 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
     """The pricing entry of the layer on one macro of the system.
 
     What does not depend on the mapping is computed here, once per (system,
-    layer); evaluate_layer_mapping calls the entry's price per result, and the
-    search screens candidates with its form.
+    layer), and what depends on neither the mapping nor the layer's sizes once
+    per design point; evaluate_layer_mapping calls the entry's price per
+    result, and the search screens candidates with its form.
     """
     global _price_entry
     entry = _price_entry
     if entry is not None and entry[0] is system and entry[1] is layer:
         return entry
-    b_i, b_w, b_o, b_cycle = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
-    cfg = entry[2] if entry is not None and entry[0] is system else None
-    if cfg is None or (cfg.b_i, cfg.b_w, cfg.b_o, cfg.b_cycle) != (b_i, b_w, b_o, b_cycle):
-        # One replace, so a b_cycle that does not divide b_i warns once per run
-        # of layers at the same precisions. Keeping the last layer's macro
-        # otherwise lets _pricing reuse its prices.
-        cfg = replace(system.macro, n_macros=1, b_i=b_i, b_w=b_w, b_o=b_o, b_cycle=b_cycle)
-    params = system.params
+    precisions = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
+    point = entry[2] if entry is not None and entry[0] is system else None
+    if point is None or point.precisions != precisions:
+        point = _design_point(system, precisions)
+    b_i, b_w, b_o, _ = precisions
+    _, cycle_energies, area, area_breakdown, clock, cpm, a, b_macro, c, d = point
     cache = system.cache
-    mm = macro_metrics(params, cfg)
-    area_breakdown = {name: mm.breakdown[name].area for name in BREAKDOWN_COMPONENTS}
-    area_breakdown["cache"] = cache.area
-    cycle_energies = _pricing(params, cfg)[0]  # a memo hit: macro_metrics priced cfg
     work = total_macs(layer)
     ops = 2.0 * work
-    area = mm.area + cache.area
-    d_i, d_o = cfg.d_i, cfg.d_o
-    clock = mm.clock_period
+    d_i, d_o = system.macro.d_i, system.macro.d_o
     cache_read_energy, cache_write_energy = cache.read_energy, cache.write_energy
     capacity = cache.capacity_bits
     bandwidth = cache.bandwidth_bits_per_cycle
     dram_rate = system.dram_energy_per_bit
-    cell_write_energy = params.sram_cell_write_energy
+    cell_write_energy = system.params.sram_cell_write_energy
     # the layer's own activation sizes, and whether each spills from the cache
     layer_input_bits = layer.input_elements * b_i
     layer_output_bits = layer.output_elements * b_o
@@ -315,14 +355,8 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
 
     # The closed form of a candidate's energy and latency, from the same terms;
     # the comment above _GAIN_MARGIN derives it and what the search may drop.
-    one = cycle_energies(1, 1, 1, 1)
-    cpm = cfg.cycles_per_mvm
     rho = dram_rate if inputs_spill else cache_read_energy
-    a = cpm * one["cell_array"]
-    b = cpm * one["dac"] + one["input_register"] + b_i * rho
-    c = cpm * (one["adc"] + one["combine_tree"] + one["accumulator"]
-               + one["pipeline_register"])
-    d = cpm * (one["multiplier"] + one["adder_tree"])
+    b = b_macro + b_i * rho
     weight_bits = layer.weight_elements * b_w
     fixed = (layer_output_bits * cache_write_energy
              + (0.0 if inputs_spill else layer_input_bits * dram_rate)
@@ -336,7 +370,7 @@ def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
         return (work * (a / (r * columns) + b / columns + c / r + d) + fixed + omega * ox_u,
                 work * cpm * clock / (r * columns) + sigma * ox_u)
 
-    entry = _price_entry = (system, layer, cfg, price, form)
+    entry = _price_entry = (system, layer, point, price, form)
     return entry
 
 
@@ -366,9 +400,10 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
 # exact arithmetic its energy and latency are
 #     E = W * (A / (r * cols) + B / cols + C / r + D) + F + omega * ox_u
 #     L = W * cpm * clock / (r * cols) + sigma * ox_u
-# with cpm the cycles per MVM and these coefficients, which _layer_pricing builds
-# beside price, entry by entry from one cycle_energies call at one row, one
-# column, one cycle and one MVM:
+# with cpm the cycles per MVM and these coefficients, which _design_point builds
+# once per design point, entry by entry from one cycle_energies call at one row,
+# one column, one cycle and one MVM, and _layer_pricing completes beside price
+# with B's term b_i * rho:
 #     A = cpm * cell_array
 #     B = cpm * dac + input_register + b_i * rho
 #     C = cpm * (adc + combine_tree + accumulator + pipeline_register)

@@ -80,6 +80,19 @@ class TestValidate:
             assert row["clock_period"] == mm.clock_period
             assert row["area"] == mm.area
 
+    def test_reference_configs_are_read_once(self, capsys, monkeypatch):
+        reads = []
+        original = cli._data_file
+        monkeypatch.setattr(cli, "_data_file", lambda name: reads.append(name) or original(name))
+        cli._reference_macros.cache_clear()
+        first = run(capsys, "validate")
+        assert run(capsys, "validate") == first
+        assert first[0] == 0
+        assert reads == ["reference-configs.json"]
+        assert isinstance(cli._reference_macros(), tuple)
+        with pytest.raises(FrozenInstanceError):
+            cli._reference_macros()[0][1].d_i = 64
+
     def test_installed_entry_point(self):
         # the console script when installed, else the same cli:main via the package
         script = shutil.which("imcperf")
@@ -727,6 +740,28 @@ class TestParserReuse:
         code, out, err = run(capsys, "layer", "--workload", workload)
         assert code == 0, err
         assert [r["workload"] for r in parse_csv(out)] == ["net"]
+
+    @pytest.mark.parametrize("argv", [
+        ("peak", "--type", "both", "--sizes", "32,64"),
+        ("network", "--workload", "mlperf-tiny-layers", "--sizes", "32", "--format", "json"),
+    ], ids=["peak", "network"])
+    def test_a_command_line_is_parsed_in_one_pass(self, capsys, monkeypatch, argv):
+        calls = []
+        original = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda *args: calls.append(args) or original(*args))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv, leftover", [
+        (("peak", "stray"), "stray"),
+        (("network", "a", "--workload", "w", "b", "--bogus"), "a b --bogus")])
+    def test_leftover_arguments_are_the_top_level_error(self, capsys, argv, leftover):
+        assert run(capsys, *argv) == (
+            1, "", f"imcperf: error: unrecognized arguments: {leftover}\n")
 
     def test_back_to_back_calls_are_independent(self, capsys, tmp_path):
         first_net = self.write_network(tmp_path, "first", 16)

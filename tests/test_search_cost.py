@@ -63,6 +63,7 @@ def test_request_steps_add_up_to_the_request():
                                                  "peak-sweep", "--passes", "1").splitlines())
     steps = [float(figures[key]) for key in _KEYS["request"][2:-2:2]]
     assert figures["load_workload_us_min"] == "0.00"  # peak-sweep names no workload
+    assert float(figures["parse_args_us_min"]) > 0.0  # the parse main calls is timed
     assert all(value >= 0.0 for value in steps)
     assert sum(steps) == pytest.approx(float(figures["us_per_request_min"]), abs=0.05)
 

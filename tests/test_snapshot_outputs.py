@@ -1,5 +1,6 @@
-"""tools/snapshot_outputs.py --python: the reduced matrix prints the same bytes
-under this interpreter and under every 3.12 or 3.13 installed beside it."""
+"""tools/snapshot_outputs.py --python: the reduced matrix, the front end's help,
+usage and error texts among it, prints the same bytes under this interpreter and
+under every 3.12 or 3.13 installed beside it."""
 
 import os
 import stat
@@ -43,8 +44,9 @@ def test_reduced_matrix_is_byte_identical(report, version):
     if version not in present:
         pytest.skip(f"no Python {version} installed beside {sys.executable}")
     assert f"{present[version]}: 0 differing file(s)" in lines
-    written = {path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*.json")}
-    assert {"default/network-energy.json", "escaping/network.json"} <= written
+    written = {path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*")}
+    assert {"default/network-energy.json", "escaping/network.json", "frontend/help.txt",
+            "frontend/unknown-option.txt", "frontend/missing-config.txt"} <= written
 
 
 def test_a_differing_file_is_named_and_fails_the_run(tmp_path):

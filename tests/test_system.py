@@ -484,6 +484,36 @@ class TestPricingAcrossLayers:
             network_system_metrics(system_for(ImcType.AIMC, 32), net)
         assert sum("does not divide b_i" in str(w.message) for w in caught) == 2
 
+    def test_shared_precisions_price_the_system_macro_once_per_design_point(
+            self, monkeypatch):
+        # every layer takes the macro's own precisions, and the macro is a single one
+        replaced, priced = [], []
+        original_replace, original_metrics = system_module.replace, system_module.macro_metrics
+        monkeypatch.setattr(system_module, "replace", lambda *args, **kwargs: (
+            replaced.append(args) or original_replace(*args, **kwargs)))
+        monkeypatch.setattr(system_module, "macro_metrics",
+                            lambda *args: priced.append(args) or original_metrics(*args))
+        net = Network(name="a", layers=tuple(layer for layer in self.NET.layers
+                                             if layer.b_i is None), repeats=(1, 1, 1))
+        systems = [system_for(kind, size) for kind in ImcType for size in (16, 32)]
+        for system in systems:
+            network_system_metrics(system, net, "edp")
+        assert replaced == []
+        assert priced == [(system.params, system.macro) for system in systems]
+
+    def test_a_b_a_on_several_macros_matches_the_oracle(self):
+        # b_i=7 is not a multiple of the AIMC default b_cycle of 2; b_i=4 is
+        odd = Layer(k=16, c=8, ox=4, oy=4, fx=3, fy=3, b_i=7)
+        even = Layer(k=32, c=16, b_i=4)
+        net = Network(name="aba", layers=(odd, even, odd), repeats=(1, 1, 1))
+        system = default_system_config(replace(make_macro(ImcType.AIMC, 32), n_macros=4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, reports = network_system_metrics(system, net, "energy")
+        assert sum("does not divide b_i" in str(w.message) for w in caught) == 2
+        for report in reports:
+            assert report.metrics == layer_metrics_oracle(system, report.layer, report.mapping)
+
 
 class TestClosedForm:
     """The closed form a layer pricing holds, which the search screens with, gives

@@ -30,11 +30,12 @@ The ``request`` stage times the real ``cli.main`` over one pass of workload
 W's requests (default ``dse-network``; its seed is the benchmark's default),
 each run as the benchmark runs it: in-process, writing JSON to a file in a
 directory that holds the files the requests read. It wraps the names ``main``
-looks up for each step (``_PARSER.parse_args``, ``load_config``,
-``_load_workload``, ``_design_points``, ``_render_json`` and ``_emit``) and
-prints, for each step, the minimum and median over N passes (default 5) of its
-microseconds per request; ``model`` is the rest of ``main``, the search and
-pricing, and ``us_per_request`` all of it. A step a workload never takes
+looks up for each step (``_parse_args``, ``load_config``, ``_load_workload``,
+``_design_points``, ``_render_json`` and ``_emit``; a tree without
+``_parse_args`` parses with ``_PARSER.parse_args``) and prints, for each
+step, the minimum and median over N passes (default 5) of its microseconds per
+request; ``model`` is the rest of ``main``, the search and pricing, and
+``us_per_request`` all of it. A step a workload never takes
 (``load_workload`` in ``peak-sweep``) reads 0.
 
 SRC_DIR is the directory that holds the ``imcperf`` package (default: this
@@ -73,7 +74,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = {"search": ("us_per_candidate", 5), "pricing": ("us_per_pricing", 200),
           "request": ("us_per_request", 5)}
 # each step of a request, and the name cli.main looks it up by
-REQUEST_STEPS = {"parse_args": "_PARSER.parse_args", "load_config": "load_config",
+REQUEST_STEPS = {"parse_args": "_parse_args", "load_config": "load_config",
                  "load_workload": "_load_workload", "design_points": "_design_points",
                  "render_json": "_render_json", "emit": "_emit"}
 
@@ -221,6 +222,8 @@ def _time_request(passes: int, workload: str) -> list[tuple[str, object]]:
 
     saved = []
     for step, name in REQUEST_STEPS.items():
+        if step == "parse_args" and not hasattr(cli, name):
+            name = "_PARSER.parse_args"  # a tree that parses argv in two passes
         owner_name, _, attr = name.rpartition(".")
         owner = getattr(cli, owner_name) if owner_name else cli
         saved.append((owner, attr, getattr(owner, attr)))

@@ -34,10 +34,10 @@ terminal, and the output directory's path is replaced by ``<OUT>`` so that
 snapshots written to two directories compare equal.
 
 ``--reduced`` writes only the ``network`` JSON cases of the default
-configuration and the ``escaping/`` cases. Each ``--python EXE`` (repeatable)
-also writes the same matrix under the interpreter EXE, into a temporary
-directory, and compares it file by file with OUT_DIR, the running
-interpreter's snapshot, so OUT_DIR should start empty. The script prints each
+configuration, the ``escaping/`` cases and the ``frontend/`` cases. Each
+``--python EXE`` (repeatable) also writes the same matrix under the interpreter
+EXE, into a temporary directory, and compares it file by file with OUT_DIR, the
+running interpreter's snapshot, so OUT_DIR should start empty. The script prints each
 interpreter's count of differing files and their names, and exits 1 if any
 file differs or any command of the running interpreter's matrix failed.
 Stdlib only.
@@ -307,8 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the imcperf package (default: ./src)")
     parser.add_argument("--reduced", action="store_true",
-                        help="only the default configuration's network JSON cases and "
-                             "the escaping cases")
+                        help="only the default configuration's network JSON cases, "
+                             "the escaping cases and the front-end cases")
     parser.add_argument("--python", action="append", default=[], metavar="EXE",
                         help="also write the matrix under EXE and compare it with "
                              "OUT_DIR (repeatable)")
@@ -348,8 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         for fmt in FORMATS:
             failed += run_to_file(imcperf_main, [*command, "--format", fmt],
                                   escaping_dir / f"{name}.{fmt}") != 0
-    if not args.reduced:
-        snapshot_frontend(imcperf_main, args.out_dir)
+    snapshot_frontend(imcperf_main, args.out_dir)
     differing = 0
     for exe in args.python:
         names = differing_files(exe, args.out_dir, args.src.resolve(), args.reduced)
