@@ -574,7 +574,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             text = _render_json(args.command, fieldnames, rows)
         else:
-            # before Python 3.11, the csv module cannot write a NUL in a name
             text = _render_csv(fieldnames, rows)
         _emit(text, args.out)
     except (OSError, csv.Error) as exc:

@@ -9,6 +9,7 @@ loop bounds are admitted as unroll factors, which keeps tile arithmetic exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -26,8 +27,9 @@ __all__ = [
     "MAX_CANDIDATES",
 ]
 
-# Largest mapping space one layer may search. The search prices a few candidates;
-# this bounds mapping_space's row tuples and an exhaustive enumerate_mappings.
+# Largest mapping space one layer may search. The search counts the space from
+# its divisor lists and prices a few candidates, so this bounds what
+# mapping_space lists and an exhaustive enumerate_mappings builds.
 MAX_CANDIDATES = 200_000
 
 # (operand, level) -> bits moved. Fixed key set so serialized rows share a schema.
@@ -124,11 +126,68 @@ def mapping_space(layer: Layer, cfg: ImcMacroConfig
     ]
     count = len(row_candidates) * len(col_candidates)
     if count > MAX_CANDIDATES:
-        name = repr(layer.name) if layer.name else repr(layer)
-        raise WorkloadError(
-            f"layer {name} has {count} mapping candidates on a {cfg.d_i} x {cfg.d_o} "
-            f"macro, more than the search budget of {MAX_CANDIDATES}")
+        raise _over_budget(layer, cfg, count)
     return row_candidates, col_candidates
+
+
+def _over_budget(layer: Layer, cfg: ImcMacroConfig, count: int) -> WorkloadError:
+    """The error that refuses a layer of count candidates on the macro."""
+    name = repr(layer.name) if layer.name else repr(layer)
+    return WorkloadError(
+        f"layer {name} has {count} mapping candidates on a {cfg.d_i} x {cfg.d_o} "
+        f"macro, more than the search budget of {MAX_CANDIDATES}")
+
+
+def _space_outline(layer: Layer, cfg: ImcMacroConfig
+                   ) -> tuple[dict[int, tuple[int, int, int]], dict[int, list[int]]]:
+    """What the search reads of the layer's mapping_space, without listing it:
+    the first (c_u, fx_u, fy_u) row tuple of each row product, keyed by the
+    product, in lexicographic order, and the k_u that fit beside each ox_u,
+    both ascending.
+
+    Raises mapping_space's WorkloadError, before building the row tuples'
+    firsts, when the layer has more than MAX_CANDIDATES candidates. Unless the
+    divisor lists' lengths rule that out, the row tuples are counted with one
+    bisection of the fy_u divisors per (c_u, fx_u), and the column pairs are
+    the k_u beside each ox_u.
+    """
+    d_i, d_o = cfg.d_i, cfg.d_o
+    c, fx, fy, k = layer.c, layer.fx, layer.fy, layer.k
+    c_divisors = _divisors(c, d_i)
+    fx_divisors = c_divisors if fx == c else _divisors(fx, d_i)
+    fy_divisors = (fx_divisors if fy == fx else c_divisors if fy == c
+                   else _divisors(fy, d_i))
+    k_divisors = c_divisors if k == c and d_o == d_i else _divisors(k, d_o)
+    ox_divisors = k_divisors if layer.ox == k else _divisors(layer.ox, d_o)
+    tops = {ox_u: k_divisors[:bisect_right(k_divisors, d_o // ox_u)]
+            for ox_u in ox_divisors}
+    if (len(c_divisors) * len(fx_divisors) * len(fy_divisors)
+            * len(k_divisors) * len(ox_divisors) > MAX_CANDIDATES):
+        cols = sum(map(len, tops.values()))
+        rows = 0
+        for c_u in c_divisors:
+            room = d_i // c_u
+            for fx_u in fx_divisors:
+                if fx_u > room:
+                    break
+                rows += bisect_right(fy_divisors, room // fx_u)
+        if rows * cols > MAX_CANDIDATES:
+            raise _over_budget(layer, cfg, rows * cols)
+    # The first tuple of a row product takes the least c_u it can, and then
+    # the first (fx_u, fy_u) pair of the rest of the product.
+    pairs: dict[int, tuple[int, int]] = {}
+    for fx_u in fx_divisors:
+        for fy_u in fy_divisors[:bisect_right(fy_divisors, d_i // fx_u)]:
+            pairs.setdefault(fx_u * fy_u, (fx_u, fy_u))
+    if len(pairs) == 1:  # fx_u = fy_u = 1: one tuple per product
+        return {c_u: (c_u, 1, 1) for c_u in c_divisors}, tops
+    firsts: dict[int, tuple[int, int, int]] = {}
+    for c_u in c_divisors:
+        room = d_i // c_u
+        for product, (fx_u, fy_u) in pairs.items():
+            if product <= room:
+                firsts.setdefault(c_u * product, (c_u, fx_u, fy_u))
+    return firsts, tops
 
 
 def enumerate_mappings(

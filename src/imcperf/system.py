@@ -453,45 +453,42 @@ def _objective(objective: str, energy: float, latency: float) -> float:
             latency if objective == "latency" else energy * latency)
 
 
-def _screen(form: _Form, objective: str,
-            rows: list[tuple[int, int, int]], cols: list[tuple[int, int]]
+def _screen(form: _Form, objective: str, firsts: dict[int, tuple[int, int, int]],
+            tops: dict[int, list[int]]
             ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """The row tuples and column pairs that the layer's form leaves to price, each
-    in the order given: the first tuple of r*, or of every row product, and k*
-    of each ox_u left in, or every k_u of it."""
-    firsts: dict[int, tuple[int, int, int]] = {}
-    for row in rows:
-        firsts.setdefault(row[0] * row[1] * row[2], row)
-    top: dict[int, int] = {}
-    below: dict[int, int] = {}
-    for k_u, ox_u in cols:  # k_u ascends
-        if ox_u in top:
-            below[ox_u] = top[ox_u]
-        top[ox_u] = k_u
-    r_top = max(firsts)
+    """The row tuples and column pairs that the layer's form leaves to price,
+    from mapper._space_outline's first tuple of each row product and k_u of
+    each ox_u: the first tuple of r*, or of every row product, and k* of each
+    ox_u left in, or every k_u of it; the column pairs in lexicographic order."""
+    products = sorted(firsts)
+    r_top = products[-1]
     low, high = _FORM_RANGE
     value: dict[int, float] = {}
-    for ox_u, k_u in top.items():
-        energy, latency = form(r_top, k_u, ox_u)
+    for ox_u, k_us in tops.items():
+        energy, latency = form(r_top, k_us[-1], ox_u)
         if not (low < energy < high and low < latency < high):
-            return list(firsts.values()), cols
+            return list(firsts.values()), sorted(
+                (k_u, ox_u) for ox_u, k_us in tops.items() for k_u in k_us)
         value[ox_u] = _objective(objective, energy, latency)
     least = min(value.values())
-    kept = {ox_u for ox_u in top if not value[ox_u] / least - 1.0 > _GAIN_MARGIN}
+    kept = [ox_u for ox_u in tops if not value[ox_u] / least - 1.0 > _GAIN_MARGIN]
 
     def proved(r: int, k_u: int, ox_u: int) -> bool:
         """Whether f(r, k_u, ox_u) is proved above V(ox_u)."""
         return _objective(objective, *form(r, k_u, ox_u)) / value[ox_u] - 1.0 > _GAIN_MARGIN
 
     priced_rows = [firsts[r_top]]
-    if len(firsts) > 1:
-        r2 = max(product for product in firsts if product != r_top)
-        if not all(proved(r2, top[ox_u], ox_u) for ox_u in kept):
+    if len(products) > 1:
+        r2 = products[-2]
+        if not all(proved(r2, tops[ox_u][-1], ox_u) for ox_u in kept):
             priced_rows = list(firsts.values())
-    every_k = {ox_u for ox_u in kept
-               if ox_u in below and not proved(r_top, below[ox_u], ox_u)}
-    return priced_rows, [(k_u, ox_u) for k_u, ox_u in cols
-                         if ox_u in kept and (k_u == top[ox_u] or ox_u in every_k)]
+    priced_cols = []
+    for ox_u in kept:
+        k_us = tops[ox_u]
+        every_k = len(k_us) > 1 and not proved(r_top, k_us[-2], ox_u)
+        priced_cols.extend((k_u, ox_u) for k_u in (k_us if every_k else k_us[-1:]))
+    priced_cols.sort()
+    return priced_rows, priced_cols
 
 
 def best_mapping(layer: Layer, system: SystemConfig,
@@ -511,8 +508,8 @@ def best_mapping(layer: Layer, system: SystemConfig,
     best: tuple | None = None
     best_result: MappingResult | None = None
     cfg = system.macro
-    rows, cols = mapper.mapping_space(layer, cfg)
-    space = _screen(_layer_pricing(system, layer)[4], objective, rows, cols)
+    firsts, tops = mapper._space_outline(layer, cfg)
+    space = _screen(_layer_pricing(system, layer)[4], objective, firsts, tops)
     for mapping in mapper.enumerate_mappings(layer, cfg, space):
         result = mapper.evaluate_mapping(layer, cfg, mapping)
         metrics = evaluate_layer_mapping(system, layer, result)

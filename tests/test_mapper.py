@@ -313,19 +313,93 @@ class TestMappingSpace:
         assert str(space.value) == str(listed.value)
         assert "'huge' has 2852721 mapping candidates" in str(space.value)
 
-    def test_search_computes_the_space_once(self, monkeypatch):
-        calls = []
-        space = mapper.mapping_space
+    def test_search_never_lists_the_space(self, monkeypatch):
+        system = default_system_config(dimc(64))
+        winners = {(layer, objective): exhaustive_best_mapping(layer, system, objective)[0]
+                   for layer in FIXTURES for objective in OBJECTIVES}
 
-        def counted(layer, macro):
-            calls.append(layer)
-            return space(layer, macro)
+        def refuse(layer, macro):
+            raise AssertionError("the search listed the mapping space")
 
-        monkeypatch.setattr(mapper, "mapping_space", counted)
-        for layer in FIXTURES:
-            for objective in OBJECTIVES:
-                best_mapping(layer, default_system_config(dimc(64)), objective)
-        assert calls == [layer for layer in FIXTURES for _ in OBJECTIVES]
+        monkeypatch.setattr(mapper, "mapping_space", refuse)
+        for (layer, objective), winner in winners.items():
+            assert best_mapping(layer, system, objective) == winner
+
+
+# prime, awkward and highly composite loop bounds
+_BOUNDS = (st.sampled_from((2, 3, 5, 7, 11, 13, 97, 251, 65521))
+           | st.sampled_from((6, 15, 35, 49, 96, 100, 210, 486, 1000))
+           | st.sampled_from((12, 60, 360, 720, 2520, 5040, 720720))
+           | st.integers(1, 64))
+_DIMENSIONS = st.sampled_from((1, 3, 8, 12, 64, 100, 256, 1024))
+
+
+class TestSpaceOutline:
+    """mapper._space_outline derives from the divisor lists what the search
+    reads of mapping_space: the candidate count, the first row tuple of each
+    row product and the k_u beside each ox_u, and it refuses an over-budget
+    layer with mapping_space's own error, without listing the space."""
+
+    @staticmethod
+    def from_the_lists(layer, macro):
+        rows, cols = mapper.mapping_space(layer, macro)
+        tops = {}
+        for k_u, ox_u in cols:
+            tops.setdefault(ox_u, []).append(k_u)
+        return _firsts(rows), dict(sorted(tops.items()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=_BOUNDS, c=_BOUNDS, ox=_BOUNDS, fx=_BOUNDS, fy=_BOUNDS,
+           d_i=_DIMENSIONS, d_o=_DIMENSIONS)
+    @example(k=5040, c=720, ox=60, fx=12, fy=7, d_i=1024, d_o=256)
+    @example(k=97, c=2520, ox=49, fx=3, fy=5, d_i=100, d_o=12)
+    @example(k=65521, c=720720, ox=1, fx=360, fy=720720, d_i=256, d_o=3)
+    def test_matches_the_listed_space(self, k, c, ox, fx, fy, d_i, d_o):
+        layer = Layer(k=k, c=c, ox=ox, fx=fx, fy=fy)
+        macro = ImcMacroConfig(imc_type=ImcType.DIMC, d_i=d_i, d_o=d_o)
+        try:
+            expected = self.from_the_lists(layer, macro)
+        except WorkloadError as listed:
+            with pytest.raises(WorkloadError) as outlined:
+                mapper._space_outline(layer, macro)
+            assert str(outlined.value) == str(listed)
+            return
+        firsts, tops = mapper._space_outline(layer, macro)
+        # the dicts' orders too: the screen keeps it
+        assert list(firsts.items()) == list(expected[0].items())
+        assert list(tops.items()) == list(expected[1].items())
+
+    @pytest.mark.parametrize("at_budget", (True, False))
+    def test_count_is_the_candidate_count(self, monkeypatch, at_budget):
+        # the budget is inclusive: a space of exactly MAX_CANDIDATES passes
+        count = len(enumerate_mappings(CONV, dimc(64)))
+        monkeypatch.setattr(mapper, "MAX_CANDIDATES", count - (not at_budget))
+        if at_budget:
+            mapper._space_outline(CONV, dimc(64))
+        else:
+            with pytest.raises(WorkloadError, match=f"has {count} mapping candidates"):
+                mapper._space_outline(CONV, dimc(64))
+
+    @pytest.mark.parametrize("layer, macro", [
+        (TestCandidateBudget.HUGE, dimc(1024)),
+        (TestCandidateBudget.HUGE, dimc(4096)),
+        (Layer(c=720720, fx=720720, fy=720720, name="triple"),
+         ImcMacroConfig(imc_type=ImcType.DIMC, d_i=65536, d_o=64)),
+    ])
+    def test_over_budget_layers_are_refused_without_listing(self, monkeypatch, layer, macro):
+        with pytest.raises(WorkloadError) as listed:
+            mapper.mapping_space(layer, macro)
+
+        def refuse(layer, macro):
+            raise AssertionError("the space was listed")
+
+        monkeypatch.setattr(mapper, "mapping_space", refuse)
+        with pytest.raises(WorkloadError) as outlined:
+            mapper._space_outline(layer, macro)
+        assert str(outlined.value) == str(listed.value)
+        with pytest.raises(WorkloadError) as searched:
+            layer_system_metrics(default_system_config(macro), layer)
+        assert str(searched.value) == str(listed.value)
 
 
 class TestMappingContext:

@@ -1,7 +1,7 @@
 """Time a model stage over one pass of a benchmark workload's requests.
 
     python3 tools/search_cost.py [--stage search|pricing|request] [--workload W]
-                                 [--passes N] [--src SRC_DIR]
+                                 [--passes N] [--src SRC_DIR] [--host-scaled]
     python3 tools/search_cost.py --against DIR [--stage S] [--workload W] [--rounds N]
                                  [--passes N]
 
@@ -41,17 +41,25 @@ request; ``model`` is the rest of ``main``, the search and pricing, and
 SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``), so one copy of the script can time two trees.
 
+With ``--host-scaled`` the script also times ``imcbench/clock.py``'s speed
+kernel (``kernel_seconds``) before the first pass and after each, scales each
+pass's figure by ``NOMINAL_S`` over the mean of the kernel times on either side
+of it, as the benchmark's worker scales its requests, and prints the least
+scaled figure as ``<figure>_scaled_min``: the pass's time at the kernel's
+nominal host speed, so that host drift between runs mostly cancels.
+
 With ``--against DIR`` the script compares this tree with the checkout in DIR
 (its ``src`` directory holds the other ``imcperf``) on the chosen stage and,
-for ``request``, workload. Each
-of N rounds runs the script once per tree, each run in a fresh process, and
-swaps which tree goes first every round. A run's figure is its minimum over its
-passes. The script prints each tree's minimum, median and quartiles of those
-figures, the median over rounds of the ratio DIR / this tree (above 1 when this
-tree is faster) and the number of rounds this tree won. It also says whether
-the rounds meet the bar for claiming that this tree is faster: it won at least
-nine tenths of the rounds (a tie counts for neither), and its median is below
-DIR's by more than the distance between DIR's quartiles. Stdlib only.
+for ``request``, workload. Each of N rounds runs the script once per tree,
+each run in a fresh process with ``--host-scaled``, and swaps which tree goes
+first every round. A run's figure is its host-scaled minimum over its passes;
+each round's line also gives each run's raw minimum beside it. The script
+prints each tree's minimum, median and quartiles of those figures, the median
+over rounds of the ratio DIR / this tree (above 1 when this tree is faster)
+and the number of rounds this tree won. It also says whether the rounds meet
+the bar for claiming that this tree is faster: it won at least nine tenths of
+the rounds (a tie counts for neither), and its median is below DIR's by more
+than the distance between DIR's quartiles. Stdlib only.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,29 +119,38 @@ def _searches(run_dir: Path) -> list[tuple[object, object, str]]:
 def _pricings(run_dir: Path) -> list[tuple[object, object]]:
     """(params, macro) of every design point one peak-sweep pass prices."""
     from imcbench.workloads import peak_requests, write_files
-    from imcperf.cli import _REFERENCE_FIELDS, build_macro, load_config
-    from imcperf.macro import ImcMacroConfig, ImcType
-    from imcperf.workload import _data_file
+    from imcperf import cli
 
     requests = peak_requests()
     write_files(requests, run_dir)
-    references = json.loads(_data_file("reference-configs.json").read_text("utf-8"))
+    references = ([macro for _, macro in cli._reference_macros()]
+                  if hasattr(cli, "_reference_macros") else _reference_macros(cli))
     pricings = []
     for request in requests:
         argv = request["argv"]
-        bundle = load_config(str(run_dir / _option(argv, "--config")))
+        bundle = cli.load_config(str(run_dir / _option(argv, "--config")))
         if argv[0] == "sweep":
             sizes = [int(size) for size in _option(argv, "--sizes").split(",")]
-            macros = [build_macro(bundle, imc_type, size)
+            macros = [cli.build_macro(bundle, imc_type, size)
                       for imc_type in ("aimc", "dimc") for size in sizes]
         elif argv[0] == "validate":
-            macros = [ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
-                                     **{name: entry[name] for name in _REFERENCE_FIELDS})
-                      for entry in references["configs"]]
+            macros = references
         else:
             raise SystemExit(f"expected a sweep or validate request, got {argv}")
         pricings.extend((bundle.params, macro) for macro in macros)
     return pricings
+
+
+def _reference_macros(cli) -> list[object]:
+    """The reference configurations' macros, built here for a tree whose cli
+    has no _reference_macros."""
+    from imcperf.macro import ImcMacroConfig, ImcType
+    from imcperf.workload import _data_file
+
+    references = json.loads(_data_file("reference-configs.json").read_text("utf-8"))
+    return [ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
+                           **{name: entry[name] for name in cli._REFERENCE_FIELDS})
+            for entry in references["configs"]]
 
 
 def _priced(searches: list[tuple[object, object, str]]) -> int:
@@ -156,7 +174,8 @@ def _priced(searches: list[tuple[object, object, str]]) -> int:
     return calls
 
 
-def _time_search(passes: int) -> list[tuple[str, object]]:
+def _time_search(passes: int, between: Callable[[], None]
+                 ) -> tuple[list[tuple[str, object]], list[float]]:
     from imcperf.mapper import mapping_space
     from imcperf.system import best_mapping
 
@@ -170,6 +189,7 @@ def _time_search(passes: int) -> list[tuple[str, object]]:
 
     per_candidate_us = []
     clock = time.perf_counter
+    between()
     for _ in range(passes):
         elapsed = 0.0
         for layer, system, objective in searches:
@@ -177,13 +197,16 @@ def _time_search(passes: int) -> list[tuple[str, object]]:
             best_mapping(layer, system, objective)
             elapsed += clock() - start
         per_candidate_us.append(elapsed / candidates * 1e6)
+        between()
     return [("searches", len(searches)), ("candidates", candidates), ("priced", priced),
             ("passes", passes),
-            ("us_per_candidate_min", f"{min(per_candidate_us):.2f}"),
-            ("us_per_candidate_median", f"{statistics.median(per_candidate_us):.2f}")]
+            ("us_per_candidate_min", f"{min(per_candidate_us):.4f}"),
+            ("us_per_candidate_median", f"{statistics.median(per_candidate_us):.4f}")
+            ], per_candidate_us
 
 
-def _time_pricing(passes: int) -> list[tuple[str, object]]:
+def _time_pricing(passes: int, between: Callable[[], None]
+                  ) -> tuple[list[tuple[str, object]], list[float]]:
     from imcperf.macro import macro_metrics
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,6 +214,7 @@ def _time_pricing(passes: int) -> list[tuple[str, object]]:
 
     per_pricing_us = []
     clock = time.perf_counter
+    between()
     for _ in range(passes):
         # a copy has the config's fields but not the identity the pricing memo keys on
         fresh = [(params, copy.copy(macro)) for params, macro in pricings]
@@ -198,12 +222,15 @@ def _time_pricing(passes: int) -> list[tuple[str, object]]:
         for params, macro in fresh:
             macro_metrics(params, macro)
         per_pricing_us.append((clock() - start) / len(fresh) * 1e6)
+        between()
     return [("pricings", len(pricings)), ("passes", passes),
             ("us_per_pricing_min", f"{min(per_pricing_us):.2f}"),
-            ("us_per_pricing_median", f"{statistics.median(per_pricing_us):.2f}")]
+            ("us_per_pricing_median", f"{statistics.median(per_pricing_us):.2f}")
+            ], per_pricing_us
 
 
-def _time_request(passes: int, workload: str) -> list[tuple[str, object]]:
+def _time_request(passes: int, workload: str, between: Callable[[], None]
+                  ) -> tuple[list[tuple[str, object]], list[float]]:
     from imcbench.workloads import DEFAULT_SEED, requests_for, write_files
     from imcperf import cli
 
@@ -235,6 +262,7 @@ def _time_request(passes: int, workload: str) -> list[tuple[str, object]]:
         write_files(requests, Path(tmp))
         os.chdir(tmp)
         try:
+            between()
             for _ in range(passes):
                 spent.update(dict.fromkeys(spent, 0.0))
                 elapsed = 0.0
@@ -247,6 +275,7 @@ def _time_request(passes: int, workload: str) -> list[tuple[str, object]]:
                 for step, seconds in (*spent.items(), ("model", elapsed - sum(spent.values())),
                                       ("request", elapsed)):
                     per_request_us[step].append(seconds / len(requests) * 1e6)
+                between()
         finally:
             os.chdir(cwd)
             for owner, attr, original in saved:
@@ -256,22 +285,24 @@ def _time_request(passes: int, workload: str) -> list[tuple[str, object]]:
         prefix = "us_per_request" if step == "request" else f"{step}_us"
         figures += [(f"{prefix}_min", f"{min(values):.2f}"),
                     (f"{prefix}_median", f"{statistics.median(values):.2f}")]
-    return figures
+    return figures, per_request_us["request"]
 
 
-def _run_minimum(src: Path, stage: str, passes: int, workload: str | None) -> float:
-    """The stage's minimum figure in one fresh-process run on the package in src."""
-    key = f"{STAGES[stage][0]}_min"
+def _run_minima(src: Path, stage: str, passes: int, workload: str | None
+                ) -> tuple[float, float]:
+    """The stage's host-scaled and raw minimum figures in one fresh-process run
+    on the package in src."""
+    keys = [f"{STAGES[stage][0]}_{kind}" for kind in ("scaled_min", "min")]
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--stage", stage,
          *(("--workload", workload) if workload else ()),
-         "--passes", str(passes), "--src", str(src)],
+         "--passes", str(passes), "--src", str(src), "--host-scaled"],
         capture_output=True, text=True, check=True)
-    for line in proc.stdout.splitlines():
-        name, _, value = line.partition(" ")
-        if name == key:
-            return float(value)
-    raise SystemExit(f"no {key} in the output for {src}:\n{proc.stdout}")
+    figures = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
+    if not all(key in figures for key in keys):
+        raise SystemExit(f"no {' or '.join(keys)} in the output for {src}:\n{proc.stdout}")
+    scaled, raw = (float(figures[key]) for key in keys)
+    return scaled, raw
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -282,8 +313,8 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
 
 def _summary(label: str, values: list[float], per: str) -> str:
     low, high = _quartiles(values)
-    return (f"{label:<8} min {min(values):.2f}  median {statistics.median(values):.2f}  "
-            f"q1 {low:.2f}  q3 {high:.2f}  (us per {per})")
+    return (f"{label:<8} min {min(values):.4g}  median {statistics.median(values):.4g}  "
+            f"q1 {low:.4g}  q3 {high:.4g}  (us per {per})")
 
 
 def compare(against: Path, stage: str, rounds: int, passes: int,
@@ -295,11 +326,14 @@ def compare(against: Path, stage: str, rounds: int, passes: int,
     this_src = (ROOT / "src").resolve()
     this: list[float] = []
     other: list[float] = []
+    raw: dict[Path, float] = {}
     for index in range(rounds):
         order = ((this_src, this), (other_src, other))
         for src, values in (order if index % 2 else order[::-1]):
-            values.append(_run_minimum(src, stage, passes, workload))
-        print(f"round {index + 1:<3} against {other[-1]:.2f}  this {this[-1]:.2f}", flush=True)
+            scaled, raw[src] = _run_minima(src, stage, passes, workload)
+            values.append(scaled)
+        print(f"round {index + 1:<3} against {other[-1]:.4g} (raw {raw[other_src]:.4g})  "
+              f"this {this[-1]:.4g} (raw {raw[this_src]:.4g})", flush=True)
     ratios = [o / t for o, t in zip(other, this)]
     wins = sum(t < o for t, o in zip(this, other))
     per = STAGES[stage][0].removeprefix("us_per_")
@@ -311,7 +345,7 @@ def compare(against: Path, stage: str, rounds: int, passes: int,
     gap = statistics.median(other) - statistics.median(this)
     met = wins * 10 >= rounds * 9 and gap > high - low
     print(f"claim bar {'met' if met else 'not met'}: won {wins} of {rounds} rounds "
-          f"(needs 9/10), median gap {gap:.2f} against q3 - q1 {high - low:.2f}")
+          f"(needs 9/10), median gap {gap:.4g} against q3 - q1 {high - low:.4g}")
     return 0
 
 
@@ -332,6 +366,9 @@ def main() -> int:
                         help="checkout to compare with, in alternating fresh processes")
     parser.add_argument("--rounds", type=int, default=10,
                         help="runs per tree with --against (default: 10)")
+    parser.add_argument("--host-scaled", action="store_true",
+                        help="also time imcbench's speed kernel between passes and print "
+                             "the figure's minimum scaled to its nominal host speed")
     args = parser.parse_args()
     passes = STAGES[args.stage][1] if args.passes is None else args.passes
     if passes < 1:
@@ -343,20 +380,33 @@ def main() -> int:
     if args.against is not None:
         return compare(args.against, args.stage, args.rounds, passes, args.workload)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT)]
+    from imcbench.clock import NOMINAL_S, kernel_seconds
     from imcbench.workloads import WORKLOADS
 
     workload = args.workload or "dse-network"
     if workload not in WORKLOADS:
         parser.error(f"--workload must be one of {', '.join(WORKLOADS)}")
 
+    samples: list[float] = []  # the kernel's seconds before the first pass and after each
+
+    def between() -> None:
+        if args.host_scaled:
+            samples.append(kernel_seconds())
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # b_cycle rounding warns once per layer
         if args.stage == "request":
-            figures = _time_request(passes, workload)
+            figures, per_pass = _time_request(passes, workload, between)
         else:
-            figures = (_time_search if args.stage == "search" else _time_pricing)(passes)
+            figures, per_pass = (_time_search if args.stage == "search"
+                                 else _time_pricing)(passes, between)
+    if args.host_scaled:
+        # each pass at the speed of the kernel samples on either side of it
+        scaled = [value * NOMINAL_S / ((before + after) / 2)
+                  for value, before, after in zip(per_pass, samples, samples[1:])]
+        figures.append((f"{STAGES[args.stage][0]}_scaled_min", f"{min(scaled):.4f}"))
     for name, value in figures:
-        print(f"{name:<23} {value}")
+        print(f"{name:<27} {value}")
     return 0
 
 
