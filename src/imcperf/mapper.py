@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 from .components import _check_count
@@ -99,6 +100,13 @@ def _divisors(n: int, limit: int) -> list[int]:
     return low + high[::-1]
 
 
+@lru_cache(maxsize=1024)
+def _kept_divisors(n: int, limit: int) -> list[int]:
+    """_divisors(n, limit), worked out once per process: a network's layers
+    and design points share few loop bounds and array sizes. Read it only."""
+    return _divisors(n, limit)
+
+
 def mapping_space(layer: Layer, cfg: ImcMacroConfig
                   ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
     """The (c_u, fx_u, fy_u) row tuples and (k_u, ox_u) column pairs that fit.
@@ -152,13 +160,11 @@ def _space_outline(layer: Layer, cfg: ImcMacroConfig
     the k_u beside each ox_u.
     """
     d_i, d_o = cfg.d_i, cfg.d_o
-    c, fx, fy, k = layer.c, layer.fx, layer.fy, layer.k
-    c_divisors = _divisors(c, d_i)
-    fx_divisors = c_divisors if fx == c else _divisors(fx, d_i)
-    fy_divisors = (fx_divisors if fy == fx else c_divisors if fy == c
-                   else _divisors(fy, d_i))
-    k_divisors = c_divisors if k == c and d_o == d_i else _divisors(k, d_o)
-    ox_divisors = k_divisors if layer.ox == k else _divisors(layer.ox, d_o)
+    c_divisors = _kept_divisors(layer.c, d_i)
+    fx_divisors = _kept_divisors(layer.fx, d_i)
+    fy_divisors = _kept_divisors(layer.fy, d_i)
+    k_divisors = _kept_divisors(layer.k, d_o)
+    ox_divisors = _kept_divisors(layer.ox, d_o)
     tops = {ox_u: k_divisors[:bisect_right(k_divisors, d_o // ox_u)]
             for ox_u in ox_divisors}
     if (len(c_divisors) * len(fx_divisors) * len(fy_divisors)
@@ -179,8 +185,6 @@ def _space_outline(layer: Layer, cfg: ImcMacroConfig
     for fx_u in fx_divisors:
         for fy_u in fy_divisors[:bisect_right(fy_divisors, d_i // fx_u)]:
             pairs.setdefault(fx_u * fy_u, (fx_u, fy_u))
-    if len(pairs) == 1:  # fx_u = fy_u = 1: one tuple per product
-        return {c_u: (c_u, 1, 1) for c_u in c_divisors}, tops
     firsts: dict[int, tuple[int, int, int]] = {}
     for c_u in c_divisors:
         room = d_i // c_u

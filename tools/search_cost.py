@@ -1,7 +1,7 @@
 """Time a model stage over one pass of a benchmark workload's requests.
 
     python3 tools/search_cost.py [--stage search|pricing|request] [--workload W]
-                                 [--passes N] [--src SRC_DIR] [--host-scaled]
+                                 [--passes N] [--src SRC_DIR]
     python3 tools/search_cost.py --against DIR [--stage S] [--workload W] [--rounds N]
                                  [--passes N]
 
@@ -38,28 +38,29 @@ request; ``model`` is the rest of ``main``, the search and pricing, and
 ``us_per_request`` all of it. A step a workload never takes
 (``load_workload`` in ``peak-sweep``) reads 0.
 
+Every stage also times ``imcbench/clock.py``'s speed kernel
+(``kernel_seconds``) before the first pass and after each, and prints the
+least figure scaled by ``NOMINAL_S`` over the median of those kernel times as
+``<figure>_scaled_min``: the run's figure at the kernel's nominal host speed,
+so that host drift between runs mostly cancels. One factor per run, from all
+its samples, moves less than the samples of about 3 ms beside a single pass.
+
 SRC_DIR is the directory that holds the ``imcperf`` package (default: this
 repository's ``src``), so one copy of the script can time two trees.
-
-With ``--host-scaled`` the script also times ``imcbench/clock.py``'s speed
-kernel (``kernel_seconds``) before the first pass and after each, scales each
-pass's figure by ``NOMINAL_S`` over the mean of the kernel times on either side
-of it, as the benchmark's worker scales its requests, and prints the least
-scaled figure as ``<figure>_scaled_min``: the pass's time at the kernel's
-nominal host speed, so that host drift between runs mostly cancels.
 
 With ``--against DIR`` the script compares this tree with the checkout in DIR
 (its ``src`` directory holds the other ``imcperf``) on the chosen stage and,
 for ``request``, workload. Each of N rounds runs the script once per tree,
-each run in a fresh process with ``--host-scaled``, and swaps which tree goes
-first every round. A run's figure is its host-scaled minimum over its passes;
-each round's line also gives each run's raw minimum beside it. The script
-prints each tree's minimum, median and quartiles of those figures, the median
-over rounds of the ratio DIR / this tree (above 1 when this tree is faster)
-and the number of rounds this tree won. It also says whether the rounds meet
-the bar for claiming that this tree is faster: it won at least nine tenths of
-the rounds (a tie counts for neither), and its median is below DIR's by more
-than the distance between DIR's quartiles. Stdlib only.
+each run in a fresh process, and swaps which tree goes first every round. A
+run's figure is its host-scaled minimum over its passes; each round's line
+also gives each run's raw minimum beside it. The script prints each tree's
+minimum, median and quartiles of those figures, the median over rounds of the
+ratio DIR / this tree (above 1 when this tree is faster) and the number of
+rounds this tree won. It also says whether the rounds meet the bar for
+claiming that this tree is faster: it won at least nine tenths of the rounds
+(a tie counts for neither), and its median is below DIR's by more than the
+distance between DIR's quartiles; a last line gives the same verdict on the
+raw minima. Stdlib only.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def _run_minima(src: Path, stage: str, passes: int, workload: str | None
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--stage", stage,
          *(("--workload", workload) if workload else ()),
-         "--passes", str(passes), "--src", str(src), "--host-scaled"],
+         "--passes", str(passes), "--src", str(src)],
         capture_output=True, text=True, check=True)
     figures = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
     if not all(key in figures for key in keys):
@@ -317,6 +318,16 @@ def _summary(label: str, values: list[float], per: str) -> str:
             f"q1 {low:.4g}  q3 {high:.4g}  (us per {per})")
 
 
+def _claim_bar(this: list[float], other: list[float]) -> str:
+    """Whether this tree's figures beat other's by the bar for claiming a gain."""
+    wins = sum(t < o for t, o in zip(this, other))
+    low, high = _quartiles(other)
+    gap = statistics.median(other) - statistics.median(this)
+    met = wins * 10 >= len(this) * 9 and gap > high - low
+    return (f"claim bar {'met' if met else 'not met'}: won {wins} of {len(this)} rounds "
+            f"(needs 9/10), median gap {gap:.4g} against q3 - q1 {high - low:.4g}")
+
+
 def compare(against: Path, stage: str, rounds: int, passes: int,
             workload: str | None) -> int:
     """Alternate fresh-process runs of this tree and the tree in against."""
@@ -324,28 +335,26 @@ def compare(against: Path, stage: str, rounds: int, passes: int,
     if not (other_src / "imcperf").is_dir():
         raise SystemExit(f"{other_src} holds no imcperf package")
     this_src = (ROOT / "src").resolve()
-    this: list[float] = []
-    other: list[float] = []
-    raw: dict[Path, float] = {}
+    # each tree's host-scaled and raw minima, one of each per round
+    this: tuple[list[float], list[float]] = ([], [])
+    other: tuple[list[float], list[float]] = ([], [])
     for index in range(rounds):
         order = ((this_src, this), (other_src, other))
-        for src, values in (order if index % 2 else order[::-1]):
-            scaled, raw[src] = _run_minima(src, stage, passes, workload)
-            values.append(scaled)
-        print(f"round {index + 1:<3} against {other[-1]:.4g} (raw {raw[other_src]:.4g})  "
-              f"this {this[-1]:.4g} (raw {raw[this_src]:.4g})", flush=True)
-    ratios = [o / t for o, t in zip(other, this)]
-    wins = sum(t < o for t, o in zip(this, other))
+        for src, (scaled, raw) in (order if index % 2 else order[::-1]):
+            figures = _run_minima(src, stage, passes, workload)
+            scaled.append(figures[0])
+            raw.append(figures[1])
+        print(f"round {index + 1:<3} against {other[0][-1]:.4g} (raw {other[1][-1]:.4g})  "
+              f"this {this[0][-1]:.4g} (raw {this[1][-1]:.4g})", flush=True)
+    ratios = [o / t for o, t in zip(other[0], this[0])]
+    wins = sum(t < o for t, o in zip(this[0], other[0]))
     per = STAGES[stage][0].removeprefix("us_per_")
-    print(_summary("against", other, per))
-    print(_summary("this", this, per))
+    print(_summary("against", other[0], per))
+    print(_summary("this", this[0], per))
     print(f"median ratio against/this {statistics.median(ratios):.3f}")
     print(f"this tree won {wins} of {rounds} rounds")
-    low, high = _quartiles(other)
-    gap = statistics.median(other) - statistics.median(this)
-    met = wins * 10 >= rounds * 9 and gap > high - low
-    print(f"claim bar {'met' if met else 'not met'}: won {wins} of {rounds} rounds "
-          f"(needs 9/10), median gap {gap:.4g} against q3 - q1 {high - low:.4g}")
+    print(_claim_bar(this[0], other[0]))
+    print(f"raw {_claim_bar(this[1], other[1])}")
     return 0
 
 
@@ -366,9 +375,6 @@ def main() -> int:
                         help="checkout to compare with, in alternating fresh processes")
     parser.add_argument("--rounds", type=int, default=10,
                         help="runs per tree with --against (default: 10)")
-    parser.add_argument("--host-scaled", action="store_true",
-                        help="also time imcbench's speed kernel between passes and print "
-                             "the figure's minimum scaled to its nominal host speed")
     args = parser.parse_args()
     passes = STAGES[args.stage][1] if args.passes is None else args.passes
     if passes < 1:
@@ -390,8 +396,7 @@ def main() -> int:
     samples: list[float] = []  # the kernel's seconds before the first pass and after each
 
     def between() -> None:
-        if args.host_scaled:
-            samples.append(kernel_seconds())
+        samples.append(kernel_seconds())
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # b_cycle rounding warns once per layer
@@ -400,11 +405,8 @@ def main() -> int:
         else:
             figures, per_pass = (_time_search if args.stage == "search"
                                  else _time_pricing)(passes, between)
-    if args.host_scaled:
-        # each pass at the speed of the kernel samples on either side of it
-        scaled = [value * NOMINAL_S / ((before + after) / 2)
-                  for value, before, after in zip(per_pass, samples, samples[1:])]
-        figures.append((f"{STAGES[args.stage][0]}_scaled_min", f"{min(scaled):.4f}"))
+    scaled = min(per_pass) * NOMINAL_S / statistics.median(samples)
+    figures.append((f"{STAGES[args.stage][0]}_scaled_min", f"{scaled:.4f}"))
     for name, value in figures:
         print(f"{name:<27} {value}")
     return 0
