@@ -179,7 +179,7 @@ def load_config(path_arg: str | None) -> ConfigBundle:
         return _default_config()
     try:
         raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable text, or a path the OS refuses
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
@@ -525,8 +525,72 @@ _COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
 _PARSER = build_parser(_COMMAND_PARSERS)
 
 
+class _Option(NamedTuple):
+    dest: str
+    convert: Callable[[str], Any]
+    choices: Any
+    append: bool
+
+
+def _plain_table(parser: argparse.ArgumentParser
+                 ) -> tuple[dict[str, Any], dict[str, _Option]] | None:
+    """parser's defaults and its {option string: _Option} table, read off its own
+    actions, or None when it holds what _read_plain does not model (a positional,
+    a required option, a mutually exclusive group, a str default to convert).
+    An option left out of the table (help, another action kind) goes to argparse."""
+    if (parser._mutually_exclusive_groups or parser.prefix_chars != "-"
+            or parser.fromfile_prefix_chars is not None):
+        return None
+    defaults: dict[str, Any] = {}
+    options: dict[str, _Option] = {}
+    for action in parser._actions:
+        if (action.required or not action.option_strings
+                or isinstance(action.default, str) and action.type is not None):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        append = type(action) is argparse._AppendAction and action.default is None
+        if (action.nargs is None and not getattr(action, "deprecated", False)
+                and (append or type(action) is argparse._StoreAction)):
+            option = _Option(action.dest, parser._registry_get("type", action.type, action.type),
+                             action.choices, append)
+            options.update(dict.fromkeys(action.option_strings, option))
+    return {**parser._defaults, **defaults}, options
+
+
+_PLAIN_TABLES = {name: _plain_table(parser) for name, parser in _COMMAND_PARSERS.items()}
+
+
+def _read_plain(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for tokens, the argv after command, when they
+    are pairs of an option string of the command's table, exactly, and a str
+    value that does not start with '-' and that converts and passes the choices
+    check; None for any other tokens."""
+    table = _PLAIN_TABLES.get(command)
+    if table is None or len(tokens) % 2:
+        return None
+    defaults, options = table
+    args = argparse.Namespace()
+    values = vars(args)  # filled in place: Namespace(**values) sets each name in Python
+    values.update(defaults)
+    pairs = iter(tokens)
+    for flag, text in zip(pairs, pairs):
+        option = options.get(flag) if isinstance(flag, str) else None
+        if option is None or not isinstance(text, str) or text.startswith("-"):
+            return None
+        try:
+            value = option.convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = [*(values[option.dest] or ()), value] if option.append else value
+    return args
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """argv parsed as _PARSER parses it, in one pass when it starts with a command.
+    """argv parsed as _PARSER parses it, from the command's table when argv is
+    plain (_read_plain), else in one argparse pass when it starts with a command.
 
     _PARSER hands everything after the command to that command's parser, so
     calling it directly gives the same namespace, help and errors; arguments it
@@ -538,9 +602,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
     if parser is None:
         return _PARSER.parse_args(argv)
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read_plain(argv[0], argv[1:])
+    if args is None:
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 
@@ -576,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text = _render_csv(fieldnames, rows)
         _emit(text, args.out)
-    except (OSError, csv.Error) as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: a path the OS refuses
         print(f"imcperf: error: cannot write output: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -556,6 +556,14 @@ class TestOutputFile:
         assert "a regular file is replaced atomically" in text
         assert "a FIFO or device is written through" in text
 
+    @pytest.mark.parametrize("path", ["a\0b", "\ud800.json"], ids=["nul", "lone-surrogate"])
+    def test_out_path_the_os_refuses_fails_cleanly(self, capsys, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "validate", "--out", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("imcperf: error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_directory_fails_cleanly(self, capsys, tmp_path):
         # the staged file is written, then cannot replace a directory
         target = tmp_path / "rows"
@@ -620,6 +628,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "peak", "--config", str(config))
         assert code == 2 and out == ""
         assert f"config error: cannot read config file {config}" in err
+
+    @pytest.mark.parametrize("path", ["a\0b", "\ud800.json"], ids=["nul", "lone-surrogate"])
+    def test_config_path_the_os_refuses_is_a_config_error(self, path):
+        # the message names the path as it names a missing one; a StringIO takes
+        # the lone surrogate, as the interpreter's own stderr (backslashreplace) does
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["peak", "--config", path])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith(
+            f"imcperf: config error: cannot read config file {path}: ")
 
     @pytest.mark.parametrize("text", [
         '{"dram_energy_per_bit": ' + "1" * 5000 + "}",
@@ -741,20 +760,26 @@ class TestParserReuse:
         assert code == 0, err
         assert [r["workload"] for r in parse_csv(out)] == ["net"]
 
-    @pytest.mark.parametrize("argv", [
-        ("peak", "--type", "both", "--sizes", "32,64"),
-        ("network", "--workload", "mlperf-tiny-layers", "--sizes", "32", "--format", "json"),
-    ], ids=["peak", "network"])
-    def test_a_command_line_is_parsed_in_one_pass(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, passes", [
+        (("peak", "--type", "both", "--sizes", "32,64"), 0),
+        (("network", "--workload", "mlperf-tiny-layers", "--sizes", "32", "--format", "json"), 0),
+        (("layer", "--workload", "mlperf-tiny-layers", "--workload", "mlperf-tiny-layers",
+          "--type", "dimc", "--objective", "edp", "--jobs", "2"), 0),
+        (("network", "--work", "mlperf-tiny-layers", "--sizes=32"), 1),
+    ], ids=["peak", "network", "layer", "network-not-plain"])
+    def test_a_command_line_is_parsed_in_one_pass(self, capsys, monkeypatch, argv, passes):
+        # a plain command line is read from the option table, with no argparse
+        # pass; any other takes one; both print what argparse alone gives
         calls = []
         original = argparse.ArgumentParser.parse_known_args
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                             lambda *args: calls.append(args) or original(*args))
         code, out, err = run(capsys, *argv)
         assert code == 0, err
-        assert len(calls) == 1
-        monkeypatch.undo()
+        assert len(calls) == passes
+        monkeypatch.setattr(cli, "_read_plain", lambda command, tokens: None)
         assert run(capsys, *argv) == (code, out, err)
+        assert len(calls) == passes + 1
 
     @pytest.mark.parametrize("argv, leftover", [
         (("peak", "stray"), "stray"),
@@ -772,6 +797,103 @@ class TestParserReuse:
         assert [r["workload"] for r in parse_csv(first)] == ["first"]
         assert [r["workload"] for r in parse_csv(second)] == ["second"]
         assert again == first
+
+
+_OPTION_ACTIONS = {option: action for parser in cli._COMMAND_PARSERS.values()
+                   for option, action in parser._option_string_actions.items()}
+_CHOICES = tuple(choice for action in _OPTION_ACTIONS.values() for choice in action.choices or ())
+_WORDS = ("32", "32,64", "mlperf-tiny-layers", "x.json", "stray", "a b", "two", " 7", "\u0663",
+          "1_0", "2.5", "peak")
+# each abbreviation with the option it stands for; --o could be --objective or --out
+_ABBREVIATIONS = {"--o": "--objective", "--ty": "--type", "--siz": "--sizes",
+                  "--work": "--workload", "--j": "--jobs", "--conf": "--config"}
+_ODD_TOKENS = ("-h", "--", "-", "-1", "", "--h", *_ABBREVIATIONS,
+               "--sizes=32", "--type=dimc", "--jobs=2", "--workload=x", "--o=x", "--objective=")
+_TOKEN = (st.sampled_from(sorted(_OPTION_ACTIONS)) | st.sampled_from(_ODD_TOKENS)
+          | st.sampled_from(_WORDS + _CHOICES) | st.integers(-5, 5000).map(str))
+_DASHED = st.sampled_from(("-", "-1", "--", "-h", "-x", "--out"))
+
+
+def _accepted(action):
+    """A value the option's type and choices may accept."""
+    if action.choices is None:
+        return st.integers(-5, 5000).map(str) | st.sampled_from(_WORDS)
+    return st.sampled_from(action.choices)
+
+
+def _values(action, stray):
+    """A value an option may take: mostly one it may accept, else a near miss
+    of its choices, a value starting with '-', or a stray token."""
+    accepted = _accepted(action)
+    if action.choices is None:
+        return st.one_of(accepted, accepted, accepted, _DASHED, stray)
+    near = [value for choice in action.choices
+            for value in (choice.upper(), choice[:-1], f"{choice}x", f" {choice}")]
+    return st.one_of(accepted, accepted, accepted, st.sampled_from(near), _DASHED, stray)
+
+
+def _own_options(command):
+    """The option strings, help aside, of command's parser, or of any parser."""
+    parser = cli._COMMAND_PARSERS.get(command[0]) if command else None
+    return sorted(set(parser._option_string_actions if parser else _OPTION_ACTIONS)
+                  - {"-h", "--help"})
+
+
+def _plain_lines(command):
+    """command, then pairs of one of its own option strings, exactly, and a
+    value the option may accept: the form the option table reads."""
+    pair = st.sampled_from(_own_options(command)).flatmap(
+        lambda option: st.tuples(st.just(option), _accepted(_OPTION_ACTIONS[option])))
+    return st.lists(pair, max_size=6).map(
+        lambda drawn: command + [token for chunk in drawn for token in chunk])
+
+
+def _command_lines(command, strays):
+    """command, then chunks that are mostly one of its own options, or its
+    abbreviation, with a value; with strays, also stray tokens."""
+    own = _own_options(command)
+    short = [abbreviation for abbreviation, option in _ABBREVIATIONS.items() if option in own]
+    stray = _TOKEN if strays else st.nothing()
+    names = st.one_of([st.sampled_from(own)] * (1 if strays else 4) + [st.sampled_from(short)])
+    pair = names.flatmap(
+        lambda option: st.tuples(st.just(option), _values(
+            _OPTION_ACTIONS[_ABBREVIATIONS.get(option, option)], stray)))
+    chunks = st.lists(st.one_of([pair] * 6 + [
+        stray.map(lambda token: (token,)),
+        st.just(("--sizes", "32", "--sizes", "64")),
+        st.just(("--workload", "a", "--workload", "b"))]), max_size=5)
+    return chunks.map(lambda drawn: command + [token for chunk in drawn for token in chunk])
+
+
+# a third of the command lines are plain, a third hold no stray token, and a
+# third start with any command, or none, and hold stray tokens
+_COMMAND = st.sampled_from([[name] for name in cli._COMMANDS])
+_ARGV = st.one_of(
+    _COMMAND.flatmap(_plain_lines),
+    _COMMAND.flatmap(lambda command: _command_lines(command, strays=False)),
+    st.sampled_from([[name] for name in cli._COMMANDS] + [["bogus"], ["-h"], []]).flatmap(
+        lambda command: _command_lines(command, strays=True)))
+
+
+def _parse_outcome(parse, argv):
+    """vars() of parse(argv)'s namespace, or its SystemExit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parse(list(argv)))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+class TestPlainParse:
+    """cli._parse_args reads every command line as _PARSER alone reads it: the
+    same namespace, or the same exit with the same help, usage or error text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_ARGV)
+    def test_matches_argparse(self, argv):
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
 
 
 _SCALARS = (

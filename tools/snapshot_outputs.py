@@ -22,8 +22,10 @@ characters, so the comparison covers how each format escapes text. Only the
 command outputs are written; warnings on stderr are not part of the snapshot.
 
 The front end is snapshotted too: under ``frontend/``, one file per case holds
-the exit code, stdout and stderr of ``--help`` (top level and every command) and
-of a fixed set of usage, configuration and evaluation errors. Among them,
+the exit code, stdout and stderr of ``--help`` (top level and every command), of
+a fixed set of usage, configuration and evaluation errors, and of command lines
+that only argparse reads: an abbreviated option, ``--opt=value``, a value that
+starts with ``-`` and an ambiguous option. Among them,
 ``peak`` runs under a technology, cache, macro or DRAM constant given as an
 integer too large for a float (``huge-*``); under ``k1 = 1e308``, which
 overflows the analog macro's energy; and under ``fa_area_ratio`` or
@@ -207,6 +209,11 @@ def frontend_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         ("bad-format", ["validate", "--format", "xml"]),
         ("jobs-zero", ["peak", "--jobs", "0"]),
         ("jobs-not-integer", ["network", *tiny, "--jobs", "two"]),
+        # command lines that argparse reads, not cli's table of plain ones
+        ("abbreviated-option", ["network", "--work", "mlperf-tiny-layers", "--sizes=32"]),
+        ("repeated-sizes", ["peak", "--sizes", "32", "--sizes", "64", "--type=dimc"]),
+        ("jobs-negative", ["peak", "--jobs", "-1"]),
+        ("ambiguous-option", ["peak", "--o", "x"]),
         ("layer-without-workload", ["layer"]),
         ("network-without-workload", ["network", "--type", "both"]),
         ("peak-with-workload", ["peak", "--workload", "x"]),
