@@ -483,6 +483,51 @@ _COMMANDS = {
 }
 
 
+class _Option(NamedTuple):
+    """A command-line option, as build_parser adds it to a command's parser and
+    _read_plain reads it; a convert of None keeps the text as it is."""
+    dest: str
+    help: str
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+    default: Any = None
+    convert: Callable[[str], Any] | None = None
+    append: bool = False
+
+
+# every command's options, in the order its help lists them; --workload goes
+# only to the commands that take a workload
+_OPTIONS = {
+    "--config": _Option("config", "JSON configuration file (default: "
+                                  f"${CONFIG_DIR_ENV}/config.json if present, else built-ins)",
+                        metavar="PATH"),
+    "--sizes": _Option("sizes", "comma-separated square array sizes, powers of two in "
+                                "[8, 4096]", metavar="N,N,..."),
+    "--type": _Option("type", "macro type override (default: from config; sweep: both)",
+                      choices=_IMC_TYPES + ("both",)),
+    "--objective": _Option("objective", "mapping objective (default: energy)",
+                           choices=OBJECTIVES, default="energy"),
+    "--format": _Option("format", "output format (default: csv)", choices=("csv", "json"),
+                        default="csv"),
+    "--out": _Option("out", "output file (default: stdout); a regular file is replaced "
+                            "atomically, a FIFO or device is written through", metavar="PATH"),
+    "--jobs": _Option("jobs", "accepted for compatibility (N >= 1); evaluation is serial",
+                      metavar="N", default=1, convert=int),
+    "--workload": _Option("workload", "workload JSON file or bundled name (repeatable)",
+                          metavar="PATH", append=True),
+}
+
+
+def _option_table(command: _Command) -> tuple[dict[str, Any], dict[str, _Option]]:
+    """The namespace command's parser starts from, and its {option string: _Option}."""
+    options = {flag: option for flag, option in _OPTIONS.items()
+               if command.takes_workload or flag != "--workload"}
+    return {option.dest: option.default for option in options.values()}, options
+
+
+_OPTION_TABLES = {name: _option_table(command) for name, command in _COMMANDS.items()}
+
+
 def build_parser(commands: dict[str, argparse.ArgumentParser] | None = None
                  ) -> argparse.ArgumentParser:
     """The imcperf parser; each command's own parser also goes into commands,
@@ -490,30 +535,14 @@ def build_parser(commands: dict[str, argparse.ArgumentParser] | None = None
     parser = _Parser(prog="imcperf",
                      description="Analytical performance model for SRAM-based "
                                  "in-memory-computing macros.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON configuration file (default: "
-                             f"${CONFIG_DIR_ENV}/config.json if present, else built-ins)")
-    common.add_argument("--sizes", metavar="N,N,...",
-                        help="comma-separated square array sizes, powers of two in [8, 4096]")
-    common.add_argument("--type", choices=_IMC_TYPES + ("both",),
-                        help="macro type override (default: from config; sweep: both)")
-    common.add_argument("--objective", choices=OBJECTIVES,
-                        default="energy", help="mapping objective (default: energy)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default: csv)")
-    common.add_argument("--out", metavar="PATH",
-                        help="output file (default: stdout); a regular file is replaced "
-                             "atomically, a FIFO or device is written through")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted for compatibility (N >= 1); evaluation is serial")
-
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        cmd = sub.add_parser(name, parents=[common], help=command.help)
-        if command.takes_workload:
-            cmd.add_argument("--workload", action="append", metavar="PATH",
-                             help="workload JSON file or bundled name (repeatable)")
+        cmd = sub.add_parser(name, help=command.help)
+        for flag, option in _OPTION_TABLES[name][1].items():
+            cmd.add_argument(flag, action="append" if option.append else "store",
+                             dest=option.dest, type=option.convert, choices=option.choices,
+                             default=option.default, metavar=option.metavar,
+                             help=option.help)
         if commands is not None:
             commands[name] = cmd
     return parser
@@ -525,48 +554,12 @@ _COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
 _PARSER = build_parser(_COMMAND_PARSERS)
 
 
-class _Option(NamedTuple):
-    dest: str
-    convert: Callable[[str], Any]
-    choices: Any
-    append: bool
-
-
-def _plain_table(parser: argparse.ArgumentParser
-                 ) -> tuple[dict[str, Any], dict[str, _Option]] | None:
-    """parser's defaults and its {option string: _Option} table, read off its own
-    actions, or None when it holds what _read_plain does not model (a positional,
-    a required option, a mutually exclusive group, a str default to convert).
-    An option left out of the table (help, another action kind) goes to argparse."""
-    if (parser._mutually_exclusive_groups or parser.prefix_chars != "-"
-            or parser.fromfile_prefix_chars is not None):
-        return None
-    defaults: dict[str, Any] = {}
-    options: dict[str, _Option] = {}
-    for action in parser._actions:
-        if (action.required or not action.option_strings
-                or isinstance(action.default, str) and action.type is not None):
-            return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        append = type(action) is argparse._AppendAction and action.default is None
-        if (action.nargs is None and not getattr(action, "deprecated", False)
-                and (append or type(action) is argparse._StoreAction)):
-            option = _Option(action.dest, parser._registry_get("type", action.type, action.type),
-                             action.choices, append)
-            options.update(dict.fromkeys(action.option_strings, option))
-    return {**parser._defaults, **defaults}, options
-
-
-_PLAIN_TABLES = {name: _plain_table(parser) for name, parser in _COMMAND_PARSERS.items()}
-
-
 def _read_plain(command: str, tokens: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives for tokens, the argv after command, when they
     are pairs of an option string of the command's table, exactly, and a str
     value that does not start with '-' and that converts and passes the choices
     check; None for any other tokens."""
-    table = _PLAIN_TABLES.get(command)
+    table = _OPTION_TABLES.get(command)
     if table is None or len(tokens) % 2:
         return None
     defaults, options = table
@@ -578,10 +571,12 @@ def _read_plain(command: str, tokens: list[str]) -> argparse.Namespace | None:
         option = options.get(flag) if isinstance(flag, str) else None
         if option is None or not isinstance(text, str) or text.startswith("-"):
             return None
-        try:
-            value = option.convert(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
+        value = text
+        if option.convert is not None:
+            try:
+                value = option.convert(text)
+            except ValueError:
+                return None
         if option.choices is not None and value not in option.choices:
             return None
         values[option.dest] = [*(values[option.dest] or ()), value] if option.append else value

@@ -272,19 +272,25 @@ _price_entry: _PriceEntry | None = None
 
 
 def _layer_pricing(system: SystemConfig, layer: Layer) -> _PriceEntry:
-    """The pricing entry of the layer on one macro of the system.
+    """The pricing entry of the layer on one macro of the system, memoised."""
+    entry = _price_entry
+    if entry is not None and entry[0] is system and entry[1] is layer:
+        return entry
+    return _new_pricing(system, layer, entry)
+
+
+def _new_pricing(system: SystemConfig, layer: Layer, last: _PriceEntry | None) -> _PriceEntry:
+    """The layer's pricing entry, built to replace last, the memoised entry.
 
     What does not depend on the mapping is computed here, once per (system,
     layer), and what depends on neither the mapping nor the layer's sizes once
     per design point; evaluate_layer_mapping calls the entry's price per
-    result, and the search screens candidates with its form.
+    result, and the search screens candidates with its form. A memo hit does
+    not enter this function, so it makes none of its closure cells.
     """
     global _price_entry
-    entry = _price_entry
-    if entry is not None and entry[0] is system and entry[1] is layer:
-        return entry
     precisions = layer_precisions(system.macro, layer.b_i, layer.b_w, layer.b_o)
-    point = entry[2] if entry is not None and entry[0] is system else None
+    point = last[2] if last is not None and last[0] is system else None
     if point is None or point.precisions != precisions:
         point = _design_point(system, precisions)
     b_i, b_w, b_o, _ = precisions
@@ -384,9 +390,6 @@ def evaluate_layer_mapping(system: SystemConfig, layer: Layer,
     DRAM write-out (outputs), with a warning recorded. Weight loading stalls
     compute: written bits cross the cache-to-macro port at its bandwidth.
     """
-    entry = _price_entry
-    if entry is not None and entry[0] is system and entry[1] is layer:
-        return entry[3](result)
     return _layer_pricing(system, layer)[3](result)
 
 

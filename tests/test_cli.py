@@ -896,6 +896,23 @@ class TestPlainParse:
         assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
 
 
+@pytest.mark.parametrize("name", tuple(cli._COMMANDS))
+def test_option_table_is_the_parser(name):
+    # every option of a command's parser, help aside, is its table's entry,
+    # in the table's order, so no option can be added outside the table
+    defaults, options = cli._OPTION_TABLES[name]
+    parser = cli._COMMAND_PARSERS[name]
+    actions = {flag: action for flag, action in parser._option_string_actions.items()
+               if flag not in ("-h", "--help")}
+    assert list(actions) == list(options)
+    for flag, action in actions.items():
+        option = options[flag]
+        kind = argparse._AppendAction if option.append else argparse._StoreAction
+        assert (action.dest, action.default, action.choices, action.type, type(action)) == (
+            option.dest, option.default, option.choices, option.convert, kind), flag
+    assert vars(parser.parse_args([])) == defaults
+
+
 _SCALARS = (
     st.text()
     | st.sampled_from(("caf\u00e9", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f",

@@ -31,9 +31,8 @@ W's requests (default ``dse-network``; its seed is the benchmark's default),
 each run as the benchmark runs it: in-process, writing JSON to a file in a
 directory that holds the files the requests read. It wraps the names ``main``
 looks up for each step (``_parse_args``, ``load_config``, ``_load_workload``,
-``_design_points``, ``_render_json`` and ``_emit``; a tree without
-``_parse_args`` parses with ``_PARSER.parse_args``) and prints, for each
-step, the minimum and median over N passes (default 5) of its microseconds per
+``_design_points``, ``_render_json`` and ``_emit``) and prints, for each step,
+the minimum and median over N passes (default 5) of its microseconds per
 request; ``model`` is the rest of ``main``, the search and pricing, and
 ``us_per_request`` all of it. A step a workload never takes
 (``load_workload`` in ``peak-sweep``) reads 0.
@@ -67,7 +66,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import os
 import statistics
 import subprocess
@@ -124,8 +122,7 @@ def _pricings(run_dir: Path) -> list[tuple[object, object]]:
 
     requests = peak_requests()
     write_files(requests, run_dir)
-    references = ([macro for _, macro in cli._reference_macros()]
-                  if hasattr(cli, "_reference_macros") else _reference_macros(cli))
+    references = [macro for _, macro in cli._reference_macros()]
     pricings = []
     for request in requests:
         argv = request["argv"]
@@ -140,18 +137,6 @@ def _pricings(run_dir: Path) -> list[tuple[object, object]]:
             raise SystemExit(f"expected a sweep or validate request, got {argv}")
         pricings.extend((bundle.params, macro) for macro in macros)
     return pricings
-
-
-def _reference_macros(cli) -> list[object]:
-    """The reference configurations' macros, built here for a tree whose cli
-    has no _reference_macros."""
-    from imcperf.macro import ImcMacroConfig, ImcType
-    from imcperf.workload import _data_file
-
-    references = json.loads(_data_file("reference-configs.json").read_text("utf-8"))
-    return [ImcMacroConfig(imc_type=ImcType(entry["imc_type"]),
-                           **{name: entry[name] for name in cli._REFERENCE_FIELDS})
-            for entry in references["configs"]]
 
 
 def _priced(searches: list[tuple[object, object, str]]) -> int:
@@ -248,14 +233,9 @@ def _time_request(passes: int, workload: str, between: Callable[[], None]
                 spent[step] += clock() - start
         return wrapper
 
-    saved = []
+    saved = {name: getattr(cli, name) for name in REQUEST_STEPS.values()}
     for step, name in REQUEST_STEPS.items():
-        if step == "parse_args" and not hasattr(cli, name):
-            name = "_PARSER.parse_args"  # a tree that parses argv in two passes
-        owner_name, _, attr = name.rpartition(".")
-        owner = getattr(cli, owner_name) if owner_name else cli
-        saved.append((owner, attr, getattr(owner, attr)))
-        setattr(owner, attr, timed(step, getattr(owner, attr)))
+        setattr(cli, name, timed(step, saved[name]))
     per_request_us: dict[str, list[float]] = {
         step: [] for step in (*REQUEST_STEPS, "model", "request")}
     cwd = os.getcwd()
@@ -279,8 +259,8 @@ def _time_request(passes: int, workload: str, between: Callable[[], None]
                 between()
         finally:
             os.chdir(cwd)
-            for owner, attr, original in saved:
-                setattr(owner, attr, original)
+            for name, original in saved.items():
+                setattr(cli, name, original)
     figures: list[tuple[str, object]] = [("requests", len(requests)), ("passes", passes)]
     for step, values in per_request_us.items():
         prefix = "us_per_request" if step == "request" else f"{step}_us"
