@@ -103,6 +103,7 @@ _get_result = attrgetter(*_RESULT_FIELDS)
 _get_traffic = itemgetter(*_TRAFFIC_FIELDS.values())
 _get_metrics = attrgetter(*_METRICS)
 _get_energy_breakdown = itemgetter(*ENERGY_BREAKDOWN_KEYS)
+_get_reference = attrgetter(*_REFERENCE_FIELDS)
 # what a command returns: its columns and its rows
 _Rows = tuple[tuple[str, ...], list[dict[str, Any]]]
 
@@ -392,14 +393,10 @@ def _cmd_validate(args: argparse.Namespace, bundle: ConfigBundle) -> _Rows:
     rows = []
     for index, macro in _reference_macros():
         mm = macro_metrics(bundle.params, macro)
-        rows.append({
-            "ref_index": index,
-            "imc_type": macro.imc_type.value,
-            **{name: getattr(macro, name) for name in _REFERENCE_FIELDS},
-            "energy_per_mac": mm.energy_per_mvm / (macro.d_i * macro.d_o * macro.n_macros),
-            "clock_period": mm.clock_period,
-            "area": mm.area,
-        })
+        rows.append(dict(zip(VALIDATE_FIELDS, (
+            index, macro.imc_type.value, *_get_reference(macro),
+            mm.energy_per_mvm / (macro.d_i * macro.d_o * macro.n_macros),
+            mm.clock_period, mm.area), strict=True)))
     return VALIDATE_FIELDS, rows
 
 
@@ -528,10 +525,8 @@ def _option_table(command: _Command) -> tuple[dict[str, Any], dict[str, _Option]
 _OPTION_TABLES = {name: _option_table(command) for name, command in _COMMANDS.items()}
 
 
-def build_parser(commands: dict[str, argparse.ArgumentParser] | None = None
-                 ) -> argparse.ArgumentParser:
-    """The imcperf parser; each command's own parser also goes into commands,
-    when given, under the command's name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The imcperf parser: one subparser per command, with its table's options."""
     parser = _Parser(prog="imcperf",
                      description="Analytical performance model for SRAM-based "
                                  "in-memory-computing macros.")
@@ -543,15 +538,12 @@ def build_parser(commands: dict[str, argparse.ArgumentParser] | None = None
                              dest=option.dest, type=option.convert, choices=option.choices,
                              default=option.default, metavar=option.metavar,
                              help=option.help)
-        if commands is not None:
-            commands[name] = cmd
     return parser
 
 
 # built once per process: parsing keeps no state between calls, and the
 # --workload list starts from a None default on every call
-_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
-_PARSER = build_parser(_COMMAND_PARSERS)
+_PARSER = build_parser()
 
 
 def _read_plain(command: str, tokens: list[str]) -> argparse.Namespace | None:
@@ -584,24 +576,14 @@ def _read_plain(command: str, tokens: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """argv parsed as _PARSER parses it, from the command's table when argv is
-    plain (_read_plain), else in one argparse pass when it starts with a command.
-
-    _PARSER hands everything after the command to that command's parser, so
-    calling it directly gives the same namespace, help and errors; arguments it
-    leaves over are _PARSER's error, as they would be. Any other argv (none, a
-    help flag, an unknown command) goes through _PARSER.
-    """
+    """argv parsed as _PARSER parses it: from the command's table when argv is
+    plain (_read_plain), else by _PARSER, which alone writes help, usage and
+    error texts."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    if parser is None:
-        return _PARSER.parse_args(argv)
-    args = _read_plain(argv[0], argv[1:])
+    args = _read_plain(argv[0], argv[1:]) if argv else None
     if args is None:
-        args, extras = parser.parse_known_args(argv[1:])
-        if extras:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        return _PARSER.parse_args(argv)
     args.command = argv[0]
     return args
 

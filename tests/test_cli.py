@@ -15,6 +15,7 @@ import tempfile
 import threading
 import warnings
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,10 @@ from imcperf.cli import (
     VALIDATE_FIELDS,
     main,
 )
+
+# the benchmark's package sits at the repository root
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent)]
+from imcbench import workloads as bench_workloads  # noqa: E402
 
 # energy_per_mac / clock_period / area for the seven reference design points
 VALIDATE_ROWS = (
@@ -769,17 +774,18 @@ class TestParserReuse:
     ], ids=["peak", "network", "layer", "network-not-plain"])
     def test_a_command_line_is_parsed_in_one_pass(self, capsys, monkeypatch, argv, passes):
         # a plain command line is read from the option table, with no argparse
-        # pass; any other takes one; both print what argparse alone gives
+        # pass; any other goes whole to the top-level parser, once; both print
+        # what argparse alone gives
         calls = []
-        original = argparse.ArgumentParser.parse_known_args
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                            lambda *args: calls.append(args) or original(*args))
+        original = cli._PARSER.parse_args
+        monkeypatch.setattr(cli._PARSER, "parse_args",
+                            lambda args: calls.append(list(args)) or original(args))
         code, out, err = run(capsys, *argv)
         assert code == 0, err
-        assert len(calls) == passes
+        assert calls == [list(argv)] * passes
         monkeypatch.setattr(cli, "_read_plain", lambda command, tokens: None)
         assert run(capsys, *argv) == (code, out, err)
-        assert len(calls) == passes + 1
+        assert calls == [list(argv)] * (passes + 1)
 
     @pytest.mark.parametrize("argv, leftover", [
         (("peak", "stray"), "stray"),
@@ -799,7 +805,10 @@ class TestParserReuse:
         assert again == first
 
 
-_OPTION_ACTIONS = {option: action for parser in cli._COMMAND_PARSERS.values()
+# each command's parser, by name, as _PARSER's subparsers action holds it
+_COMMAND_PARSERS = next(action for action in cli._PARSER._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+_OPTION_ACTIONS = {option: action for parser in _COMMAND_PARSERS.values()
                    for option, action in parser._option_string_actions.items()}
 _CHOICES = tuple(choice for action in _OPTION_ACTIONS.values() for choice in action.choices or ())
 _WORDS = ("32", "32,64", "mlperf-tiny-layers", "x.json", "stray", "a b", "two", " 7", "\u0663",
@@ -834,7 +843,7 @@ def _values(action, stray):
 
 def _own_options(command):
     """The option strings, help aside, of command's parser, or of any parser."""
-    parser = cli._COMMAND_PARSERS.get(command[0]) if command else None
+    parser = _COMMAND_PARSERS.get(command[0]) if command else None
     return sorted(set(parser._option_string_actions if parser else _OPTION_ACTIONS)
                   - {"-h", "--help"})
 
@@ -896,12 +905,26 @@ class TestPlainParse:
         assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("workload", bench_workloads.WORKLOADS)
+def test_every_benchmark_request_is_plain(workload, seed):
+    # each command line the benchmark's worker sends is read from the option
+    # table, into the namespace the top-level parser gives
+    requests = bench_workloads.requests_for(workload, seed)
+    assert requests
+    for request in requests:
+        argv = request["argv"] + ["--format", "json", "--out", "out.json"]
+        args = cli._read_plain(argv[0], argv[1:])
+        assert args is not None, argv
+        assert {"command": argv[0], **vars(args)} == vars(cli._PARSER.parse_args(argv)), argv
+
+
 @pytest.mark.parametrize("name", tuple(cli._COMMANDS))
 def test_option_table_is_the_parser(name):
     # every option of a command's parser, help aside, is its table's entry,
     # in the table's order, so no option can be added outside the table
     defaults, options = cli._OPTION_TABLES[name]
-    parser = cli._COMMAND_PARSERS[name]
+    parser = _COMMAND_PARSERS[name]
     actions = {flag: action for flag, action in parser._option_string_actions.items()
                if flag not in ("-h", "--help")}
     assert list(actions) == list(options)
